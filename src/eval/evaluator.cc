@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -132,9 +133,10 @@ Result<EvalReport> Evaluator::Run(const EvalConfig& config) const {
   //
   // Two phases so the hot part parallelizes without changing results: the
   // annotation pipelines run per-bundle on worker threads (each worker
-  // owns its own extractor — pipelines carry timing state), then the
-  // mentions are interned sequentially in bundle order, which reproduces
-  // the exact vocabulary a single-threaded Extract pass would build.
+  // owns its own extractor — pipelines carry timing state — over one
+  // shared concept trie), then the mentions are interned sequentially in
+  // bundle order, which reproduces the exact vocabulary a single-threaded
+  // Extract pass would build.
   struct ModelFeatures {
     std::vector<std::vector<int64_t>> train;               // [bundle]
     std::map<unsigned, std::vector<std::vector<int64_t>>> probe;  // [mask]
@@ -150,9 +152,12 @@ Result<EvalReport> Evaluator::Run(const EvalConfig& config) const {
     std::vector<BundleTerms> terms(num_bundles);
     const size_t workers = std::min(threads, num_bundles);
     std::vector<Status> worker_status(workers, Status::OK());
+    // One trie per model, shared read-only by every worker's extractor.
+    const std::shared_ptr<const tax::ConceptTrie> concepts =
+        kb::BuildConcepts(model, taxonomy_);
     ParallelFor(threads, workers, [&](size_t w) {
       kb::FeatureVocabulary scratch;  // ExtractTerms never touches it.
-      kb::FeatureExtractor extractor(model, taxonomy_, &scratch);
+      kb::FeatureExtractor extractor(model, concepts, &scratch);
       const size_t begin = w * num_bundles / workers;
       const size_t end = (w + 1) * num_bundles / workers;
       for (size_t i = begin; i < end; ++i) {

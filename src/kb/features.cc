@@ -1,11 +1,11 @@
 #include "kb/features.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "cas/annotators.h"
 #include "cas/cas.h"
 #include "common/logging.h"
-#include "taxonomy/concept_annotator.h"
 
 namespace qatk::kb {
 
@@ -72,7 +72,8 @@ std::vector<std::pair<std::string, int64_t>> FeatureVocabulary::Entries()
 
 namespace {
 
-cas::Pipeline BuildPipeline(FeatureModel model, const tax::Taxonomy* taxonomy) {
+cas::Pipeline BuildPipeline(FeatureModel model,
+                            std::shared_ptr<const tax::ConceptTrie> concepts) {
   cas::Pipeline pipeline;
   pipeline.Add(std::make_unique<cas::TokenizerAnnotator>());
   switch (model) {
@@ -87,9 +88,10 @@ cas::Pipeline BuildPipeline(FeatureModel model, const tax::Taxonomy* taxonomy) {
       pipeline.Add(std::make_unique<cas::StopwordAnnotator>());
       break;
     case FeatureModel::kBagOfConcepts:
-      QATK_CHECK(taxonomy != nullptr)
-          << "bag-of-concepts needs a taxonomy";
-      pipeline.Add(std::make_unique<tax::TrieConceptAnnotator>(*taxonomy));
+      QATK_CHECK(concepts != nullptr)
+          << "bag-of-concepts needs a concept trie";
+      pipeline.Add(
+          std::make_unique<tax::TrieConceptAnnotator>(std::move(concepts)));
       break;
   }
   return pipeline;
@@ -97,28 +99,46 @@ cas::Pipeline BuildPipeline(FeatureModel model, const tax::Taxonomy* taxonomy) {
 
 }  // namespace
 
-FeatureExtractor::FeatureExtractor(FeatureModel model,
-                                   const tax::Taxonomy* taxonomy,
-                                   FeatureVocabulary* vocabulary,
-                                   bool frozen_vocabulary)
+std::shared_ptr<const tax::ConceptTrie> BuildConcepts(
+    FeatureModel model, const tax::Taxonomy* taxonomy) {
+  if (model != FeatureModel::kBagOfConcepts) return nullptr;
+  QATK_CHECK(taxonomy != nullptr) << "bag-of-concepts needs a taxonomy";
+  return tax::ConceptTrie::Build(*taxonomy);
+}
+
+FeatureExtractor::FeatureExtractor(
+    FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
+    FeatureVocabulary* vocabulary, bool frozen_vocabulary)
     : model_(model),
       vocabulary_(vocabulary),
       mutable_vocabulary_(vocabulary),
       frozen_vocabulary_(frozen_vocabulary),
-      pipeline_(BuildPipeline(model, taxonomy)) {
+      pipeline_(BuildPipeline(model, std::move(concepts))) {
+  QATK_CHECK(vocabulary_ != nullptr) << "vocabulary must be provided";
+}
+
+FeatureExtractor::FeatureExtractor(
+    FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
+    const FeatureVocabulary* vocabulary)
+    : model_(model),
+      vocabulary_(vocabulary),
+      mutable_vocabulary_(nullptr),
+      frozen_vocabulary_(true),
+      pipeline_(BuildPipeline(model, std::move(concepts))) {
   QATK_CHECK(vocabulary_ != nullptr) << "vocabulary must be provided";
 }
 
 FeatureExtractor::FeatureExtractor(FeatureModel model,
                                    const tax::Taxonomy* taxonomy,
+                                   FeatureVocabulary* vocabulary,
+                                   bool frozen_vocabulary)
+    : FeatureExtractor(model, BuildConcepts(model, taxonomy), vocabulary,
+                       frozen_vocabulary) {}
+
+FeatureExtractor::FeatureExtractor(FeatureModel model,
+                                   const tax::Taxonomy* taxonomy,
                                    const FeatureVocabulary* vocabulary)
-    : model_(model),
-      vocabulary_(vocabulary),
-      mutable_vocabulary_(nullptr),
-      frozen_vocabulary_(true),
-      pipeline_(BuildPipeline(model, taxonomy)) {
-  QATK_CHECK(vocabulary_ != nullptr) << "vocabulary must be provided";
-}
+    : FeatureExtractor(model, BuildConcepts(model, taxonomy), vocabulary) {}
 
 void FeatureExtractor::set_frozen_vocabulary(bool frozen) {
   QATK_CHECK(frozen || mutable_vocabulary_ != nullptr)

@@ -9,6 +9,7 @@
 
 #include "cas/pipeline.h"
 #include "common/result.h"
+#include "taxonomy/concept_annotator.h"
 #include "taxonomy/taxonomy.h"
 
 namespace qatk::kb {
@@ -67,6 +68,13 @@ class FeatureVocabulary {
   std::vector<std::string> id_to_word_;
 };
 
+/// The compiled taxonomy `model` needs: a fresh ConceptTrie built from
+/// `taxonomy` (non-null) for kBagOfConcepts, nullptr for the word models.
+/// Build once and share it between all extractors of one taxonomy
+/// snapshot.
+std::shared_ptr<const tax::ConceptTrie> BuildConcepts(
+    FeatureModel model, const tax::Taxonomy* taxonomy);
+
 /// Pipeline output of one document *before* vocabulary interning: the
 /// normalized (or stemmed) word mentions in document order for the word
 /// models, or the concept ids for bag-of-concepts. Carries no vocabulary
@@ -85,21 +93,34 @@ struct TermMentions {
 /// between types of concepts").
 ///
 /// Thread-safety: an extractor owns a pipeline with per-stage timing
-/// state, so one extractor serves one thread. Several extractors may share
+/// state, so one extractor serves one thread. Any number of extractors may
+/// share one immutable ConceptTrie. Several extractors may share
 /// the same vocabulary only if all of them are frozen (read-only lookups)
 /// or access is externally serialized.
 class FeatureExtractor {
  public:
-  /// For kBagOfConcepts, `taxonomy` must be non-null and outlive the
-  /// extractor; `vocabulary` (non-null, caller-owned) is used by the word
-  /// models. `frozen_vocabulary` extracts with Lookup instead of Intern.
-  FeatureExtractor(FeatureModel model, const tax::Taxonomy* taxonomy,
+  /// `concepts` is the compiled taxonomy the bag-of-concepts model
+  /// annotates with (non-null for kBagOfConcepts, ignored otherwise; see
+  /// BuildConcepts); it may be shared with other extractors on any thread.
+  /// `vocabulary` (non-null, caller-owned) is used by the word models.
+  /// `frozen_vocabulary` extracts with Lookup instead of Intern.
+  FeatureExtractor(FeatureModel model,
+                   std::shared_ptr<const tax::ConceptTrie> concepts,
                    FeatureVocabulary* vocabulary,
                    bool frozen_vocabulary = false);
 
   /// Read-only extractor over a frozen vocabulary (the serving path): can
   /// never intern, so it is safe on concurrent reader threads as long as
   /// writers are excluded while Extract runs.
+  FeatureExtractor(FeatureModel model,
+                   std::shared_ptr<const tax::ConceptTrie> concepts,
+                   const FeatureVocabulary* vocabulary);
+
+  /// As above, building a private trie from `taxonomy` for
+  /// kBagOfConcepts (`taxonomy` must then be non-null; it is not retained).
+  FeatureExtractor(FeatureModel model, const tax::Taxonomy* taxonomy,
+                   FeatureVocabulary* vocabulary,
+                   bool frozen_vocabulary = false);
   FeatureExtractor(FeatureModel model, const tax::Taxonomy* taxonomy,
                    const FeatureVocabulary* vocabulary);
 

@@ -119,11 +119,12 @@ std::vector<core::ScoredCode> FullListFor(
 }  // namespace
 
 /// Per-thread reader state, pinned to one published snapshot: the frozen
-/// (read-only) extractor built against that snapshot's vocabulary and the
-/// epoch-tagged scoring scratch. Owned by exactly one thread through a
-/// thread_local cache, so everything here is mutated without locks; the
-/// shared_ptr keeps the snapshot alive for as long as the thread serves
-/// from it (the RCU grace period is "every reader refreshed or exited").
+/// (read-only) extractor bound to that snapshot's vocabulary and concept
+/// trie, and the epoch-tagged scoring scratch. Owned by exactly one thread
+/// through a thread_local cache, so everything here is mutated without
+/// locks; the shared_ptr keeps the snapshot alive for as long as the
+/// thread serves from it (the RCU grace period is "every reader refreshed
+/// or exited").
 struct RecommendationService::ReaderState {
   uint64_t generation = 0;
   std::shared_ptr<const TrainedState> state;
@@ -166,7 +167,7 @@ struct RecommendationService::ReaderState {
 
     /// Inserts a fresh entry at the MRU slot, evicting the LRU entry when
     /// full — but keeping (handing off) the evictee's scratch, so a
-    /// retrain costs an extractor rebuild, not a re-allocation of the
+    /// retrain costs an extractor set-up, not a re-allocation of the
     /// accumulator arrays (kb::FrozenIndex::Scratch re-sizes itself on
     /// demand and its epoch tags make stale slots read as zero under any
     /// index).
@@ -248,7 +249,10 @@ Status RecommendationService::TrainInternal(const kb::Corpus& corpus,
   // Build the whole replacement state aside: a failed (or fault-injected)
   // pass never publishes, leaving the service exactly as it was.
   auto next = std::make_shared<TrainedState>();
-  kb::FeatureExtractor extractor(options_.model, taxonomy_,
+  // The one trie build of this model: every later confirm and reader
+  // refresh of it shares the pointer.
+  next->concepts = kb::BuildConcepts(options_.model, taxonomy_);
+  kb::FeatureExtractor extractor(options_.model, next->concepts,
                                  &next->vocabulary);
   // Shard scoping: a scoped shard keeps only the nodes of the parts it
   // owns, but still walks the whole corpus in order. `seq` numbers every
@@ -324,9 +328,9 @@ RecommendationService::ReaderState& RecommendationService::AcquireReader()
   ReaderState::Cache& cache = ReaderState::ThreadCache();
   if (ReaderState* hit = cache.Find(generation)) return *hit;  // Lock-free.
   // Slow path (first query on this thread, or the generation moved): pin
-  // the current snapshot and rebuild the extractor against its
-  // vocabulary, so a retrained feature space can never be probed with
-  // stale feature ids.
+  // the current snapshot and bind a fresh extractor to its vocabulary and
+  // its concept trie (shared, not rebuilt), so a retrained feature space
+  // can never be probed with stale feature ids.
   std::shared_ptr<const TrainedState> snap;
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
@@ -339,7 +343,7 @@ RecommendationService::ReaderState& RecommendationService::AcquireReader()
   // vocabulary it reads is immutable once published.
   const kb::FeatureVocabulary* vocabulary = &snap->vocabulary;
   fresh->extractor = std::make_unique<kb::FeatureExtractor>(
-      options_.model, taxonomy_, vocabulary);
+      options_.model, snap->concepts, vocabulary);
   fresh->state = std::move(snap);
   g_reader_refreshes.fetch_add(1, std::memory_order_relaxed);
   Metrics().reader_refreshes->Add();
@@ -450,11 +454,12 @@ Status RecommendationService::ConfirmAssignment(const kb::DataBundle& bundle,
   obs::ScopedTimer confirm_span(Metrics().confirm_us);
   std::lock_guard<std::mutex> writer_lock(writer_mutex_);
   // Copy-on-write: the successor state starts as a deep copy (readers
-  // keep serving the old snapshot untouched), absorbs the confirmed
-  // instance — interning any new words into its own vocabulary copy —
-  // and re-freezes the index so (index, vocabulary) stay paired.
+  // keep serving the old snapshot untouched; the immutable concept trie is
+  // shared, not copied), absorbs the confirmed instance — interning any
+  // new words into its own vocabulary copy — and re-freezes the index so
+  // (index, vocabulary) stay paired.
   auto next = std::make_shared<TrainedState>(*state_);
-  kb::FeatureExtractor extractor(options_.model, taxonomy_,
+  kb::FeatureExtractor extractor(options_.model, next->concepts,
                                  &next->vocabulary);
   kb::DataBundle coded = bundle;
   coded.error_code = error_code;
@@ -603,6 +608,11 @@ Status RecommendationService::Recover(const std::string& data_dir) {
     next->manual_codes = std::move(snapshot.manual_codes);
     next->node_ordinals = std::move(snapshot.node_ordinals);
     next->ordinal_high = snapshot.ordinal_high;
+    // An untrained snapshot serves nothing; the train record replayed on
+    // top of it builds the trie.
+    if (snapshot.trained) {
+      next->concepts = kb::BuildConcepts(options_.model, taxonomy_);
+    }
     PackComposeContext(next.get());
     next->generation = NextGeneration();
     if (snapshot.trained) RecordIndexStats(next->index);

@@ -19,6 +19,7 @@
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
 #include "quest/service_log.h"
+#include "taxonomy/concept_annotator.h"
 #include "taxonomy/taxonomy.h"
 
 namespace qatk::quest {
@@ -46,8 +47,10 @@ namespace qatk::quest {
 /// the generation is unchanged the hot path acquires ZERO locks and
 /// allocates nothing beyond the classification result; a generation
 /// change (retrain, confirm) sends the reader through a short
-/// mutex-guarded refresh that rebinds the snapshot and rebuilds the
-/// extractor against the new vocabulary. Per-thread state retires
+/// mutex-guarded refresh that rebinds the snapshot and sets up a small
+/// extractor pipeline over the new vocabulary and the snapshot's shared
+/// concept trie — the trie itself is never rebuilt by a refresh or a
+/// confirm, only by Train / Retrain / Open. Per-thread state retires
 /// deterministically with its thread (thread_local destruction), so
 /// neither terminated threads nor reused thread ids can leak or alias
 /// reader state.
@@ -100,6 +103,11 @@ class RecommendationService {
     kb::FeatureVocabulary vocabulary;
     kb::FrozenIndex index;
     core::CodeFrequencyBaseline frequency;
+    /// The taxonomy compiled for bag-of-concepts annotation (null for the
+    /// word models). Built once by Train / Retrain / Open from the
+    /// taxonomy as it was then, and shared by pointer with every confirm
+    /// successor and reader extractor of this model.
+    std::shared_ptr<const tax::ConceptTrie> concepts;
     /// Description catalogs, also pre-packed as a kb::Corpus so the
     /// Recommend path composes documents without copying a map per query.
     std::map<std::string, std::string> part_descriptions;
@@ -120,9 +128,13 @@ class RecommendationService {
     uint64_t ordinal_high = 0;
   };
 
-  /// `taxonomy` must outlive the service. A service constructed this way
-  /// is *ephemeral*: mutations live only in memory. Use Open for a
-  /// durable, crash-recoverable service.
+  /// `taxonomy` must outlive the service. It is read only at Train,
+  /// Retrain and Open, which compile it into the snapshot's concept trie;
+  /// confirms and reads keep annotating with that trie, so a taxonomy
+  /// mutation (e.g. Taxonomy::AddSynonym) takes effect at the next
+  /// Retrain, never half-way through a trained model. A service
+  /// constructed this way is *ephemeral*: mutations live only in memory.
+  /// Use Open for a durable, crash-recoverable service.
   RecommendationService(const tax::Taxonomy* taxonomy, Options options);
 
   /// Recovery outcome and live durability state of an Open'ed service.
@@ -300,7 +312,7 @@ class RecommendationService {
   /// serving threads, no matter how many threads have come and gone.
   static int64_t LiveReaderStatesForTest();
 
-  /// Total reader-snapshot refreshes (slow-path rebuilds) across the
+  /// Total reader-snapshot refreshes (slow-path re-binds) across the
   /// process. Test hook proving the hot path stays on the lock-free fast
   /// path: N queries on an unchanged generation add at most 1 here.
   static uint64_t ReaderRefreshesForTest();
@@ -313,9 +325,11 @@ class RecommendationService {
   Status TrainInternal(const kb::Corpus& corpus, bool allow_retrain);
 
   /// Returns this thread's ReaderState for the current generation,
-  /// refreshing (mutex + extractor rebuild) only when the generation
-  /// moved since the thread's last query. The fast path is one atomic
-  /// acquire load plus a tiny thread_local scan: no locks, no allocation.
+  /// refreshing only when the generation moved since the thread's last
+  /// query. A refresh rebinds the snapshot under the mutex and sets up an
+  /// extractor over the snapshot's vocabulary and shared concept trie; it
+  /// never rebuilds the trie. The fast path is one atomic acquire load
+  /// plus a tiny thread_local scan: no locks, no allocation.
   ReaderState& AcquireReader() const;
 
   /// Classification body shared by Recommend / RecommendForText; operates

@@ -1,9 +1,13 @@
 #include "taxonomy/concept_annotator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <utility>
 
+#include "common/logging.h"
 #include "common/strutil.h"
+#include "obs/metrics.h"
 #include "text/tokenizer.h"
 
 namespace qatk::tax {
@@ -23,13 +27,26 @@ std::vector<std::string> NormalizeSurface(const std::string& surface) {
   return tokenizer.WordsNormalized(surface);
 }
 
+/// Test-observable build count (independent of obs, which compiles out
+/// under QATK_NO_METRICS).
+std::atomic<uint64_t> g_trie_builds{0};
+
 }  // namespace
 
-TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy)
-    : TrieConceptAnnotator(taxonomy, Options()) {}
+std::shared_ptr<const ConceptTrie> ConceptTrie::Build(
+    const Taxonomy& taxonomy) {
+  return Build(taxonomy, Options());
+}
 
-TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy,
-                                           Options options) {
+std::shared_ptr<const ConceptTrie> ConceptTrie::Build(
+    const Taxonomy& taxonomy, Options options) {
+  g_trie_builds.fetch_add(1, std::memory_order_relaxed);
+  static obs::Counter* const builds =
+      obs::Registry::Global().GetCounter("qatk_taxonomy_trie_builds_total");
+  builds->Add();
+
+  std::shared_ptr<ConceptTrie> built(new ConceptTrie());
+  TokenTrie& trie = built->trie_;
   // First pass: single-word synonym sets per concept, used for expansion.
   std::map<std::string, std::vector<std::string>> word_synonym_groups;
   if (options.expand_synonyms) {
@@ -52,12 +69,12 @@ TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy,
   }
 
   for (const Concept* cpt : taxonomy.All()) {
-    categories_[cpt->id] = cpt->category;
+    built->categories_[cpt->id] = cpt->category;
     for (const auto& [lang, surfaces] : cpt->synonyms) {
       for (const std::string& surface : surfaces) {
         std::vector<std::string> tokens = NormalizeSurface(surface);
         if (tokens.empty()) continue;
-        trie_.Insert(tokens, cpt->id);
+        trie.Insert(tokens, cpt->id);
         if (!options.expand_synonyms || tokens.size() < 2) continue;
         // Expansion: substitute one position at a time by the synonyms of
         // that word, bounded per original synonym.
@@ -71,13 +88,36 @@ TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy,
             if (generated >= options.max_variants_per_synonym) break;
             std::vector<std::string> variant = tokens;
             variant[i] = replacement;
-            trie_.Insert(variant, cpt->id);
+            trie.Insert(variant, cpt->id);
             ++generated;
           }
         }
       }
     }
   }
+  return built;
+}
+
+const Category* ConceptTrie::CategoryOf(int64_t concept_id) const {
+  auto it = categories_.find(concept_id);
+  return it == categories_.end() ? nullptr : &it->second;
+}
+
+uint64_t ConceptTrie::BuildsForTest() {
+  return g_trie_builds.load(std::memory_order_relaxed);
+}
+
+TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy)
+    : TrieConceptAnnotator(ConceptTrie::Build(taxonomy)) {}
+
+TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy,
+                                           Options options)
+    : TrieConceptAnnotator(ConceptTrie::Build(taxonomy, options)) {}
+
+TrieConceptAnnotator::TrieConceptAnnotator(
+    std::shared_ptr<const ConceptTrie> concepts)
+    : concepts_(std::move(concepts)) {
+  QATK_CHECK(concepts_ != nullptr) << "TrieConceptAnnotator needs a trie";
 }
 
 Status TrieConceptAnnotator::Process(cas::Cas* cas) {
@@ -95,7 +135,8 @@ Status TrieConceptAnnotator::Process(cas::Cas* cas) {
   // completely enclosed by the emitted one.
   size_t i = 0;
   while (i < words.size()) {
-    std::optional<TokenTrie::Match> match = trie_.LongestMatch(words, i);
+    std::optional<TokenTrie::Match> match =
+        concepts_->trie().LongestMatch(words, i);
     if (!match) {
       ++i;
       continue;
@@ -108,9 +149,8 @@ Status TrieConceptAnnotator::Process(cas::Cas* cas) {
       a.begin = word_tokens[first]->begin;
       a.end = word_tokens[last]->end;
       a.int_features[kFeatureConceptId] = concept_id;
-      auto cat = categories_.find(concept_id);
-      if (cat != categories_.end()) {
-        a.string_features[kFeatureCategory] = CategoryToString(cat->second);
+      if (const Category* category = concepts_->CategoryOf(concept_id)) {
+        a.string_features[kFeatureCategory] = CategoryToString(*category);
       }
       QATK_RETURN_NOT_OK(cas->Add(std::move(a)));
     }

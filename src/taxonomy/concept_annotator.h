@@ -12,25 +12,22 @@
 
 namespace qatk::tax {
 
-/// \brief The optimized concept annotator of §4.5.3.
+/// \brief The compiled form of a taxonomy that the optimized concept
+/// annotator of §4.5.3 matches against: the token trie of every synonym
+/// (all languages, FoldGerman-normalized) plus the concept -> category map.
 ///
-/// Improvements over the legacy component, as the paper describes them:
-///  * taxonomy represented as a trie → fast search and retrieval;
-///  * multilingual: synonyms of every language matched simultaneously on
-///    FoldGerman-normalized tokens ("Lüfter" == "luefter" == "LUEFTER");
-///  * correct multiword capture via left-bounded greedy longest match;
-///  * concept matches completely enclosed by other matches are eliminated
-///    (the scan resumes after the end of each emitted match);
-///  * synonym expansion: within multiword synonyms, component words that
-///    are themselves single-word synonyms of another concept are replaced
-///    by that concept's synonyms ("the concepts of the taxonomy [are
-///    expanded] with synonyms of concept label substrings as found in the
-///    taxonomy itself"), bounded to keep the trie small.
+/// Immutable once built and shared through `shared_ptr<const ConceptTrie>`,
+/// so any number of annotators — on any number of threads — match against
+/// one build. The taxonomy is copied into normalized token sequences; a
+/// later taxonomy mutation (Add, AddSynonym) is not seen by an
+/// existing ConceptTrie, only by the next Build.
 ///
-/// Emits one kConcept annotation per (span, concept id), with int feature
-/// kFeatureConceptId and string feature kFeatureCategory.
-/// Requires a prior TokenizerAnnotator.
-class TrieConceptAnnotator final : public cas::Annotator {
+/// Synonym expansion: within multiword synonyms, component words that are
+/// themselves single-word synonyms of another concept are replaced by that
+/// concept's synonyms ("the concepts of the taxonomy [are expanded] with
+/// synonyms of concept label substrings as found in the taxonomy itself"),
+/// bounded to keep the trie small.
+class ConceptTrie {
  public:
   struct Options {
     /// Enable the substring-synonym expansion described above.
@@ -40,21 +37,63 @@ class TrieConceptAnnotator final : public cas::Annotator {
     size_t max_variants_per_synonym = 8;
   };
 
-  /// Builds the trie from `taxonomy` (all languages) with default options.
-  /// The taxonomy is copied into normalized token sequences; it may be
-  /// destroyed after construction.
+  /// Builds the trie from `taxonomy` (default options). Every build counts
+  /// once in `qatk_taxonomy_trie_builds_total` and in BuildsForTest().
+  static std::shared_ptr<const ConceptTrie> Build(const Taxonomy& taxonomy);
+  static std::shared_ptr<const ConceptTrie> Build(const Taxonomy& taxonomy,
+                                                  Options options);
+
+  const TokenTrie& trie() const { return trie_; }
+
+  /// Category of a concept of the built taxonomy, or nullptr.
+  const Category* CategoryOf(int64_t concept_id) const;
+
+  /// Total builds across the process. Test hook that, unlike the obs
+  /// counter, survives QATK_NO_METRICS.
+  static uint64_t BuildsForTest();
+
+ private:
+  ConceptTrie() = default;
+
+  TokenTrie trie_;
+  std::unordered_map<int64_t, Category> categories_;
+};
+
+/// \brief The optimized concept annotator of §4.5.3.
+///
+/// Improvements over the legacy component, as the paper describes them:
+///  * taxonomy represented as a trie (ConceptTrie) → fast search and
+///    retrieval;
+///  * multilingual: synonyms of every language matched simultaneously on
+///    FoldGerman-normalized tokens ("Lüfter" == "luefter" == "LUEFTER");
+///  * correct multiword capture via left-bounded greedy longest match;
+///  * concept matches completely enclosed by other matches are eliminated
+///    (the scan resumes after the end of each emitted match);
+///  * synonym expansion (see ConceptTrie).
+///
+/// Emits one kConcept annotation per (span, concept id), with int feature
+/// kFeatureConceptId and string feature kFeatureCategory.
+/// Requires a prior TokenizerAnnotator.
+class TrieConceptAnnotator final : public cas::Annotator {
+ public:
+  using Options = ConceptTrie::Options;
+
+  /// Builds a private trie from `taxonomy` (all languages). The taxonomy
+  /// may be destroyed after construction.
   explicit TrieConceptAnnotator(const Taxonomy& taxonomy);
   TrieConceptAnnotator(const Taxonomy& taxonomy, Options options);
+
+  /// Matches against an already built, possibly shared trie (non-null).
+  explicit TrieConceptAnnotator(std::shared_ptr<const ConceptTrie> concepts);
 
   std::string name() const override { return "TrieConceptAnnotator"; }
   Status Process(cas::Cas* cas) override;
 
-  size_t trie_nodes() const { return trie_.node_count(); }
-  size_t trie_entries() const { return trie_.entry_count(); }
+  size_t trie_nodes() const { return concepts_->trie().node_count(); }
+  size_t trie_entries() const { return concepts_->trie().entry_count(); }
 
  private:
-  TokenTrie trie_;
-  std::unordered_map<int64_t, Category> categories_;
+  std::shared_ptr<const ConceptTrie> concepts_;
 };
 
 /// \brief Faithful reimplementation of the deficient closed-source legacy

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "datagen/world.h"
 #include "kb/data_bundle.h"
 #include "kb/features.h"
 #include "kb/kb_store.h"
 #include "kb/knowledge_base.h"
+#include "server/demo_corpus.h"
 #include "storage/database.h"
+#include "taxonomy/concept_annotator.h"
 #include "taxonomy/taxonomy.h"
 
 namespace qatk::kb {
@@ -411,6 +416,56 @@ TEST_F(KbStoreTest, RecommendationsRoundTrip) {
   EXPECT_EQ((*recs)[0].first, "E5");
   EXPECT_DOUBLE_EQ((*recs)[0].second, 0.9);
   EXPECT_EQ((*recs)[1].first, "E2");
+}
+
+// An extractor over a shared, prebuilt ConceptTrie must annotate exactly
+// like one that builds its own trie from the taxonomy: same concept
+// mentions in the same order, hence the same features, on every held-out
+// bundle of the demo corpus, under both document compositions.
+TEST(FeatureExtractorTest, SharedTrieMatchesTaxonomyBuiltTrie) {
+  const datagen::DomainWorld world(server::DemoWorldConfig());
+  const server::DemoSplit demo = server::GenerateDemoSplit(world);
+  const std::shared_ptr<const tax::ConceptTrie> shared =
+      BuildConcepts(FeatureModel::kBagOfConcepts, &world.taxonomy());
+  ASSERT_NE(shared, nullptr);
+
+  FeatureVocabulary own_vocabulary;
+  FeatureVocabulary shared_vocabulary;
+  FeatureExtractor own(FeatureModel::kBagOfConcepts, &world.taxonomy(),
+                       &own_vocabulary);
+  FeatureExtractor from_shared(FeatureModel::kBagOfConcepts, shared,
+                               &shared_vocabulary);
+  size_t with_concepts = 0;
+  for (const DataBundle& bundle : demo.heldout) {
+    for (unsigned sources : {kTestSources, kTrainSources}) {
+      const std::string document =
+          ComposeDocument(bundle, sources, demo.train);
+      auto own_terms = own.ExtractTerms(document);
+      auto shared_terms = from_shared.ExtractTerms(document);
+      ASSERT_TRUE(own_terms.ok() && shared_terms.ok());
+      ASSERT_EQ(shared_terms->concept_ids, own_terms->concept_ids)
+          << bundle.reference_number;
+      auto own_features = own.Extract(document);
+      auto shared_features = from_shared.Extract(document);
+      ASSERT_TRUE(own_features.ok() && shared_features.ok());
+      ASSERT_EQ(*shared_features, *own_features) << bundle.reference_number;
+      if (!own_features->empty()) ++with_concepts;
+    }
+  }
+  EXPECT_GT(with_concepts, demo.heldout.size())
+      << "the comparison saw implausibly few concept annotations";
+}
+
+// Word models need no trie: BuildConcepts returns null and does not count
+// a build.
+TEST(FeatureExtractorTest, WordModelsBuildNoTrie) {
+  tax::Taxonomy taxonomy;
+  const uint64_t builds = tax::ConceptTrie::BuildsForTest();
+  EXPECT_EQ(BuildConcepts(FeatureModel::kBagOfWords, &taxonomy), nullptr);
+  EXPECT_EQ(BuildConcepts(FeatureModel::kBagOfStems, nullptr), nullptr);
+  EXPECT_EQ(tax::ConceptTrie::BuildsForTest(), builds);
+  EXPECT_NE(BuildConcepts(FeatureModel::kBagOfConcepts, &taxonomy), nullptr);
+  EXPECT_EQ(tax::ConceptTrie::BuildsForTest(), builds + 1);
 }
 
 }  // namespace

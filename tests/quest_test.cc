@@ -10,6 +10,7 @@
 #include "datagen/world.h"
 #include "quest/comparison.h"
 #include "quest/recommendation_service.h"
+#include "taxonomy/concept_annotator.h"
 
 namespace qatk::quest {
 namespace {
@@ -180,6 +181,7 @@ TEST_F(RecommendationServiceTest, ConcurrentServingSmoke) {
 
   constexpr size_t kReaders = 4;
   constexpr size_t kIterations = 40;
+  const uint64_t trie_builds = tax::ConceptTrie::BuildsForTest();
   std::atomic<size_t> failures{0};
   std::atomic<size_t> recommendations{0};
 
@@ -230,6 +232,9 @@ TEST_F(RecommendationServiceTest, ConcurrentServingSmoke) {
     if (scored.error_code == "E_CONC") found = true;
   }
   EXPECT_TRUE(found);
+  // Confirms, definitions and reader refreshes all share the trained
+  // snapshot's concept trie.
+  EXPECT_EQ(tax::ConceptTrie::BuildsForTest(), trie_builds);
 }
 
 TEST_F(RecommendationServiceTest, DescribeUnknownCode) {

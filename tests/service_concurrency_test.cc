@@ -1,12 +1,14 @@
 // Regression tests for the lock-free reader path of RecommendationService
 // (DESIGN.md §12): deterministic thread_local retirement, retrain
-// invalidation of cached extractors, the zero-lock fast path, and a
-// reader/writer stress that TSan can chew on (run via scripts/check.sh
-// thread stage).
+// invalidation of cached extractors, the zero-lock fast path, one concept
+// trie build per trained snapshot (confirms and reader refreshes share
+// it), and a reader/writer stress that TSan can chew on (run via
+// scripts/check.sh thread stage).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "datagen/oem.h"
 #include "datagen/world.h"
 #include "quest/recommendation_service.h"
+#include "quest/service_log.h"
+#include "taxonomy/concept_annotator.h"
 
 namespace qatk::quest {
 namespace {
@@ -44,6 +48,23 @@ bool SameRecommendation(const RecommendationService::Recommendation& a,
     if (a.top[i].score != b.top[i].score) return false;  // Bit-exact.
   }
   return true;
+}
+
+uint64_t TrieBuilds() { return tax::ConceptTrie::BuildsForTest(); }
+
+/// Recommends on a brand-new thread, so the answer comes from a reader
+/// state refreshed right now rather than from this thread's cache.
+RecommendationService::Recommendation RecommendOnFreshThread(
+    const RecommendationService& service, const std::string& part_id,
+    const std::string& text) {
+  RecommendationService::Recommendation out;
+  std::thread reader([&] {
+    auto result = service.RecommendForText(part_id, text);
+    ASSERT_TRUE(result.ok()) << result.status();
+    out = *result;
+  });
+  reader.join();
+  return out;
 }
 
 class ServiceConcurrencyTest : public ::testing::Test {
@@ -177,6 +198,7 @@ TEST_F(ServiceConcurrencyTest, ReadersNeverObserveTornSnapshots) {
 
   constexpr size_t kReaders = 8;
   constexpr size_t kWriterIterations = 24;
+  const uint64_t builds_before = TrieBuilds();
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
   std::atomic<size_t> torn{0};
@@ -229,9 +251,144 @@ TEST_F(ServiceConcurrencyTest, ReadersNeverObserveTornSnapshots) {
       << "a reader observed a torn index/vocabulary pairing";
   EXPECT_GT(reads.load(), kReaders)
       << "stress produced implausibly few reads";
+  // Only the writer's kWriterIterations + 1 retrains build a trie; the
+  // confirms and every reader refresh share the snapshot's.
+  EXPECT_EQ(TrieBuilds() - builds_before, kWriterIterations + 1)
+      << "a confirm or a reader refresh rebuilt the concept trie";
   auto final_result = service.RecommendForText(probe_part, probe_text);
   ASSERT_TRUE(final_result.ok());
   EXPECT_TRUE(SameRecommendation(*final_result, *ref_a));
+}
+
+// The concept trie is built once per trained snapshot: Train and Retrain
+// each build one; confirms copy the snapshot's pointer, and the reader
+// refresh each confirm forces binds to it instead of rebuilding.
+TEST_F(ServiceConcurrencyTest, TrieBuiltOncePerTrainedSnapshot) {
+  RecommendationService service(&world_.taxonomy(), {});
+  uint64_t builds = TrieBuilds();
+  ASSERT_TRUE(service.Train(corpus_a_).ok());
+  EXPECT_EQ(TrieBuilds(), builds + 1) << "Train";
+  builds = TrieBuilds();
+  ASSERT_TRUE(service.Retrain(corpus_b_).ok());
+  EXPECT_EQ(TrieBuilds(), builds + 1) << "Retrain";
+
+  builds = TrieBuilds();
+  const uint64_t refreshes = RecommendationService::ReaderRefreshesForTest();
+  constexpr size_t kCycles = 20;
+  for (size_t i = 0; i < kCycles; ++i) {
+    const kb::DataBundle& bundle = corpus_a_.bundles[i];
+    ASSERT_TRUE(service.ConfirmAssignment(bundle, bundle.error_code).ok());
+    ASSERT_TRUE(service.Recommend(corpus_b_.bundles[i]).ok());
+  }
+  EXPECT_EQ(RecommendationService::ReaderRefreshesForTest() - refreshes,
+            kCycles)
+      << "every confirm should force exactly one refresh on this thread";
+  EXPECT_EQ(TrieBuilds(), builds)
+      << "a confirm or a reader refresh rebuilt the concept trie";
+}
+
+// Recovery from a checkpoint snapshot builds the trie once; the word
+// models never build one.
+TEST_F(ServiceConcurrencyTest, OpenFromSnapshotBuildsTheTrieOnce) {
+  const std::string data_dir = ::testing::TempDir() + "/trie_builds_open";
+  std::remove(ServiceLogPath(data_dir).c_str());
+  std::remove(ServiceSnapshotPath(data_dir).c_str());
+  for (kb::FeatureModel model : {kb::FeatureModel::kBagOfConcepts,
+                                 kb::FeatureModel::kBagOfWords}) {
+    RecommendationService::Options options;
+    options.model = model;
+    {
+      auto service =
+          RecommendationService::Open(&world_.taxonomy(), options, data_dir);
+      ASSERT_TRUE(service.ok()) << service.status();
+      ASSERT_TRUE((*service)->Retrain(corpus_a_).ok());
+      ASSERT_TRUE((*service)->Checkpoint().ok());
+    }
+    const uint64_t builds = TrieBuilds();
+    auto reopened =
+        RecommendationService::Open(&world_.taxonomy(), options, data_dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    ASSERT_TRUE((*reopened)->durability().recovered_snapshot);
+    ASSERT_EQ((*reopened)->durability().replayed_records, 0u);
+    const kb::DataBundle& probe = corpus_a_.bundles[0];
+    ASSERT_TRUE((*reopened)->Recommend(probe).ok());
+    ASSERT_TRUE(
+        (*reopened)->ConfirmAssignment(probe, probe.error_code).ok());
+    ASSERT_TRUE((*reopened)->Recommend(probe).ok());
+    const bool concepts = model == kb::FeatureModel::kBagOfConcepts;
+    EXPECT_EQ(TrieBuilds() - builds, concepts ? 1u : 0u)
+        << kb::FeatureModelToString(model);
+  }
+  std::remove(ServiceLogPath(data_dir).c_str());
+  std::remove(ServiceSnapshotPath(data_dir).c_str());
+}
+
+// The served trie is pinned to its trained snapshot: the taxonomy is read
+// only at Train / Retrain / Open. A synonym added after training must not
+// leak into a confirm or a freshly refreshed reader (their annotations
+// would no longer match the vocabulary the index was trained on); the
+// next Retrain picks it up.
+TEST_F(ServiceConcurrencyTest, ServedTrieIsPinnedToItsSnapshot) {
+  tax::Taxonomy taxonomy = world_.taxonomy();
+  RecommendationService service(&taxonomy, {});
+  ASSERT_TRUE(service.Train(corpus_a_).ok());
+
+  // A concept that P01's knowledge base uses, with a synonym that
+  // annotates as exactly that concept.
+  const std::string part_id = "P01";
+  const kb::KnowledgeBase& knowledge = service.knowledge();
+  int64_t concept_id = 0;
+  std::string known_surface;
+  kb::FeatureVocabulary vocabulary;
+  kb::FeatureExtractor extractor(kb::FeatureModel::kBagOfConcepts,
+                                 &taxonomy, &vocabulary);
+  for (const kb::KnowledgeNode& node : knowledge.nodes()) {
+    if (node.part_id != part_id) continue;
+    for (int64_t id : node.features) {
+      auto cpt = taxonomy.Find(id);
+      ASSERT_TRUE(cpt.ok());
+      for (const auto& [lang, surfaces] : (*cpt)->synonyms) {
+        for (const std::string& surface : surfaces) {
+          auto features = extractor.Extract(surface);
+          ASSERT_TRUE(features.ok());
+          if (*features == std::vector<int64_t>{id}) {
+            concept_id = id;
+            known_surface = surface;
+          }
+        }
+      }
+      if (concept_id != 0) break;
+    }
+    if (concept_id != 0) break;
+  }
+  ASSERT_NE(concept_id, 0) << "no single-concept synonym for " << part_id;
+
+  const std::string new_synonym = "zzqpinnedsynonym";
+  const auto before = RecommendOnFreshThread(service, part_id, new_synonym);
+  const auto known = RecommendOnFreshThread(service, part_id, known_surface);
+  ASSERT_FALSE(SameRecommendation(before, known))
+      << "probe cannot tell a matched synonym from an unmatched one";
+
+  ASSERT_TRUE(taxonomy
+                  .AddSynonym(concept_id, text::Language::kGerman,
+                              new_synonym)
+                  .ok());
+  // Confirm on another part (so P01's ranking stays comparable), then
+  // read from a new thread: still the trained trie.
+  kb::DataBundle confirm;
+  confirm.reference_number = "PINNED";
+  confirm.part_id = "P02";
+  confirm.mechanic_report = new_synonym + " " + known_surface;
+  ASSERT_TRUE(service.ConfirmAssignment(confirm, "E_PINNED").ok());
+  EXPECT_TRUE(SameRecommendation(
+      RecommendOnFreshThread(service, part_id, new_synonym), before))
+      << "a confirm or a reader refresh annotated with the mutated taxonomy";
+
+  ASSERT_TRUE(service.Retrain(corpus_a_).ok());
+  EXPECT_TRUE(SameRecommendation(
+      RecommendOnFreshThread(service, part_id, new_synonym),
+      RecommendOnFreshThread(service, part_id, known_surface)))
+      << "Retrain did not pick up the new synonym";
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cas/annotators.h"
 #include "cas/cas.h"
 #include "taxonomy/concept_annotator.h"
@@ -390,6 +392,36 @@ TEST(TrieConceptAnnotatorTest, ExpansionCanBeDisabled) {
   QATK_CHECK_OK(annotator.Process(&c));
   std::vector<int64_t> ids = ConceptIds(c);
   EXPECT_EQ(std::find(ids.begin(), ids.end(), 1), ids.end());
+}
+
+// Annotators over one shared ConceptTrie annotate exactly like one that
+// builds its own, and sharing costs no further build. The trie is a
+// snapshot: a synonym added to the taxonomy afterwards is not matched.
+TEST(TrieConceptAnnotatorTest, SharedTrieAnnotatesLikeOwnTrie) {
+  Taxonomy taxonomy = TestTaxonomy();
+  const std::string doc = "Kotfluegel and brake hose and the fan cracked";
+  const uint64_t builds = ConceptTrie::BuildsForTest();
+  std::shared_ptr<const ConceptTrie> shared = ConceptTrie::Build(taxonomy);
+  EXPECT_EQ(ConceptTrie::BuildsForTest(), builds + 1);
+  cas::TokenizerAnnotator tokenizer;
+  for (int i = 0; i < 3; ++i) {
+    cas::Cas c(doc);
+    QATK_CHECK_OK(tokenizer.Process(&c));
+    TrieConceptAnnotator annotator(shared);
+    QATK_CHECK_OK(annotator.Process(&c));
+    EXPECT_EQ(ConceptIds(c), ConceptIds(Annotate(taxonomy, doc)));
+  }
+  EXPECT_EQ(ConceptTrie::BuildsForTest(), builds + 1 + 3)
+      << "only the three Annotate() calls may build";
+
+  QATK_CHECK_OK(taxonomy.AddSynonym(102, Language::kEnglish, "zzqblower"));
+  cas::Cas c("zzqblower");
+  QATK_CHECK_OK(tokenizer.Process(&c));
+  TrieConceptAnnotator annotator(shared);
+  QATK_CHECK_OK(annotator.Process(&c));
+  EXPECT_TRUE(ConceptIds(c).empty());
+  EXPECT_EQ(ConceptIds(Annotate(taxonomy, "zzqblower")),
+            std::vector<int64_t>{102});
 }
 
 // ---------------------------------------------------------------------------
