@@ -65,7 +65,8 @@ void BM_TrieLongestMatch(benchmark::State& state) {
       trie.Insert({vocab[i]}, i);
     }
   }
-  std::vector<std::string> tokens;
+  // Views into `vocab`, the form a folded document's words take.
+  std::vector<std::string_view> tokens;
   for (int i = 0; i < 70; ++i) {
     tokens.push_back(vocab[rng.NextBounded(2000)]);
   }

@@ -61,6 +61,14 @@
 #                           notice and succeeds, so laptops and small CI
 #                           runners stay green without masking a real
 #                           regression on serving-class hardware.
+#   9. loadbench          — a 5 s open-loop QUEST serving smoke on the
+#                           oem-steady workload (loadbench/run.py, seed 1,
+#                           untraced; builds into .bench_build/). Exit 0
+#                           passes. Exit 3 means the run was refused for
+#                           host noise: it says nothing about the code, so
+#                           the stage prints a notice and passes. Any other
+#                           status (1: build failure or a wrong answer)
+#                           fails the stage.
 #
 # Each sanitizer pass gets its own build tree under build-san/ so the
 # sanitizer runtimes never mix; the perf and serve stages share
@@ -74,6 +82,7 @@
 #   scripts/check.sh durability # crash torture under ASan+UBSan
 #   scripts/check.sh cluster    # sharded scatter-gather serving end-to-end
 #   scripts/check.sh scaling    # 1->4 multi-core scaling gates
+#   scripts/check.sh loadbench  # open-loop serving smoke (oem-steady)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,7 +90,7 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 STAGES=("${1:-address,undefined}")
 if [[ $# -eq 0 ]]; then
-  STAGES=("address,undefined" "thread" "perf" "serve" "obs" "durability" "cluster" "scaling")
+  STAGES=("address,undefined" "thread" "perf" "serve" "obs" "durability" "cluster" "scaling" "loadbench")
 fi
 
 # Pulls the first indexed-path qps out of a (pretty-printed) BENCH_knn
@@ -206,6 +215,21 @@ for STAGE in "${STAGES[@]}"; do
     # on a falling curve.
     "${BUILD_DIR}/bench/bench_knn_throughput" --out=BENCH_knn.json
     "${BUILD_DIR}/bench/bench_serving_load" --out=BENCH_serving.json
+    continue
+  fi
+  if [[ "${STAGE}" == "loadbench" ]]; then
+    echo "=== loadbench smoke: oem-steady, seed 1, 5 s (build: .bench_build/) ==="
+    STATUS=0
+    python3 loadbench/run.py --workload oem-steady --seed 1 --seconds 5 \
+      --trace 0 || STATUS=$?
+    if [[ "${STATUS}" -eq 3 ]]; then
+      echo "NOTICE: loadbench refused the run for host noise (exit 3);" \
+        "that says nothing about the code, so the stage passes" >&2
+    elif [[ "${STATUS}" -ne 0 ]]; then
+      echo "loadbench failed with exit ${STATUS} (1: build failure or a" \
+        "wrong answer)" >&2
+      exit 1
+    fi
     continue
   fi
   if [[ "${STAGE}" == "durability" ]]; then

@@ -75,6 +75,11 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 std::string FoldGerman(std::string_view input) {
   std::string out;
   out.reserve(input.size());
+  FoldGermanAppend(input, &out);
+  return out;
+}
+
+void FoldGermanAppend(std::string_view input, std::string* out) {
   for (size_t i = 0; i < input.size(); ++i) {
     unsigned char c = static_cast<unsigned char>(input[i]);
     // UTF-8 two-byte sequences for ä ö ü Ä Ö Ü ß start with 0xC3.
@@ -92,14 +97,16 @@ std::string FoldGerman(std::string_view input) {
         default: break;
       }
       if (repl != nullptr) {
-        out.append(repl);
+        out->append(repl, 2);
         ++i;
         continue;
       }
     }
-    out.push_back(static_cast<char>(std::tolower(c)));
+    // ASCII-only lower-casing: what std::tolower does in the "C" locale,
+    // without a locale call per byte.
+    out->push_back(static_cast<char>(c >= 'A' && c <= 'Z' ? c + ('a' - 'A')
+                                                          : c));
   }
-  return out;
 }
 
 size_t EditDistance(std::string_view a, std::string_view b) {

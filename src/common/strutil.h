@@ -1,6 +1,8 @@
 #ifndef QATK_COMMON_STRUTIL_H_
 #define QATK_COMMON_STRUTIL_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +34,20 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// concept matching robust to the "Lüfter"/"Luefter" spelling variation that
 /// is pervasive in the messy source data.
 std::string FoldGerman(std::string_view input);
+
+/// FoldGerman appending to `out`. The folded form is never longer than
+/// `input` (every two-byte umlaut folds to two ASCII bytes).
+void FoldGermanAppend(std::string_view input, std::string* out);
+
+/// Transparent hash for string-keyed unordered containers: together with
+/// `std::equal_to<>` it lets find/count take a `std::string_view` without
+/// building a `std::string` per lookup.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Levenshtein edit distance over bytes.
 size_t EditDistance(std::string_view a, std::string_view b);

@@ -132,9 +132,9 @@ Result<EvalReport> Evaluator::Run(const EvalConfig& config) const {
   // representation (no label information flows through it).
   //
   // Two phases so the hot part parallelizes without changing results: the
-  // annotation pipelines run per-bundle on worker threads (each worker
-  // owns its own extractor — pipelines carry timing state — over one
-  // shared concept trie), then the mentions are interned sequentially in
+  // preprocessing runs per-bundle on worker threads (each worker owns its
+  // own extractor — extractors carry scratch buffers — over one shared
+  // concept trie), then the mentions are interned sequentially in
   // bundle order, which reproduces the exact vocabulary a single-threaded
   // Extract pass would build.
   struct ModelFeatures {

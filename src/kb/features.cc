@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "cas/annotators.h"
-#include "cas/cas.h"
 #include "common/logging.h"
+#include "text/stopwords.h"
 
 namespace qatk::kb {
 
@@ -72,29 +71,10 @@ std::vector<std::pair<std::string, int64_t>> FeatureVocabulary::Entries()
 
 namespace {
 
-cas::Pipeline BuildPipeline(FeatureModel model,
-                            std::shared_ptr<const tax::ConceptTrie> concepts) {
-  cas::Pipeline pipeline;
-  pipeline.Add(std::make_unique<cas::TokenizerAnnotator>());
-  switch (model) {
-    case FeatureModel::kBagOfWords:
-      break;
-    case FeatureModel::kBagOfWordsNoStop:
-      pipeline.Add(std::make_unique<cas::StopwordAnnotator>());
-      break;
-    case FeatureModel::kBagOfStems:
-      pipeline.Add(std::make_unique<cas::LanguageAnnotator>());
-      pipeline.Add(std::make_unique<cas::StemmerAnnotator>());
-      pipeline.Add(std::make_unique<cas::StopwordAnnotator>());
-      break;
-    case FeatureModel::kBagOfConcepts:
-      QATK_CHECK(concepts != nullptr)
-          << "bag-of-concepts needs a concept trie";
-      pipeline.Add(
-          std::make_unique<tax::TrieConceptAnnotator>(std::move(concepts)));
-      break;
-  }
-  return pipeline;
+/// Word models share one immutable filter per process.
+const text::StopwordFilter& Stopwords() {
+  static const text::StopwordFilter filter;
+  return filter;
 }
 
 }  // namespace
@@ -108,25 +88,30 @@ std::shared_ptr<const tax::ConceptTrie> BuildConcepts(
 
 FeatureExtractor::FeatureExtractor(
     FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
-    FeatureVocabulary* vocabulary, bool frozen_vocabulary)
+    const FeatureVocabulary* vocabulary, FeatureVocabulary* mutable_vocabulary,
+    bool frozen_vocabulary)
     : model_(model),
       vocabulary_(vocabulary),
-      mutable_vocabulary_(vocabulary),
+      mutable_vocabulary_(mutable_vocabulary),
       frozen_vocabulary_(frozen_vocabulary),
-      pipeline_(BuildPipeline(model, std::move(concepts))) {
+      concepts_(model == FeatureModel::kBagOfConcepts ? std::move(concepts)
+                                                      : nullptr) {
   QATK_CHECK(vocabulary_ != nullptr) << "vocabulary must be provided";
+  QATK_CHECK(model_ != FeatureModel::kBagOfConcepts || concepts_ != nullptr)
+      << "bag-of-concepts needs a concept trie";
 }
 
 FeatureExtractor::FeatureExtractor(
     FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
+    FeatureVocabulary* vocabulary, bool frozen_vocabulary)
+    : FeatureExtractor(model, std::move(concepts), vocabulary, vocabulary,
+                       frozen_vocabulary) {}
+
+FeatureExtractor::FeatureExtractor(
+    FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
     const FeatureVocabulary* vocabulary)
-    : model_(model),
-      vocabulary_(vocabulary),
-      mutable_vocabulary_(nullptr),
-      frozen_vocabulary_(true),
-      pipeline_(BuildPipeline(model, std::move(concepts))) {
-  QATK_CHECK(vocabulary_ != nullptr) << "vocabulary must be provided";
-}
+    : FeatureExtractor(model, std::move(concepts), vocabulary, nullptr,
+                       /*frozen_vocabulary=*/true) {}
 
 FeatureExtractor::FeatureExtractor(FeatureModel model,
                                    const tax::Taxonomy* taxonomy,
@@ -154,26 +139,35 @@ Result<std::vector<int64_t>> FeatureExtractor::Extract(
 
 Result<TermMentions> FeatureExtractor::ExtractTerms(
     const std::string& document) {
-  cas::Cas c(document);
-  QATK_RETURN_NOT_OK(pipeline_.Process(&c));
-
+  tokenizer_.WordsNormalized(document, &words_);
+  const std::vector<std::string_view>& words = words_.words();
   TermMentions mentions;
-  if (model_ == FeatureModel::kBagOfConcepts) {
-    for (const cas::Annotation* a : c.Select(cas::types::kConcept)) {
-      mentions.concept_ids.push_back(a->GetInt(cas::types::kFeatureConceptId));
-    }
-  } else {
-    bool filter_stop = model_ == FeatureModel::kBagOfWordsNoStop ||
-                       model_ == FeatureModel::kBagOfStems;
-    bool use_stem = model_ == FeatureModel::kBagOfStems;
-    for (const cas::Annotation* token : c.Select(cas::types::kToken)) {
-      if (token->GetString(cas::types::kFeatureKind) != "word") continue;
-      if (filter_stop &&
-          token->GetInt(cas::types::kFeatureStopword) == 1) {
-        continue;
+  switch (model_) {
+    case FeatureModel::kBagOfConcepts:
+      concepts_->FindMentions(words, &matches_);
+      for (const tax::ConceptTrie::Mention& match : matches_) {
+        mentions.concept_ids.insert(mentions.concept_ids.end(),
+                                    match.concepts.begin(),
+                                    match.concepts.end());
       }
-      mentions.words.emplace_back(token->GetString(
-          use_stem ? cas::types::kFeatureStem : cas::types::kFeatureNorm));
+      break;
+    case FeatureModel::kBagOfWords:
+      mentions.words.assign(words.begin(), words.end());
+      break;
+    case FeatureModel::kBagOfWordsNoStop:
+      for (std::string_view word : words) {
+        if (!Stopwords().IsStopword(word)) mentions.words.emplace_back(word);
+      }
+      break;
+    case FeatureModel::kBagOfStems: {
+      const text::Language language = detector_.DetectFolded(words);
+      // The filter reads the folded word, not its stem, as the
+      // StopwordAnnotator does; filtering first skips stemming stopwords.
+      for (std::string_view word : words) {
+        if (Stopwords().IsStopword(word)) continue;
+        mentions.words.push_back(stemmer_.Stem(word, language));
+      }
+      break;
     }
   }
   return mentions;

@@ -7,10 +7,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cas/pipeline.h"
 #include "common/result.h"
 #include "taxonomy/concept_annotator.h"
 #include "taxonomy/taxonomy.h"
+#include "text/language.h"
+#include "text/stemmer.h"
+#include "text/tokenizer.h"
 
 namespace qatk::kb {
 
@@ -75,7 +77,7 @@ class FeatureVocabulary {
 std::shared_ptr<const tax::ConceptTrie> BuildConcepts(
     FeatureModel model, const tax::Taxonomy* taxonomy);
 
-/// Pipeline output of one document *before* vocabulary interning: the
+/// Preprocessing output of one document *before* vocabulary interning: the
 /// normalized (or stemmed) word mentions in document order for the word
 /// models, or the concept ids for bag-of-concepts. Carries no vocabulary
 /// state, so it can be produced on any thread and interned later.
@@ -85,18 +87,28 @@ struct TermMentions {
 };
 
 /// \brief Turns a composed document into a sorted, deduplicated feature-id
-/// set by running the QATK preprocessing pipeline (§4.4 step 2).
+/// set by running the QATK preprocessing (§4.4 step 2) in one direct pass.
 ///
-/// Bag-of-words: tokenize -> fold -> (optional stopword removal) -> intern.
-/// Bag-of-concepts: tokenize -> trie concept annotation -> concept ids
-/// ("we use the concept mentions as attributes without distinguishing
-/// between types of concepts").
+/// Every model first folds the document's words (Tokenizer). Then:
+///  * bag-of-words: the words as they are;
+///  * bag-of-words-nostop: minus stopwords (StopwordFilter);
+///  * bag-of-stems: the document language (LanguageDetector), then each
+///    non-stopword stemmed in that language (Stemmer);
+///  * bag-of-concepts: the concept ids of the trie matches
+///    (ConceptTrie::FindMentions; "we use the concept mentions as
+///    attributes without distinguishing between types of concepts").
+/// The word models then intern (or look up) the words in the vocabulary.
+/// This is the same work, call for call, that the CAS annotators
+/// (TokenizerAnnotator, TrieConceptAnnotator, StopwordAnnotator,
+/// LanguageAnnotator, StemmerAnnotator) do as a cas::Pipeline, without
+/// building a CAS; those remain the reference and analysis surface.
 ///
-/// Thread-safety: an extractor owns a pipeline with per-stage timing
-/// state, so one extractor serves one thread. Any number of extractors may
-/// share one immutable ConceptTrie. Several extractors may share
-/// the same vocabulary only if all of them are frozen (read-only lookups)
-/// or access is externally serialized.
+/// Thread-safety: an extractor keeps no per-stage timing state but does
+/// keep reusable scratch (the folded-word buffer), so one extractor serves
+/// one thread. Any number of extractors may share one immutable
+/// ConceptTrie. Several extractors may share the same vocabulary only if
+/// all of them are frozen (read-only lookups) or access is externally
+/// serialized.
 class FeatureExtractor {
  public:
   /// `concepts` is the compiled taxonomy the bag-of-concepts model
@@ -130,7 +142,7 @@ class FeatureExtractor {
   /// Extracts the sorted unique feature ids of `document`.
   Result<std::vector<int64_t>> Extract(const std::string& document);
 
-  /// Runs only the annotation pipeline: mentions in document order, no
+  /// Runs only the preprocessing: mentions in document order, no
   /// vocabulary access. Use Resolve (or Extract) to turn mentions into
   /// feature ids.
   Result<TermMentions> ExtractTerms(const std::string& document);
@@ -153,14 +165,27 @@ class FeatureExtractor {
   void set_frozen_vocabulary(bool frozen);
 
  private:
+  FeatureExtractor(FeatureModel model,
+                   std::shared_ptr<const tax::ConceptTrie> concepts,
+                   const FeatureVocabulary* vocabulary,
+                   FeatureVocabulary* mutable_vocabulary,
+                   bool frozen_vocabulary);
+
   FeatureModel model_;
   /// Read path; always set.
   const FeatureVocabulary* vocabulary_;
   /// Write path; null for extractors built over a const vocabulary.
   FeatureVocabulary* mutable_vocabulary_;
   bool frozen_vocabulary_;
-  cas::Pipeline pipeline_;
+  /// Non-null exactly for kBagOfConcepts.
+  std::shared_ptr<const tax::ConceptTrie> concepts_;
+  text::Tokenizer tokenizer_;
+  text::LanguageDetector detector_;
+  text::Stemmer stemmer_;
   size_t last_mention_count_ = 0;
+  /// Scratch reused from one document to the next.
+  text::FoldedWords words_;
+  std::vector<tax::ConceptTrie::Mention> matches_;
 };
 
 /// Interns `mentions` into `vocabulary` (word models) or passes concept

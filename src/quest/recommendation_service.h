@@ -48,8 +48,8 @@ namespace qatk::quest {
 /// allocates nothing beyond the classification result; a generation
 /// change (retrain, confirm) sends the reader through a short
 /// mutex-guarded refresh that rebinds the snapshot and sets up a small
-/// extractor pipeline over the new vocabulary and the snapshot's shared
-/// concept trie — the trie itself is never rebuilt by a refresh or a
+/// extractor over the new vocabulary and the snapshot's shared concept
+/// trie — the trie itself is never rebuilt by a refresh or a
 /// confirm, only by Train / Retrain / Open. Per-thread state retires
 /// deterministically with its thread (thread_local destruction), so
 /// neither terminated threads nor reused thread ids can leak or alias

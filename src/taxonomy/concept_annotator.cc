@@ -103,6 +103,21 @@ const Category* ConceptTrie::CategoryOf(int64_t concept_id) const {
   return it == categories_.end() ? nullptr : &it->second;
 }
 
+void ConceptTrie::FindMentions(std::span<const std::string_view> words,
+                               std::vector<Mention>* out) const {
+  out->clear();
+  size_t i = 0;
+  while (i < words.size()) {
+    std::optional<TokenTrie::Match> match = trie_.LongestMatch(words, i);
+    if (!match) {
+      ++i;
+      continue;
+    }
+    out->push_back({i, match->length, match->concepts});
+    i += match->length;
+  }
+}
+
 uint64_t ConceptTrie::BuildsForTest() {
   return g_trie_builds.load(std::memory_order_relaxed);
 }
@@ -123,38 +138,26 @@ TrieConceptAnnotator::TrieConceptAnnotator(
 Status TrieConceptAnnotator::Process(cas::Cas* cas) {
   // Collect word tokens (skipping punctuation) with their CAS spans.
   std::vector<const cas::Annotation*> word_tokens;
-  std::vector<std::string> words;
+  std::vector<std::string_view> words;
   for (const cas::Annotation* token : cas->Select(kToken)) {
     if (token->GetString(kFeatureKind) != "word") continue;
     word_tokens.push_back(token);
-    words.emplace_back(token->GetString(kFeatureNorm));
+    words.push_back(token->GetString(kFeatureNorm));
   }
-
-  // Left-bounded greedy longest match: after emitting a match of length L
-  // at position i, the scan resumes at i + L, which eliminates matches
-  // completely enclosed by the emitted one.
-  size_t i = 0;
-  while (i < words.size()) {
-    std::optional<TokenTrie::Match> match =
-        concepts_->trie().LongestMatch(words, i);
-    if (!match) {
-      ++i;
-      continue;
-    }
-    size_t first = i;
-    size_t last = i + match->length - 1;
-    for (int64_t concept_id : match->concepts) {
+  std::vector<ConceptTrie::Mention> mentions;
+  concepts_->FindMentions(words, &mentions);
+  for (const ConceptTrie::Mention& mention : mentions) {
+    for (int64_t concept_id : mention.concepts) {
       cas::Annotation a;
       a.type = kConcept;
-      a.begin = word_tokens[first]->begin;
-      a.end = word_tokens[last]->end;
+      a.begin = word_tokens[mention.first]->begin;
+      a.end = word_tokens[mention.first + mention.length - 1]->end;
       a.int_features[kFeatureConceptId] = concept_id;
       if (const Category* category = concepts_->CategoryOf(concept_id)) {
         a.string_features[kFeatureCategory] = CategoryToString(*category);
       }
       QATK_RETURN_NOT_OK(cas->Add(std::move(a)));
     }
-    i += match->length;
   }
   return Status::OK();
 }

@@ -2,7 +2,9 @@
 #define QATK_TAXONOMY_CONCEPT_ANNOTATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +47,21 @@ class ConceptTrie {
 
   const TokenTrie& trie() const { return trie_; }
 
+  /// One concept match: the words [first, first + length) name every
+  /// concept in `concepts` (a view into the trie, ascending).
+  struct Mention {
+    size_t first = 0;
+    size_t length = 0;
+    std::span<const int64_t> concepts;
+  };
+
+  /// The concept matches of a document's folded words, in order
+  /// (replacing `*out`'s contents): left-bounded greedy longest match,
+  /// resuming after the end of each match, so matches completely enclosed
+  /// by another are eliminated.
+  void FindMentions(std::span<const std::string_view> words,
+                    std::vector<Mention>* out) const;
+
   /// Category of a concept of the built taxonomy, or nullptr.
   const Category* CategoryOf(int64_t concept_id) const;
 
@@ -70,6 +87,9 @@ class ConceptTrie {
 ///  * concept matches completely enclosed by other matches are eliminated
 ///    (the scan resumes after the end of each emitted match);
 ///  * synonym expansion (see ConceptTrie).
+///
+/// The matching itself is ConceptTrie::FindMentions; this annotator is the
+/// CAS adapter around it (kb::FeatureExtractor calls it directly).
 ///
 /// Emits one kConcept annotation per (span, concept id), with int feature
 /// kFeatureConceptId and string feature kFeatureCategory.

@@ -47,6 +47,20 @@ constexpr std::string_view kEnglishSeed =
 
 constexpr size_t kMaxProfileNgrams = 400;
 
+/// Calls `fn` on every word-internal trigram of the folded `words`, with
+/// '_' boundary markers, in order.
+template <typename Fn>
+void ForEachTrigram(const std::vector<std::string_view>& words, Fn&& fn) {
+  std::string padded;
+  for (std::string_view word : words) {
+    padded.assign("_");
+    padded.append(word);
+    padded.push_back('_');
+    const std::string_view view = padded;
+    for (size_t i = 0; i + 3 <= view.size(); ++i) fn(view.substr(i, 3));
+  }
+}
+
 }  // namespace
 
 const char* LanguageToString(Language lang) {
@@ -58,27 +72,16 @@ const char* LanguageToString(Language lang) {
   return "?";
 }
 
-std::vector<std::string> LanguageDetector::ExtractNgrams(
-    std::string_view input) {
-  // Word-internal trigrams over folded text, with boundary markers.
-  Tokenizer tokenizer;
-  std::vector<std::string> ngrams;
-  for (const std::string& word : tokenizer.WordsNormalized(input)) {
-    std::string padded = "_" + word + "_";
-    if (padded.size() < 3) continue;
-    for (size_t i = 0; i + 3 <= padded.size(); ++i) {
-      ngrams.push_back(padded.substr(i, 3));
-    }
-  }
-  return ngrams;
-}
-
 LanguageDetector::Profile LanguageDetector::BuildProfile(
     std::string_view corpus, size_t max_ngrams) {
-  std::map<std::string, size_t> counts;
-  for (const std::string& ngram : ExtractNgrams(corpus)) {
-    ++counts[ngram];
-  }
+  FoldedWords folded;
+  Tokenizer().WordsNormalized(corpus, &folded);
+  std::map<std::string, size_t, std::less<>> counts;
+  ForEachTrigram(folded.words(), [&](std::string_view ngram) {
+    auto it = counts.find(ngram);
+    if (it == counts.end()) it = counts.emplace(ngram, 0).first;
+    ++it->second;
+  });
   std::vector<std::pair<std::string, size_t>> sorted(counts.begin(),
                                                      counts.end());
   // Sort by count desc, then lexicographically for determinism.
@@ -93,47 +96,74 @@ LanguageDetector::Profile LanguageDetector::BuildProfile(
   return profile;
 }
 
+std::shared_ptr<const LanguageDetector::Profiles>
+LanguageDetector::SeedProfiles() {
+  static const std::shared_ptr<const Profiles> seed =
+      std::make_shared<const Profiles>(
+          Profiles{BuildProfile(kGermanSeed, kMaxProfileNgrams),
+                   BuildProfile(kEnglishSeed, kMaxProfileNgrams)});
+  return seed;
+}
+
 LanguageDetector::LanguageDetector()
-    : LanguageDetector(kGermanSeed, kEnglishSeed) {}
+    : profiles_(SeedProfiles()), profile_size_(kMaxProfileNgrams) {}
 
 LanguageDetector::LanguageDetector(std::string_view german_corpus,
                                    std::string_view english_corpus)
-    : german_(BuildProfile(german_corpus, kMaxProfileNgrams)),
-      english_(BuildProfile(english_corpus, kMaxProfileNgrams)),
+    : profiles_(std::make_shared<const Profiles>(
+          Profiles{BuildProfile(german_corpus, kMaxProfileNgrams),
+                   BuildProfile(english_corpus, kMaxProfileNgrams)})),
       profile_size_(kMaxProfileNgrams) {}
 
-double LanguageDetector::Distance(const std::vector<std::string>& ngrams,
-                                  const Profile& profile,
-                                  size_t profile_size) {
+LanguageDetector::Scores LanguageDetector::Distances(
+    const std::vector<std::string_view>& words, size_t* ngrams) const {
   // Cavnar–Trenkle out-of-place measure, normalized per n-gram.
-  double total = 0;
-  for (const std::string& ngram : ngrams) {
-    auto it = profile.find(ngram);
-    total += (it == profile.end()) ? static_cast<double>(profile_size)
-                                   : static_cast<double>(it->second);
-  }
-  return ngrams.empty() ? static_cast<double>(profile_size)
-                        : total / static_cast<double>(ngrams.size());
+  const double missing = static_cast<double>(profile_size_);
+  Scores totals;
+  size_t count = 0;
+  ForEachTrigram(words, [&](std::string_view ngram) {
+    auto de = profiles_->german.find(ngram);
+    totals.german += de == profiles_->german.end()
+                         ? missing
+                         : static_cast<double>(de->second);
+    auto en = profiles_->english.find(ngram);
+    totals.english += en == profiles_->english.end()
+                          ? missing
+                          : static_cast<double>(en->second);
+    ++count;
+  });
+  *ngrams = count;
+  if (count == 0) return {missing, missing};
+  return {totals.german / static_cast<double>(count),
+          totals.english / static_cast<double>(count)};
 }
 
 LanguageDetector::Scores LanguageDetector::Score(
     std::string_view input) const {
-  std::vector<std::string> ngrams = ExtractNgrams(input);
-  Scores scores;
-  scores.german = Distance(ngrams, german_, profile_size_);
-  scores.english = Distance(ngrams, english_, profile_size_);
-  return scores;
+  FoldedWords folded;
+  Tokenizer().WordsNormalized(input, &folded);
+  size_t ngrams = 0;
+  return Distances(folded.words(), &ngrams);
 }
 
 Language LanguageDetector::Detect(std::string_view input) const {
-  std::vector<std::string> ngrams = ExtractNgrams(input);
-  if (ngrams.size() < 3) return Language::kUnknown;
-  double de = Distance(ngrams, german_, profile_size_);
-  double en = Distance(ngrams, english_, profile_size_);
+  FoldedWords folded;
+  Tokenizer().WordsNormalized(input, &folded);
+  return DetectFolded(folded.words());
+}
+
+Language LanguageDetector::DetectFolded(
+    const std::vector<std::string_view>& words) const {
+  size_t ngrams = 0;
+  const Scores scores = Distances(words, &ngrams);
+  if (ngrams < 3) return Language::kUnknown;
   // Both profiles far away: likely a third language or code/IDs.
   double floor = 0.9 * static_cast<double>(profile_size_);
-  if (de >= floor && en >= floor) return Language::kUnknown;
-  return de <= en ? Language::kGerman : Language::kEnglish;
+  if (scores.german >= floor && scores.english >= floor) {
+    return Language::kUnknown;
+  }
+  return scores.german <= scores.english ? Language::kGerman
+                                         : Language::kEnglish;
 }
 
 }  // namespace qatk::text

@@ -1,10 +1,14 @@
 #ifndef QATK_TEXT_LANGUAGE_H_
 #define QATK_TEXT_LANGUAGE_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "common/strutil.h"
 
 namespace qatk::text {
 
@@ -17,12 +21,13 @@ const char* LanguageToString(Language lang);
 /// \brief Character n-gram language detector (Cavnar–Trenkle rank-order
 /// profiles) for German vs. English.
 ///
-/// Profiles are built at construction from embedded seed corpora, so the
-/// detector works offline with no model files. Short or signal-free inputs
-/// return kUnknown instead of guessing.
+/// Profiles are built from embedded seed corpora, so the detector works
+/// offline with no model files; the default detector shares one immutable
+/// pair of seed profiles built once per process. Short or signal-free
+/// inputs return kUnknown instead of guessing.
 class LanguageDetector {
  public:
-  /// Builds the detector from the embedded German/English seed corpora.
+  /// The detector over the embedded German/English seed corpora.
   LanguageDetector();
 
   /// Builds the detector from caller-supplied training text per language
@@ -32,6 +37,11 @@ class LanguageDetector {
 
   /// Detects the dominant language of `input`.
   Language Detect(std::string_view input) const;
+
+  /// Detect over the words of a document already folded by
+  /// Tokenizer::WordsNormalized: Detect(input) is exactly
+  /// DetectFolded(<the folded words of input>).
+  Language DetectFolded(const std::vector<std::string_view>& words) const;
 
   /// Per-language out-of-place distance (lower = closer). Exposed for the
   /// tests and the pipeline's confidence gating.
@@ -43,15 +53,21 @@ class LanguageDetector {
 
  private:
   /// n-gram -> rank (0 = most frequent) for one language profile.
-  using Profile = std::unordered_map<std::string, size_t>;
+  using Profile =
+      std::unordered_map<std::string, size_t, StringHash, std::equal_to<>>;
+  struct Profiles {
+    Profile german;
+    Profile english;
+  };
 
   static Profile BuildProfile(std::string_view corpus, size_t max_ngrams);
-  static std::vector<std::string> ExtractNgrams(std::string_view input);
-  static double Distance(const std::vector<std::string>& ngrams,
-                         const Profile& profile, size_t profile_size);
+  static std::shared_ptr<const Profiles> SeedProfiles();
+  /// Distances of `words`' trigrams to both profiles; `*ngrams` receives
+  /// the trigram count.
+  Scores Distances(const std::vector<std::string_view>& words,
+                   size_t* ngrams) const;
 
-  Profile german_;
-  Profile english_;
+  std::shared_ptr<const Profiles> profiles_;
   size_t profile_size_;
 };
 

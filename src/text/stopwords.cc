@@ -42,7 +42,7 @@ StopwordFilter::StopwordFilter() {
 }
 
 bool StopwordFilter::IsStopword(std::string_view folded_word) const {
-  return words_.count(std::string(folded_word)) > 0;
+  return words_.find(folded_word) != words_.end();
 }
 
 }  // namespace qatk::text

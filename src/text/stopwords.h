@@ -1,11 +1,12 @@
 #ifndef QATK_TEXT_STOPWORDS_H_
 #define QATK_TEXT_STOPWORDS_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 
-#include "text/language.h"
+#include "common/strutil.h"
 
 namespace qatk::text {
 
@@ -28,7 +29,8 @@ class StopwordFilter {
   size_t size() const { return words_.size(); }
 
  private:
-  std::unordered_set<std::string> words_;
+  /// Transparent: IsStopword looks up the view itself, no string built.
+  std::unordered_set<std::string, StringHash, std::equal_to<>> words_;
 };
 
 }  // namespace qatk::text

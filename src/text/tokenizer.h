@@ -27,6 +27,28 @@ struct Token {
   }
 };
 
+/// \brief The folded word tokens of one document, stored back to back in
+/// one buffer (Tokenizer::WordsNormalized fills it).
+///
+/// Reusable: refilling keeps the buffer's capacity, so a warm caller folds
+/// a document without allocating. The word views point into the buffer,
+/// which is why it can be neither copied nor moved.
+class FoldedWords {
+ public:
+  FoldedWords() = default;
+  FoldedWords(const FoldedWords&) = delete;
+  FoldedWords& operator=(const FoldedWords&) = delete;
+
+  /// The folded words in document order; valid until the next refill.
+  const std::vector<std::string_view>& words() const { return words_; }
+
+ private:
+  friend class Tokenizer;
+
+  std::string text_;
+  std::vector<std::string_view> words_;
+};
+
 /// \brief The paper's "simple custom whitespace-/punctuation-tokenizer"
 /// (§4.5.2): splits on whitespace and on punctuation boundaries, emitting
 /// punctuation runs as separate tokens so downstream stages can skip them.
@@ -42,8 +64,14 @@ class Tokenizer {
   /// Tokenizes `input`; offsets refer to bytes of `input`.
   std::vector<Token> Tokenize(std::string_view input) const;
 
-  /// Convenience: word tokens only, as lower-cased/German-folded strings.
+  /// Word tokens only, as lower-cased/German-folded strings: exactly the
+  /// word tokens of Tokenize, each passed through FoldGerman.
   std::vector<std::string> WordsNormalized(std::string_view input) const;
+
+  /// As above, folding each word run straight from `input` into `out`
+  /// (replacing its previous contents): no Token vector, no per-word
+  /// string.
+  void WordsNormalized(std::string_view input, FoldedWords* out) const;
 };
 
 }  // namespace qatk::text

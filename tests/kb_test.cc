@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "datagen/world.h"
+#include "feature_reference.h"
 #include "kb/data_bundle.h"
 #include "kb/features.h"
 #include "kb/kb_store.h"
@@ -11,6 +15,7 @@
 #include "storage/database.h"
 #include "taxonomy/concept_annotator.h"
 #include "taxonomy/taxonomy.h"
+#include "text/tokenizer.h"
 
 namespace qatk::kb {
 namespace {
@@ -466,6 +471,131 @@ TEST(FeatureExtractorTest, WordModelsBuildNoTrie) {
   EXPECT_EQ(tax::ConceptTrie::BuildsForTest(), builds);
   EXPECT_NE(BuildConcepts(FeatureModel::kBagOfConcepts, &taxonomy), nullptr);
   EXPECT_EQ(tax::ConceptTrie::BuildsForTest(), builds + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Direct extraction == the CAS pipeline
+// ---------------------------------------------------------------------------
+
+using reference::CasReference;
+using reference::ExpectSameExtraction;
+
+/// `base` plus, for every multiword synonym, a concept whose one synonym
+/// is that synonym's last word. Generated taxonomies never nest one
+/// synonym inside another, so only this makes the corpus exercise the
+/// rule that the match scan resumes after the end of each match.
+tax::Taxonomy WithNestedSynonyms(const tax::Taxonomy& base) {
+  tax::Taxonomy nested = base;
+  const std::vector<const tax::Concept*> all = base.All();
+  int64_t next_id = all.empty() ? 1 : all.back()->id + 1;
+  std::set<std::string> inner_words;
+  for (const tax::Concept* outer : all) {
+    for (const auto& [language, surfaces] : outer->synonyms) {
+      for (const std::string& surface : surfaces) {
+        std::vector<std::string> words =
+            text::Tokenizer().WordsNormalized(surface);
+        if (words.size() < 2 || !inner_words.insert(words.back()).second) {
+          continue;
+        }
+        tax::Concept inner;
+        inner.id = next_id++;
+        inner.category = outer->category;
+        inner.label = "Nested" + std::to_string(inner.id);
+        inner.synonyms[language] = {words.back()};
+        QATK_CHECK_OK(nested.Add(std::move(inner)));
+      }
+    }
+  }
+  return nested;
+}
+
+// FeatureExtractor runs each model's preprocessing in one direct pass; the
+// CAS pipeline of the same annotators is its reference. Every demo train
+// bundle goes through an interning extractor and every held-out bundle
+// through a frozen one, each under both document compositions: mentions
+// (in order), feature ids and mention counts must all agree, concept
+// spans must never overlap, and the vocabularies the two paths build must
+// be identical. Bag-of-concepts runs against the demo taxonomy and
+// against a copy with nested synonyms.
+class DirectExtractionTest : public ::testing::TestWithParam<FeatureModel> {
+ protected:
+  static void ExpectSameOnCorpus(
+      FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
+      const server::DemoSplit& demo) {
+    CasReference reference(model, concepts);
+    FeatureVocabulary vocabulary;
+    FeatureVocabulary reference_vocabulary;
+    FeatureExtractor train(model, concepts, &vocabulary);
+    size_t mentions = 0;
+    for (const DataBundle& bundle : demo.train.bundles) {
+      for (unsigned sources : {kTrainSources, kTestSources}) {
+        ASSERT_NO_FATAL_FAILURE(ExpectSameExtraction(
+            &train, &reference, &reference_vocabulary, /*frozen=*/false,
+            ComposeDocument(bundle, sources, demo.train)))
+            << bundle.reference_number;
+        mentions += train.last_mention_count();
+      }
+    }
+    EXPECT_EQ(vocabulary.Entries(), reference_vocabulary.Entries());
+    EXPECT_GT(mentions, 10 * demo.train.bundles.size())
+        << "the comparison saw implausibly few mentions";
+
+    const FeatureVocabulary& frozen_vocabulary = vocabulary;
+    FeatureExtractor serve(model, concepts, &frozen_vocabulary);
+    for (const DataBundle& bundle : demo.heldout) {
+      for (unsigned sources : {kTestSources, kTrainSources}) {
+        ASSERT_NO_FATAL_FAILURE(ExpectSameExtraction(
+            &serve, &reference, &reference_vocabulary, /*frozen=*/true,
+            ComposeDocument(bundle, sources, demo.train)))
+            << bundle.reference_number;
+      }
+    }
+  }
+};
+
+TEST_P(DirectExtractionTest, MatchesCasPipelineOnDemoCorpus) {
+  const FeatureModel model = GetParam();
+  const datagen::DomainWorld world(server::DemoWorldConfig());
+  const server::DemoSplit demo = server::GenerateDemoSplit(world);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameOnCorpus(
+      model, BuildConcepts(model, &world.taxonomy()), demo));
+  if (model == FeatureModel::kBagOfConcepts) {
+    const tax::Taxonomy nested = WithNestedSynonyms(world.taxonomy());
+    ASSERT_GT(nested.size(), world.taxonomy().size());
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameOnCorpus(model, BuildConcepts(model, &nested), demo));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, DirectExtractionTest,
+    ::testing::Values(FeatureModel::kBagOfWords,
+                      FeatureModel::kBagOfWordsNoStop,
+                      FeatureModel::kBagOfStems,
+                      FeatureModel::kBagOfConcepts),
+    [](const ::testing::TestParamInfo<FeatureModel>& info) {
+      std::string name = FeatureModelToString(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// The match rules, pinned on a known answer: "humming sound" is one
+// multiword match, so the enclosed single-word concept "sound" is not
+// emitted; the scan resumes after it and still finds "blower".
+TEST(FeatureExtractorTest, EnclosedConceptIsNotEmitted) {
+  tax::Taxonomy taxonomy = SmallTaxonomy();
+  tax::Concept sound;
+  sound.id = 301;
+  sound.category = tax::Category::kSymptom;
+  sound.label = "Sound";
+  sound.synonyms[Language::kEnglish] = {"sound"};
+  ASSERT_TRUE(taxonomy.Add(std::move(sound)).ok());
+  FeatureVocabulary vocabulary;
+  FeatureExtractor extractor(FeatureModel::kBagOfConcepts, &taxonomy,
+                             &vocabulary);
+  auto terms = extractor.ExtractTerms("humming sound, sound of the blower");
+  ASSERT_TRUE(terms.ok());
+  EXPECT_EQ(terms->concept_ids, (std::vector<int64_t>{201, 301, 101}));
 }
 
 }  // namespace

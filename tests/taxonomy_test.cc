@@ -207,43 +207,52 @@ TEST(XmlParserTest, MismatchedTagsRejected) {
 // TokenTrie
 // ---------------------------------------------------------------------------
 
+/// The concept view of a match, as a vector for comparison.
+std::vector<int64_t> Ids(const TokenTrie::Match& match) {
+  return {match.concepts.begin(), match.concepts.end()};
+}
+
 TEST(TokenTrieTest, SingleTokenMatch) {
   TokenTrie trie;
   trie.Insert({"fan"}, 1);
-  auto match = trie.LongestMatch({"the", "fan", "broke"}, 1);
+  const std::vector<std::string_view> words = {"the", "fan", "broke"};
+  auto match = trie.LongestMatch(words, 1);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(match->length, 1u);
-  EXPECT_EQ(match->concepts, std::vector<int64_t>{1});
-  EXPECT_FALSE(trie.LongestMatch({"the", "fan", "broke"}, 0).has_value());
+  EXPECT_EQ(Ids(*match), std::vector<int64_t>{1});
+  EXPECT_FALSE(trie.LongestMatch(words, 0).has_value());
 }
 
 TEST(TokenTrieTest, LongestMatchWins) {
   TokenTrie trie;
   trie.Insert({"brake"}, 1);
   trie.Insert({"brake", "hose"}, 2);
-  auto match = trie.LongestMatch({"brake", "hose", "leaks"}, 0);
+  const std::vector<std::string_view> words = {"brake", "hose", "leaks"};
+  auto match = trie.LongestMatch(words, 0);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(match->length, 2u);
-  EXPECT_EQ(match->concepts, std::vector<int64_t>{2});
+  EXPECT_EQ(Ids(*match), std::vector<int64_t>{2});
 }
 
 TEST(TokenTrieTest, FallsBackToShorterMatch) {
   TokenTrie trie;
   trie.Insert({"brake"}, 1);
   trie.Insert({"brake", "hose"}, 2);
-  auto match = trie.LongestMatch({"brake", "pad"}, 0);
+  const std::vector<std::string_view> words = {"brake", "pad"};
+  auto match = trie.LongestMatch(words, 0);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(match->length, 1u);
-  EXPECT_EQ(match->concepts, std::vector<int64_t>{1});
+  EXPECT_EQ(Ids(*match), std::vector<int64_t>{1});
 }
 
 TEST(TokenTrieTest, AmbiguousSurfaceYieldsAllConcepts) {
   TokenTrie trie;
   trie.Insert({"unit"}, 10);
   trie.Insert({"unit"}, 20);
-  auto match = trie.LongestMatch({"unit"}, 0);
+  const std::vector<std::string_view> words = {"unit"};
+  auto match = trie.LongestMatch(words, 0);
   ASSERT_TRUE(match.has_value());
-  EXPECT_EQ(match->concepts, (std::vector<int64_t>{10, 20}));
+  EXPECT_EQ(Ids(*match), (std::vector<int64_t>{10, 20}));
 }
 
 TEST(TokenTrieTest, DuplicateInsertIsIdempotent) {
@@ -265,7 +274,8 @@ TEST(TokenTrieTest, EmptySequenceIgnored) {
   TokenTrie trie;
   trie.Insert({}, 1);
   EXPECT_EQ(trie.entry_count(), 0u);
-  EXPECT_FALSE(trie.LongestMatch({"a"}, 0).has_value());
+  const std::vector<std::string_view> words = {"a"};
+  EXPECT_FALSE(trie.LongestMatch(words, 0).has_value());
 }
 
 // ---------------------------------------------------------------------------
