@@ -2,19 +2,16 @@
 // runtime-feasibility argument, taken to serving scale): classification
 // queries/sec and latency percentiles for the brute-force scorer
 // (candidate materialization + per-candidate sorted merges) vs the
-// frozen-index scorer — with the score-upper-bound pruned top-k path and
-// the exhaustive unpruned path measured side by side — plus multi-thread
-// scaling of the pruned path.
+// frozen-index scorer (term-at-a-time accumulation + bounded top-k heap),
+// plus multi-thread scaling of the indexed path and the index's memory
+// footprint.
 //
-// Before timing anything it proves all three paths produce bit-identical
-// rankings on every probe for all four similarity measures. The pruning
-// instrumentation reads the obs counters the scorer already maintains:
-// postings scanned by an unpruned sweep vs a pruned sweep (the
-// prune_ratio), blocks skipped, and early exits. Emits a machine-readable
-// BENCH_knn.json and exits nonzero when the pruned path fails to beat
-// brute force, scans more postings than the unpruned path, or falls
-// behind the unpruned path's throughput — the perf-smoke gate in
-// scripts/check.sh.
+// Before timing anything it proves both paths produce bit-identical
+// rankings on every probe for all four similarity measures (exit 2 on a
+// divergence). Emits a machine-readable BENCH_knn.json stamped with the
+// commit, build type and core count, and exits 1 when the indexed path
+// fails to beat brute force or (on >= 4 cores) when adding threads makes
+// it slower — the perf-smoke gate in scripts/check.sh.
 //
 // Usage: bench_knn_throughput [--quick] [--out=BENCH_knn.json] [--threads=N]
 
@@ -25,7 +22,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,7 +36,6 @@
 #include "kb/features.h"
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
-#include "obs/metrics.h"
 
 namespace {
 
@@ -61,8 +56,8 @@ struct LatencyStats {
 /// Runs `passes` untimed-per-query sweeps of fn(probe_index) for the
 /// throughput number (wall clock around whole sweeps only, so qps carries
 /// no per-query timer overhead), then one instrumented sweep for the
-/// latency percentiles. Every path is measured this same way, so the
-/// brute/pruned/unpruned comparison stays apples-to-apples.
+/// latency percentiles. Both paths are measured this same way, so the
+/// brute/indexed comparison stays apples-to-apples.
 template <typename Fn>
 void FillPercentiles(size_t num_probes, Fn&& fn, LatencyStats* stats) {
   std::vector<double> latencies;
@@ -96,65 +91,16 @@ LatencyStats Measure(size_t passes, size_t num_probes, Fn&& fn) {
   return stats;
 }
 
-/// Measures two paths A/B with their sweeps interleaved pass-by-pass, so
-/// host load drift hits both equally — a sequential A-then-B measurement
-/// can hand either path a few percent for free, which is exactly the
-/// margin the pruned-vs-unpruned pace gate cares about.
-template <typename FnA, typename FnB>
-std::pair<LatencyStats, LatencyStats> MeasureInterleaved(size_t passes,
-                                                         size_t num_probes,
-                                                         FnA&& fa, FnB&& fb) {
-  LatencyStats a, b;
-  a.queries = b.queries = passes * num_probes;
-  double seconds_a = 0, seconds_b = 0;
-  for (size_t pass = 0; pass < passes; ++pass) {
-    const auto t0 = Clock::now();
-    for (size_t i = 0; i < num_probes; ++i) fa(i);
-    const auto t1 = Clock::now();
-    for (size_t i = 0; i < num_probes; ++i) fb(i);
-    const auto t2 = Clock::now();
-    seconds_a += std::chrono::duration<double>(t1 - t0).count();
-    seconds_b += std::chrono::duration<double>(t2 - t1).count();
-  }
-  a.qps = seconds_a > 0 ? static_cast<double>(a.queries) / seconds_a : 0;
-  b.qps = seconds_b > 0 ? static_cast<double>(b.queries) / seconds_b : 0;
-  FillPercentiles(num_probes, fa, &a);
-  FillPercentiles(num_probes, fb, &b);
-  return {a, b};
-}
-
 struct ModelResult {
   const char* name;
   size_t nodes = 0;
   size_t parts = 0;
   size_t postings = 0;
-  size_t blocks = 0;
+  size_t index_bytes = 0;  // FrozenIndex::memory_bytes().
   size_t probes = 0;
   LatencyStats brute;
-  LatencyStats indexed;           // Pruned top-k (the serving default).
-  LatencyStats indexed_unpruned;  // Exhaustive accumulation baseline.
+  LatencyStats indexed;
   double speedup = 0;
-  /// Postings touched by one full probe sweep on each indexed path
-  /// (deltas of the qatk_kb_postings_scanned_total counter; both 0 under
-  /// QATK_NO_METRICS, which disables the prune-effectiveness gate).
-  uint64_t postings_scanned_brute = 0;   // Unpruned sweep: every matched run.
-  uint64_t postings_scanned_pruned = 0;  // Pruned sweep: skips excluded.
-  double prune_ratio = 1.0;
-  uint64_t blocks_skipped = 0;
-  uint64_t early_exits = 0;
-  /// One row of the k-selectivity sweep: how much the pruned path skips as
-  /// the top-k budget tightens. At the serving k the exact threshold may
-  /// never beat the block bounds (nothing skippable without losing
-  /// exactness); small k is where upper-bound pruning pays, and the sweep
-  /// shows the crossover instead of hiding it.
-  struct SelectivityRow {
-    size_t k = 0;
-    uint64_t scanned_unpruned = 0;
-    uint64_t scanned_pruned = 0;
-    double prune_ratio = 1.0;
-    uint64_t blocks_skipped = 0;
-  };
-  std::vector<SelectivityRow> selectivity;
   std::vector<std::pair<size_t, double>> scaling;  // (threads, qps)
   std::vector<std::pair<size_t, double>> scaling_interleaved;
 };
@@ -166,8 +112,10 @@ void WriteJson(const char* path, bool quick, unsigned cores, bool enforced,
   qatk::benchutil::JsonWriter json(&text);
   json.BeginObject();
   json.Key("bench").Value("knn_throughput");
-  // quick/cores up front: a stale single-core or quick-mode JSON must be
-  // identifiable as such at a glance.
+  // Provenance up front: a stale, single-core, quick-mode or non-Release
+  // JSON must be identifiable as such at a glance.
+  json.Key("commit").Value(QATK_GIT_COMMIT);
+  json.Key("build_type").Value(QATK_BUILD_TYPE);
   json.Key("quick").Value(quick);
   json.Key("cores").Value(static_cast<uint64_t>(cores));
   json.Key("scaling_enforced").Value(enforced);
@@ -184,7 +132,7 @@ void WriteJson(const char* path, bool quick, unsigned cores, bool enforced,
     json.Key("nodes").Value(static_cast<uint64_t>(r.nodes));
     json.Key("parts").Value(static_cast<uint64_t>(r.parts));
     json.Key("postings").Value(static_cast<uint64_t>(r.postings));
-    json.Key("blocks").Value(static_cast<uint64_t>(r.blocks));
+    json.Key("index_bytes").Value(static_cast<uint64_t>(r.index_bytes));
     json.Key("probes").Value(static_cast<uint64_t>(r.probes));
     const auto emit_stats = [&json](const char* label,
                                     const LatencyStats& stats) {
@@ -199,24 +147,7 @@ void WriteJson(const char* path, bool quick, unsigned cores, bool enforced,
     };
     emit_stats("brute", r.brute);
     emit_stats("indexed", r.indexed);
-    emit_stats("indexed_unpruned", r.indexed_unpruned);
     json.Key("speedup").Value(r.speedup, 2);
-    json.Key("postings_scanned_brute").Value(r.postings_scanned_brute);
-    json.Key("postings_scanned_pruned").Value(r.postings_scanned_pruned);
-    json.Key("prune_ratio").Value(r.prune_ratio, 3);
-    json.Key("blocks_skipped").Value(r.blocks_skipped);
-    json.Key("early_exits").Value(r.early_exits);
-    json.Key("selectivity").BeginArray();
-    for (const ModelResult::SelectivityRow& row : r.selectivity) {
-      json.BeginObject();
-      json.Key("k").Value(static_cast<uint64_t>(row.k));
-      json.Key("scanned_unpruned").Value(row.scanned_unpruned);
-      json.Key("scanned_pruned").Value(row.scanned_pruned);
-      json.Key("prune_ratio").Value(row.prune_ratio, 3);
-      json.Key("blocks_skipped").Value(row.blocks_skipped);
-      json.EndObject();
-    }
-    json.EndArray();
     const auto emit_scaling =
         [&json](const char* label,
                 const std::vector<std::pair<size_t, double>>& table) {
@@ -258,8 +189,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("serving-throughput bench: frozen CSR index (pruned + "
-              "unpruned top-k) vs brute-force kNN scoring%s\n\n",
+  std::printf("serving-throughput bench: frozen CSR index vs brute-force "
+              "kNN scoring%s\n\n",
               quick ? " (--quick)" : "");
 
   qatk::datagen::DomainWorld world;
@@ -269,10 +200,8 @@ int main(int argc, char** argv) {
       corpus.LearnableBundles();
   QATK_CHECK(!bundles.empty());
 
-  const qatk::core::RankedKnnClassifier pruned(
-      {qatk::core::SimilarityMeasure::kJaccard, 25, true});
-  const qatk::core::RankedKnnClassifier unpruned(
-      {qatk::core::SimilarityMeasure::kJaccard, 25, false});
+  const qatk::core::RankedKnnClassifier classifier(
+      {qatk::core::SimilarityMeasure::kJaccard, 25});
   const qatk::core::SimilarityMeasure all_measures[] = {
       qatk::core::SimilarityMeasure::kJaccard,
       qatk::core::SimilarityMeasure::kOverlap,
@@ -284,8 +213,8 @@ int main(int argc, char** argv) {
     qatk::kb::FeatureModel model;
     const char* name;
   };
-  // Bag-of-words first: it has the long posting runs where pruning does
-  // real work, so its numbers lead the report (and the JSON).
+  // Bag-of-words first: it has the long posting runs, so its numbers lead
+  // the report (and the JSON).
   const ModelSpec specs[] = {
       {qatk::kb::FeatureModel::kBagOfWords, "bag-of-words"},
       {qatk::kb::FeatureModel::kBagOfConcepts, "bag-of-concepts"},
@@ -293,10 +222,6 @@ int main(int argc, char** argv) {
 
   std::vector<ModelResult> results;
   bool indexed_won = true;
-  bool pruned_kept_pace = true;
-  bool prune_effective_checkable = true;
-  uint64_t total_scanned_brute = 0;
-  uint64_t total_scanned_pruned = 0;
   for (const ModelSpec& spec : specs) {
     // Train one knowledge base on the full learnable corpus (the serving
     // scenario: train once, then answer probes).
@@ -324,31 +249,23 @@ int main(int argc, char** argv) {
     result.nodes = index.num_nodes();
     result.parts = index.num_parts();
     result.postings = index.num_postings();
-    result.blocks = index.num_blocks();
+    result.index_bytes = index.memory_bytes();
     result.probes = probes.size();
 
     // Equivalence gate before any timing: every probe, all four measures,
-    // brute vs pruned vs unpruned — pruning must be invisible in results.
+    // brute vs indexed — the index must be invisible in results.
     qatk::kb::FrozenIndex::Scratch scratch;
     for (const Probe& probe : probes) {
       for (qatk::core::SimilarityMeasure measure : all_measures) {
-        qatk::core::RankedKnnClassifier check_pruned({measure, 25, true});
-        qatk::core::RankedKnnClassifier check_unpruned({measure, 25, false});
-        auto brute = check_pruned.Classify(knowledge, *probe.part_id,
-                                           probe.features);
-        auto via_pruned = check_pruned.Classify(index, *probe.part_id,
-                                                probe.features, &scratch);
-        auto via_unpruned = check_unpruned.Classify(
-            index, *probe.part_id, probe.features, &scratch);
-        if (brute != via_pruned || brute != via_unpruned) {
+        qatk::core::RankedKnnClassifier check({measure, 25});
+        if (check.Classify(knowledge, *probe.part_id, probe.features) !=
+            check.Classify(index, *probe.part_id, probe.features, &scratch)) {
           std::fprintf(stderr,
                        "FATAL: indexed ranking diverged from brute force "
-                       "(model=%s measure=%s part=%s pruned_diverged=%d "
-                       "unpruned_diverged=%d)\n",
+                       "(model=%s measure=%s part=%s)\n",
                        spec.name,
                        qatk::core::SimilarityMeasureToString(measure),
-                       probe.part_id->c_str(), brute != via_pruned,
-                       brute != via_unpruned);
+                       probe.part_id->c_str());
           return 2;
         }
       }
@@ -358,179 +275,24 @@ int main(int argc, char** argv) {
     const size_t indexed_passes = quick ? 4 : 16;
     size_t sink = 0;  // Defeats dead-code elimination of the scoring.
 
-    // Index selectivity: postings touched by one untimed probe sweep on
-    // each path, read off the obs counters the scorer already maintains.
-    // Scanning is deterministic per query, so one sweep gives the exact
-    // totals (all 0 under QATK_NO_METRICS, which disables the
-    // prune-effectiveness gate below).
-    qatk::obs::Registry& registry = qatk::obs::Registry::Global();
-    qatk::obs::Counter* scanned_counter =
-        registry.GetCounter("qatk_kb_postings_scanned_total");
-    qatk::obs::Counter* blocks_skipped_counter =
-        registry.GetCounter("qatk_prune_blocks_skipped_total");
-    qatk::obs::Counter* early_exit_counter =
-        registry.GetCounter("qatk_prune_early_exits_total");
-    const uint64_t scanned_before_unpruned = scanned_counter->Value();
-    for (const Probe& probe : probes) {
-      sink += unpruned
-                  .Classify(index, *probe.part_id, probe.features, &scratch)
-                  .size();
-    }
-    result.postings_scanned_brute =
-        scanned_counter->Value() - scanned_before_unpruned;
-    const uint64_t scanned_before_pruned = scanned_counter->Value();
-    const uint64_t blocks_before = blocks_skipped_counter->Value();
-    const uint64_t exits_before = early_exit_counter->Value();
-    for (const Probe& probe : probes) {
-      sink += pruned
-                  .Classify(index, *probe.part_id, probe.features, &scratch)
-                  .size();
-    }
-    result.postings_scanned_pruned =
-        scanned_counter->Value() - scanned_before_pruned;
-    result.blocks_skipped = blocks_skipped_counter->Value() - blocks_before;
-    result.early_exits = early_exit_counter->Value() - exits_before;
-    result.prune_ratio =
-        result.postings_scanned_brute > 0
-            ? static_cast<double>(result.postings_scanned_pruned) /
-                  static_cast<double>(result.postings_scanned_brute)
-            : 1.0;
-    total_scanned_brute += result.postings_scanned_brute;
-    total_scanned_pruned += result.postings_scanned_pruned;
-    if (result.postings_scanned_brute == 0) {
-      prune_effective_checkable = false;  // QATK_NO_METRICS build.
-    } else if (result.postings_scanned_pruned >
-               result.postings_scanned_brute) {
-      std::fprintf(stderr,
-                   "FAIL: %s pruned sweep scanned MORE postings than "
-                   "unpruned (%llu > %llu)\n",
-                   spec.name,
-                   static_cast<unsigned long long>(
-                       result.postings_scanned_pruned),
-                   static_cast<unsigned long long>(
-                       result.postings_scanned_brute));
-      return 1;
-    }
-
-    // k-selectivity sweep: the exact threshold (a lower bound on the k-th
-    // best score) rises as k shrinks, so upper-bound pruning skips more
-    // the tighter the top-k budget — at k=1 whole posting tails drop, at
-    // the serving k=25 on this corpus nothing is skippable without losing
-    // exactness. Untimed counter sweeps per k, each doubling as one more
-    // pruned-vs-unpruned equivalence replay; the totals feed the
-    // strictly-fewer gate at the bottom.
-    const size_t sweep_ks[] = {1, 3, 5, 10, 25};
-    for (size_t sweep_k : sweep_ks) {
-      const qatk::core::RankedKnnClassifier k_pruned(
-          {qatk::core::SimilarityMeasure::kJaccard, sweep_k, true});
-      const qatk::core::RankedKnnClassifier k_unpruned(
-          {qatk::core::SimilarityMeasure::kJaccard, sweep_k, false});
-      ModelResult::SelectivityRow row;
-      row.k = sweep_k;
-      const uint64_t k_scanned_before = scanned_counter->Value();
-      for (const Probe& probe : probes) {
-        sink += k_unpruned
-                    .Classify(index, *probe.part_id, probe.features, &scratch)
-                    .size();
-      }
-      row.scanned_unpruned = scanned_counter->Value() - k_scanned_before;
-      const uint64_t k_pruned_before = scanned_counter->Value();
-      const uint64_t k_blocks_before = blocks_skipped_counter->Value();
-      for (const Probe& probe : probes) {
-        auto via_pruned =
-            k_pruned.Classify(index, *probe.part_id, probe.features, &scratch);
-        auto via_unpruned = k_unpruned.Classify(index, *probe.part_id,
-                                                probe.features, &scratch);
-        if (via_pruned != via_unpruned) {
-          std::fprintf(stderr,
-                       "FATAL: pruned ranking diverged at k=%zu (model=%s "
-                       "part=%s)\n",
-                       sweep_k, spec.name, probe.part_id->c_str());
-          return 2;
-        }
-        sink += via_pruned.size();
-      }
-      // The comparison loop ran BOTH paths; subtract the unpruned share so
-      // the row holds exactly one pruned sweep.
-      row.scanned_pruned = scanned_counter->Value() - k_pruned_before -
-                           row.scanned_unpruned;
-      row.blocks_skipped = blocks_skipped_counter->Value() - k_blocks_before;
-      row.prune_ratio =
-          row.scanned_unpruned > 0
-              ? static_cast<double>(row.scanned_pruned) /
-                    static_cast<double>(row.scanned_unpruned)
-              : 1.0;
-      total_scanned_brute += row.scanned_unpruned;
-      total_scanned_pruned += row.scanned_pruned;
-      if (row.scanned_unpruned > 0 &&
-          row.scanned_pruned > row.scanned_unpruned) {
-        std::fprintf(stderr,
-                     "FAIL: %s pruned sweep at k=%zu scanned MORE postings "
-                     "than unpruned (%llu > %llu)\n",
-                     spec.name, sweep_k,
-                     static_cast<unsigned long long>(row.scanned_pruned),
-                     static_cast<unsigned long long>(row.scanned_unpruned));
-        return 1;
-      }
-      result.selectivity.push_back(row);
-    }
-
     result.brute = Measure(brute_passes, probes.size(), [&](size_t i) {
-      sink += pruned
+      sink += classifier
                   .Classify(knowledge, *probes[i].part_id,
                             probes[i].features)
                   .size();
     });
-    const auto measure_indexed = [&] {
-      return MeasureInterleaved(
-          indexed_passes, probes.size(),
-          [&](size_t i) {
-            sink += unpruned
-                        .Classify(index, *probes[i].part_id,
-                                  probes[i].features, &scratch)
-                        .size();
-          },
-          [&](size_t i) {
-            sink += pruned
-                        .Classify(index, *probes[i].part_id,
-                                  probes[i].features, &scratch)
-                        .size();
-          });
-    };
-    std::tie(result.indexed_unpruned, result.indexed) = measure_indexed();
-    // Throughput gate: pruning must keep pace with the exhaustive path
-    // (>= 93% allows timer jitter on models where nothing can be
-    // skipped). Single --quick measurements jitter on shared hosts, so
-    // re-measure both paths up to twice, keeping each path's best run,
-    // before declaring a regression.
-    constexpr double kPrunePaceTolerance = 0.93;
-    for (int retry = 0;
-         retry < 2 && result.indexed.qps <
-                          kPrunePaceTolerance * result.indexed_unpruned.qps;
-         ++retry) {
-      const auto [again_unpruned, again_pruned] = measure_indexed();
-      if (again_unpruned.qps > result.indexed_unpruned.qps) {
-        result.indexed_unpruned = again_unpruned;
-      }
-      if (again_pruned.qps > result.indexed.qps) {
-        result.indexed = again_pruned;
-      }
-    }
+    result.indexed = Measure(indexed_passes, probes.size(), [&](size_t i) {
+      sink += classifier
+                  .Classify(index, *probes[i].part_id, probes[i].features,
+                            &scratch)
+                  .size();
+    });
     result.speedup = result.brute.qps > 0
                          ? result.indexed.qps / result.brute.qps
                          : 0;
     indexed_won = indexed_won && result.indexed.qps > result.brute.qps;
-    if (result.indexed.qps <
-        kPrunePaceTolerance * result.indexed_unpruned.qps) {
-      std::fprintf(stderr,
-                   "FAIL: %s pruned path fell behind unpruned (%.0f < "
-                   "%.0f%% of %.0f q/s)\n",
-                   spec.name, result.indexed.qps,
-                   100 * kPrunePaceTolerance, result.indexed_unpruned.qps);
-      pruned_kept_pace = false;
-    }
 
-    // Multi-thread scaling of the pruned path, two work shapes: each
+    // Multi-thread scaling of the indexed path, two work shapes: each
     // worker sweeping the whole probe set (independent sweeps), and the
     // workers interleaving over one shared probe sequence stride-T (the
     // scatter shape a serving front end produces). Each worker owns its
@@ -548,7 +310,7 @@ int main(int argc, char** argv) {
         qatk::kb::FrozenIndex::Scratch local;
         size_t local_sink = 0;
         for (const Probe& probe : probes) {
-          local_sink += pruned
+          local_sink += classifier
                             .Classify(index, *probe.part_id, probe.features,
                                       &local)
                             .size();
@@ -572,7 +334,7 @@ int main(int argc, char** argv) {
         size_t local_sink = 0;
         for (size_t pass = 0; pass < sweeps; ++pass) {
           for (size_t i = w; i < probes.size(); i += t) {
-            local_sink += pruned
+            local_sink += classifier
                               .Classify(index, *probes[i].part_id,
                                         probes[i].features, &local)
                               .size();
@@ -589,38 +351,20 @@ int main(int argc, char** argv) {
     }
     if (sink == 0) std::printf("(empty rankings)\n");
 
-    std::printf("%s: %zu nodes, %zu parts, %zu postings (%zu blocks), "
+    std::printf("%s: %zu nodes, %zu parts, %zu postings, %.2f MB index, "
                 "%zu probes\n",
                 spec.name, result.nodes, result.parts, result.postings,
-                result.blocks, result.probes);
-    std::printf("  postings scanned/sweep: unpruned=%llu pruned=%llu "
-                "(ratio %.3f), %llu blocks skipped, %llu early exits\n",
-                static_cast<unsigned long long>(
-                    result.postings_scanned_brute),
-                static_cast<unsigned long long>(
-                    result.postings_scanned_pruned),
-                result.prune_ratio,
-                static_cast<unsigned long long>(result.blocks_skipped),
-                static_cast<unsigned long long>(result.early_exits));
-    std::printf("  selectivity:");
-    for (const ModelResult::SelectivityRow& row : result.selectivity) {
-      std::printf("  k=%zu ratio=%.3f (%llu blocks)", row.k, row.prune_ratio,
-                  static_cast<unsigned long long>(row.blocks_skipped));
-    }
-    std::printf("\n");
+                static_cast<double>(result.index_bytes) / 1e6, result.probes);
     std::printf("  %-16s %12s %10s %10s\n", "path", "queries/s", "p50 us",
                 "p99 us");
     std::printf("  %-16s %12.0f %10.2f %10.2f\n", "brute-force",
                 result.brute.qps, result.brute.p50_us, result.brute.p99_us);
-    std::printf("  %-16s %12.0f %10.2f %10.2f\n", "indexed-pruned",
+    std::printf("  %-16s %12.0f %10.2f %10.2f\n", "indexed",
                 result.indexed.qps, result.indexed.p50_us,
                 result.indexed.p99_us);
-    std::printf("  %-16s %12.0f %10.2f %10.2f\n", "indexed-unpruned",
-                result.indexed_unpruned.qps, result.indexed_unpruned.p50_us,
-                result.indexed_unpruned.p99_us);
     std::printf("  single-thread speedup over brute: %.2fx\n",
                 result.speedup);
-    std::printf("  pruned scaling:");
+    std::printf("  scaling:       ");
     for (const auto& [t, qps] : result.scaling) {
       std::printf("  %zut=%.0f q/s", t, qps);
     }
@@ -640,23 +384,6 @@ int main(int argc, char** argv) {
   if (!indexed_won) {
     std::fprintf(stderr,
                  "FAIL: indexed scoring is slower than brute force\n");
-    return 1;
-  }
-  if (!pruned_kept_pace) return 1;
-  // Prune-effectiveness gate: across the whole bench the pruned path must
-  // scan STRICTLY fewer postings than the unpruned path (the per-model <=
-  // check already ran above). Checkable only when the obs counters are
-  // compiled in.
-  if (!prune_effective_checkable) {
-    std::fprintf(stderr,
-                 "SKIPPED: prune-effectiveness gate (QATK_NO_METRICS "
-                 "build, scan counters compiled out)\n");
-  } else if (total_scanned_pruned >= total_scanned_brute) {
-    std::fprintf(stderr,
-                 "FAIL: pruning never skipped a posting (pruned=%llu "
-                 "unpruned=%llu)\n",
-                 static_cast<unsigned long long>(total_scanned_pruned),
-                 static_cast<unsigned long long>(total_scanned_brute));
     return 1;
   }
   // Scaling gate: the 1->4 table must be monotonically non-decreasing
@@ -696,7 +423,7 @@ int main(int argc, char** argv) {
                  cores);
   }
   if (!scaling_ok) return 1;
-  std::printf("OK: pruned indexed path beats brute force on every model "
-              "and scans no more than the unpruned path\n");
+  std::printf("OK: indexed path matches and beats brute force on every "
+              "model\n");
   return 0;
 }

@@ -5,16 +5,15 @@
 # Stages, in sequence:
 #   1. address,undefined  — memory errors, UB, leaks
 #   2. thread             — data races in the serving / thread-pool paths
-#   3. perf               — the pruning equivalence battery (pruning_test:
-#                           adversarial corpora, bound admissibility with
-#                           mutation checks) under ASan+UBSan, then a
-#                           Release build of bench_knn_throughput --quick;
-#                           proves brute == pruned == unpruned rankings
-#                           bit-for-bit, fails if the frozen index is
-#                           slower than brute force, if the pruned path
-#                           falls behind the unpruned path, or if the
-#                           k-selectivity sweep never skips a posting.
-#                           Writes BENCH_knn.json at the repo root.
+#   3. perf               — the indexed-vs-brute equivalence battery
+#                           (indexed_brute_test: adversarial corpora, all
+#                           measures x k in {1,3,5,10,25}, unknown-part
+#                           fallbacks) under ASan+UBSan, then a Release
+#                           build of bench_knn_throughput --quick; proves
+#                           brute == indexed rankings bit-for-bit and
+#                           fails if the frozen index is slower than
+#                           brute force. Writes BENCH_knn.json at the
+#                           repo root.
 #   4. serve              — Release build of the epoll serving stack:
 #                           bench_serving_load --quick in-process (wire
 #                           responses must be bit-identical to direct
@@ -102,26 +101,24 @@ knn_qps() {
 
 for STAGE in "${STAGES[@]}"; do
   if [[ "${STAGE}" == "perf" ]]; then
-    # The pruning equivalence battery rides the perf stage under
-    # ASan+UBSan: the pruned scorer's skip decisions read freeze-time
-    # posting blocks and bound tables, exactly the kind of indexing an
-    # off-by-one corrupts silently long before it corrupts visibly.
+    # The indexed-vs-brute battery rides the perf stage under ASan+UBSan:
+    # the scorer indexes epoch-tagged accumulators and CSR offsets, exactly
+    # the kind of indexing an off-by-one corrupts silently long before it
+    # corrupts visibly.
     SAN="address,undefined"
     SAN_DIR="build-san/${SAN//,/+}"
-    echo "=== pruning equivalence battery under ${SAN} (build: ${SAN_DIR}) ==="
+    echo "=== indexed-vs-brute battery under ${SAN} (build: ${SAN_DIR}) ==="
     cmake -B "${SAN_DIR}" -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DQATK_SANITIZE="${SAN}" >/dev/null
-    cmake --build "${SAN_DIR}" -j "${JOBS}" --target pruning_test
-    "${SAN_DIR}/tests/pruning_test"
+    cmake --build "${SAN_DIR}" -j "${JOBS}" --target indexed_brute_test
+    "${SAN_DIR}/tests/indexed_brute_test"
     BUILD_DIR="build-perf"
     echo "=== perf smoke: bench_knn_throughput --quick (build: ${BUILD_DIR}) ==="
     cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_knn_throughput
-    # Exits 2 if any ranking (brute / pruned / unpruned, any k) diverges,
-    # 1 if the indexed path is slower than brute, the pruned path falls
-    # behind unpruned, or pruning never skips a posting across the
-    # k-selectivity sweep; any of these fails the check via errexit.
+    # Exits 2 if any brute vs indexed ranking diverges, 1 if the indexed
+    # path is slower than brute; either fails the check via errexit.
     "${BUILD_DIR}/bench/bench_knn_throughput" --quick --out=BENCH_knn.json
     continue
   fi

@@ -351,11 +351,6 @@ Status Coordinator::Connect() {
   if (sharder_ == nullptr) {
     return Status::Invalid("unknown sharder '" + options_.sharder + "'");
   }
-  if (!sharder_->stateless()) {
-    return Status::Invalid("sharder '" + options_.sharder +
-                           "' is stateful; scatter-gather routing requires "
-                           "a stateless sharder");
-  }
   uint64_t ordinal_high = 0;
   bool all_trained = true;
   for (size_t i = 0; i < n; ++i) {

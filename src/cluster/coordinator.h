@@ -31,7 +31,7 @@ struct ShardEndpoint {
 /// §14).
 ///
 /// Read routing is two-round: queries probe the part's owner first
-/// (stateless sharders make ownership a pure function of the part id);
+/// (the sharder makes ownership a pure function of the part id);
 /// only when the owner does not know the part — a part absent from
 /// training — does the coordinator fall back to scattering the all-nodes
 /// sweep to every shard. Mutations route to the part's owner
@@ -52,8 +52,8 @@ class Coordinator : public server::RequestHandler {
  public:
   struct Options {
     std::vector<ShardEndpoint> shards;
-    /// Sharder name ("hash" or "range"); must be stateless, and must
-    /// match what every shard was trained with (verified by Connect).
+    /// Sharder name ("hash" or "range"); must match what every shard was
+    /// trained with (verified by Connect).
     std::string sharder = "hash";
     /// Merge widths; must match the shards' service options.
     size_t max_nodes = 25;

@@ -169,23 +169,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
-  {
-    // Routing requires ownership to be a pure function of the part id;
-    // round_robin would route queries to shards that never trained the
-    // part. Reject it up front with a useful message.
-    std::unique_ptr<qatk::cluster::Sharder> probe =
-        qatk::cluster::MakeSharder(sharder_name, num_shards);
-    if (probe == nullptr) {
-      std::fprintf(stderr, "unknown sharder: %s\n", sharder_name.c_str());
-      return 2;
-    }
-    if (!probe->stateless()) {
-      std::fprintf(stderr,
-                   "sharder %s is stateful; cluster routing requires a "
-                   "stateless sharder (hash or range)\n",
-                   sharder_name.c_str());
-      return 2;
-    }
+  if (qatk::cluster::MakeSharder(sharder_name, num_shards) == nullptr) {
+    std::fprintf(stderr, "unknown sharder: %s\n", sharder_name.c_str());
+    return 2;
   }
   if (serve_bin.empty()) {
     serve_bin = Dirname(argv[0]) + "/../server/qatk_serve";

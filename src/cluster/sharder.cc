@@ -2,7 +2,7 @@
 
 namespace qatk::cluster {
 
-uint32_t HashSharder::ShardFor(std::string_view key) {
+uint32_t HashSharder::ShardFor(std::string_view key) const {
   // FNV-1a 64: stable across platforms, good avalanche for short ids.
   uint64_t h = 1469598103934665603ull;
   for (const char c : key) {
@@ -12,7 +12,7 @@ uint32_t HashSharder::ShardFor(std::string_view key) {
   return static_cast<uint32_t>(h % num_shards_);
 }
 
-uint32_t RangeSharder::ShardFor(std::string_view key) {
+uint32_t RangeSharder::ShardFor(std::string_view key) const {
   uint64_t prefix = 0;
   for (size_t i = 0; i < 8; ++i) {
     const uint64_t byte =
@@ -25,24 +25,11 @@ uint32_t RangeSharder::ShardFor(std::string_view key) {
       (static_cast<unsigned __int128>(prefix) * num_shards_) >> 64);
 }
 
-uint32_t RoundRobinSharder::ShardFor(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = assigned_.find(key);
-  if (it != assigned_.end()) return it->second;
-  const uint32_t shard = next_;
-  next_ = (next_ + 1) % num_shards_;
-  assigned_.emplace(std::string(key), shard);
-  return shard;
-}
-
 std::unique_ptr<Sharder> MakeSharder(const std::string& name,
                                      uint32_t num_shards) {
   if (num_shards == 0) return nullptr;
   if (name == "hash") return std::make_unique<HashSharder>(num_shards);
   if (name == "range") return std::make_unique<RangeSharder>(num_shards);
-  if (name == "round_robin") {
-    return std::make_unique<RoundRobinSharder>(num_shards);
-  }
   return nullptr;
 }
 

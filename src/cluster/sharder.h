@@ -2,9 +2,7 @@
 #define QATK_CLUSTER_SHARDER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -15,28 +13,22 @@ namespace qatk::cluster {
 ///
 /// The sharder is the single source of truth for ownership: the launcher
 /// uses it to scope each worker's training slice, and the coordinator uses
-/// the *same* mapping to route queries and mutations. A sharder whose
-/// mapping is a pure function of the key bytes (`stateless() == true`) can
-/// be re-instantiated independently on every process and still agree;
-/// stateful sharders (round-robin) only make sense where one instance sees
-/// every key, i.e. offline partitioning.
+/// the *same* mapping to route queries and mutations. Every mapping is a
+/// pure function of the key bytes, so separate instances (one per shard
+/// process, one in the coordinator) always agree.
 class Sharder {
  public:
   virtual ~Sharder() = default;
 
   /// Shard index in [0, num_shards) owning `key`.
-  virtual uint32_t ShardFor(std::string_view key) = 0;
+  virtual uint32_t ShardFor(std::string_view key) const = 0;
 
   virtual uint32_t num_shards() const = 0;
 
-  /// Stable name ("hash", "range", "round_robin") — recorded in Health so
+  /// Stable name ("hash", "range") — recorded in Health so
   /// the coordinator can verify every shard was trained with the same
   /// partitioning it is about to route with.
   virtual const char* name() const = 0;
-
-  /// True when ShardFor is a pure function of the key bytes, so separate
-  /// instances (one per shard process, one in the coordinator) agree.
-  virtual bool stateless() const { return true; }
 };
 
 /// FNV-1a 64 over the key bytes, mod N. Spreads arbitrary part-id
@@ -45,7 +37,7 @@ class HashSharder : public Sharder {
  public:
   explicit HashSharder(uint32_t num_shards) : num_shards_(num_shards) {}
 
-  uint32_t ShardFor(std::string_view key) override;
+  uint32_t ShardFor(std::string_view key) const override;
   uint32_t num_shards() const override { return num_shards_; }
   const char* name() const override { return "hash"; }
 
@@ -56,39 +48,18 @@ class HashSharder : public Sharder {
 /// Lexicographic range partitioning: the leading 8 key bytes, read
 /// big-endian as a u64 prefix, split the key space into N equal-width
 /// contiguous ranges. Keys sharing a prefix land on the same shard, which
-/// preserves locality for hierarchical part numbering schemes. Stateless:
+/// preserves locality for hierarchical part numbering schemes:
 /// shard = floor(prefix * N / 2^64).
 class RangeSharder : public Sharder {
  public:
   explicit RangeSharder(uint32_t num_shards) : num_shards_(num_shards) {}
 
-  uint32_t ShardFor(std::string_view key) override;
+  uint32_t ShardFor(std::string_view key) const override;
   uint32_t num_shards() const override { return num_shards_; }
   const char* name() const override { return "range"; }
 
  private:
   uint32_t num_shards_;
-};
-
-/// First-seen cyclic assignment: the i-th distinct key goes to shard
-/// i mod N. Perfectly balanced by part count but *stateful* — two
-/// instances only agree if they see the keys in the same order — so it is
-/// usable for offline partitioning experiments, not for cluster serving
-/// (the launcher rejects it).
-class RoundRobinSharder : public Sharder {
- public:
-  explicit RoundRobinSharder(uint32_t num_shards) : num_shards_(num_shards) {}
-
-  uint32_t ShardFor(std::string_view key) override;
-  uint32_t num_shards() const override { return num_shards_; }
-  const char* name() const override { return "round_robin"; }
-  bool stateless() const override { return false; }
-
- private:
-  uint32_t num_shards_;
-  std::mutex mu_;
-  std::map<std::string, uint32_t, std::less<>> assigned_;
-  uint32_t next_ = 0;
 };
 
 /// Factory over the stable names above. Returns nullptr for an unknown

@@ -1,7 +1,6 @@
 #include "core/classifier.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -27,45 +26,6 @@ obs::Histogram* RankStageHistogram() {
   return hist;
 }
 
-/// Pruned-path counters. The scanned counter shares its name with the one
-/// in kb::FrozenIndex::AccumulateRange (the registry dedups by name), so
-/// "postings scanned" stays one number whichever path served the query.
-obs::Counter* PostingsScannedCounter() {
-  static obs::Counter* counter =
-      obs::Registry::Global().GetCounter("qatk_kb_postings_scanned_total");
-  return counter;
-}
-
-obs::Counter* PostingsSkippedCounter() {
-  static obs::Counter* counter =
-      obs::Registry::Global().GetCounter("qatk_prune_postings_skipped_total");
-  return counter;
-}
-
-obs::Counter* BlocksSkippedCounter() {
-  static obs::Counter* counter =
-      obs::Registry::Global().GetCounter("qatk_prune_blocks_skipped_total");
-  return counter;
-}
-
-obs::Counter* RunsSkippedCounter() {
-  static obs::Counter* counter =
-      obs::Registry::Global().GetCounter("qatk_prune_runs_skipped_total");
-  return counter;
-}
-
-obs::Counter* ThetaRebuildCounter() {
-  static obs::Counter* counter =
-      obs::Registry::Global().GetCounter("qatk_prune_theta_rebuilds_total");
-  return counter;
-}
-
-obs::Counter* EarlyExitCounter() {
-  static obs::Counter* counter =
-      obs::Registry::Global().GetCounter("qatk_prune_early_exits_total");
-  return counter;
-}
-
 /// (score, original node id) heap item. BetterItem is the exact strict
 /// total order of the result contract — (score desc, node asc) — which is
 /// what makes bounded-heap selection independent of offer order.
@@ -87,30 +47,6 @@ void OfferItem(std::vector<Item>* heap, size_t k, const Item& item) {
     std::push_heap(heap->begin(), heap->end(), BetterItem);
   }
 }
-
-/// Theta-refresh pacing for the pruned path: refresh the provisional
-/// threshold before a long run only after the accumulators moved by
-/// kThetaRebuildStride x touched postings since the last refresh, and at
-/// most kThetaRebuildLimit times per query — bounds the refresh cost to a
-/// small multiple of the touched set however many runs there are.
-constexpr size_t kThetaRebuildStride = 4;
-constexpr size_t kThetaRebuildLimit = 6;
-/// Touched-set sample size for the initial (arming) threshold: the k-th
-/// best over a sample is a sound lower bound on the k-th best overall, so
-/// arming costs O(sample) no matter how wide the query fans out.
-constexpr size_t kThetaSampleSize = 64;
-/// At-or-below this top-k budget the pruned path runs its aggressive
-/// threshold regime: arm from the FULL touched set, and re-tighten on pace
-/// alone (every touched-set's-worth of postings) instead of demanding a
-/// skip since the last refresh. Small k is where the k-th best provisional
-/// score climbs fast enough during the long runs to overtake block bounds
-/// — whole posting tails drop, paying for the O(touched) refreshes. At
-/// serving-size k the threshold rarely clears any bound, so the cheap
-/// sampled arming plus progress-gated refresh keeps the no-skip overhead
-/// near zero. Either regime is exact — the threshold is a sound lower
-/// bound on the k-th best final score in both; only its tightness (and so
-/// the skip rate) moves.
-constexpr size_t kThetaAggressiveK = 16;
 
 }  // namespace
 
@@ -164,10 +100,6 @@ bool RankedKnnClassifier::SelectTopNodes(const kb::FrozenIndex& index,
                                          const std::vector<int64_t>& features,
                                          kb::FrozenIndex::Scratch* scratch,
                                          size_t* num_candidates) const {
-  if (config_.prune) {
-    return SelectTopNodesPruned(index, part_id, features, scratch,
-                                num_candidates);
-  }
   bool known_part;
   {
     obs::SampledTimer score_span(ScoreStageHistogram());
@@ -198,246 +130,20 @@ bool RankedKnnClassifier::SelectTopNodes(const kb::FrozenIndex& index,
                                     index.node_feature_count(node)),
                node});
   };
-  if (known_part) {
-    for (uint32_t node : scratch->touched) offer(node, scratch->shared[node]);
-  } else {
-    // Unknown part: every node is a candidate, zero-shared ones included
-    // (they can still fill the tail of the top list with score 0).
+  for (uint32_t node : scratch->touched) offer(node, scratch->shared[node]);
+  if (!known_part) {
+    // Unknown part: every node is a candidate (§4.3), and an untouched one
+    // scores exactly 0. Every touched node scores > 0 (shared >= 1), so
+    // filling the tail with untouched nodes in ascending node order is
+    // exact, and the fill stops once the heap is full — any later zero
+    // loses the node-id tie-break against one already in.
     const uint32_t n = static_cast<uint32_t>(index.num_nodes());
-    for (uint32_t node = 0; node < n; ++node) {
-      offer(node, kb::FrozenIndex::SharedCount(*scratch, node));
+    for (uint32_t node = 0; heap.size() < config_.max_nodes && node < n;
+         ++node) {
+      if (kb::FrozenIndex::SharedCount(*scratch, node) == 0) offer(node, 0);
     }
   }
   std::sort_heap(heap.begin(), heap.end(), BetterItem);  // Best first.
-  return known_part;
-}
-
-bool RankedKnnClassifier::SelectTopNodesPruned(
-    const kb::FrozenIndex& index, const std::string& part_id,
-    const std::vector<int64_t>& features, kb::FrozenIndex::Scratch* scratch,
-    size_t* num_candidates) const {
-  const size_t k = config_.max_nodes;
-  const SimilarityMeasure measure = config_.similarity;
-  const size_t na = features.size();
-  std::vector<Item>& heap = scratch->heap;
-  bool known_part;
-  uint64_t scanned = 0;
-  uint64_t skipped_postings = 0;
-  uint64_t skipped_blocks = 0;
-  uint64_t skipped_runs = 0;
-  uint64_t rebuilds = 0;
-  size_t tail_skipped = 0;
-  {
-    obs::SampledTimer score_span(ScoreStageHistogram());
-    known_part = index.MatchRuns(part_id, features, scratch);
-    if (!known_part) index.MatchRunsAllNodes(features, scratch);
-    std::vector<kb::FrozenIndex::MatchedRun>& runs = scratch->runs;
-    // The probe has `cap` matched terms, so no shared count can exceed it:
-    // the query-constant half of every bound below.
-    const size_t cap = runs.size();
-
-    bool any_long = false;
-    for (const kb::FrozenIndex::MatchedRun& run : runs) {
-      any_long = any_long || run.length >= kb::kPostingBlockSize;
-    }
-    // Pruning machinery only engages when some run spans a full block —
-    // short-run probes (the common bag-of-concepts case) take the plain
-    // sweep below with zero threshold/sort overhead.
-    const bool pruning = any_long && k > 0;
-
-    // The pruning threshold: a lower bound on the k-th best FINAL score.
-    // Each touched node's provisional score (current shared count through
-    // the exact kernel) is a lower bound on its final score, and the k-th
-    // best over any SUBSET of touched nodes is <= the k-th best overall —
-    // so theta computed from a sample stays sound while costing O(sample).
-    double theta = 0;
-    bool theta_active = false;
-    size_t since_rebuild = 0;
-    size_t rebuild_count = 0;
-    uint64_t skipped_at_rebuild = 0;
-    const size_t c0 = std::min(cap, na);
-    // clamp(c0, lo, hi): the |B| at which the block's upper bound is
-    // achieved (SimilarityUpperBound's own maximizing point).
-    const auto bound_nb = [c0](uint32_t lo, uint32_t hi) -> size_t {
-      return std::min(std::max(c0, static_cast<size_t>(lo)),
-                      static_cast<size_t>(hi));
-    };
-    // The clamped-|B| range this query's skip checks can produce. Along a
-    // run both nb_lo and nb_hi are non-increasing (postings sit in
-    // frequency-rank order) and the clamp is monotone in each, so the
-    // extremes come from every run's first and last blocks.
-    size_t lo_cl = c0;
-    size_t hi_cl = c0;
-    size_t long_postings = 0;
-    if (pruning) {
-      for (const kb::FrozenIndex::MatchedRun& run : runs) {
-        const kb::FrozenIndex::BlockBound& first =
-            index.block_bound(run.block_begin);
-        const kb::FrozenIndex::BlockBound& last =
-            index.block_bound(run.block_end - 1);
-        lo_cl = std::min(lo_cl, bound_nb(last.nb_lo, last.nb_hi));
-        hi_cl = std::max(hi_cl, bound_nb(first.nb_lo, first.nb_hi));
-        if (run.length >= kb::kPostingBlockSize) long_postings += run.length;
-      }
-    }
-    // Aggressive-regime refresh cadence: spread the kThetaRebuildLimit
-    // refreshes evenly across the long-run postings, so the last one lands
-    // near the end of accumulation — tail blocks are the skippable ones,
-    // and they need a near-final threshold. (Pacing by touched-set size
-    // instead burns the whole refresh budget in the first few runs, while
-    // the touched set is still tiny.)
-    const size_t aggressive_stride =
-        long_postings / (kThetaRebuildLimit + 1) + 1;
-    std::vector<double>& theta_scores = scratch->theta_scores;
-    std::vector<uint8_t>& nb_skip = scratch->nb_skip;
-    const auto rebuild_theta = [&](size_t sample) {
-      theta_scores.clear();
-      for (size_t i = 0; i < sample; ++i) {
-        const uint32_t rank = scratch->touched[i];
-        theta_scores.push_back(SimilarityFromCounts(
-            measure, scratch->shared[rank], na,
-            index.rank_feature_count(rank)));
-      }
-      std::nth_element(theta_scores.begin(), theta_scores.begin() + (k - 1),
-                       theta_scores.end(), std::greater<double>());
-      theta = theta_scores[k - 1];
-      // The bound is unimodal in the clamped |B| (rising to its peak at
-      // c0, falling past it), so its minimum over this query's blocks sits
-      // at one of the two clamp extremes. When even that minimum clears
-      // theta no block can ever be skipped: leave the checks disarmed —
-      // scanning everything is always exact — and the query pays two
-      // kernel calls instead of a verdict table it could never use.
-      theta_active =
-          SimilarityUpperBound(measure, cap, na, lo_cl, lo_cl) < theta ||
-          SimilarityUpperBound(measure, cap, na, hi_cl, hi_cl) < theta;
-      if (theta_active) {
-        // Tabulate the skip verdict per clamped |B| through the same
-        // admissible-bound kernel the tests certify (lo == hi == nb makes
-        // SimilarityUpperBound's clamp the identity), so each hot-loop
-        // check below is a byte load deciding exactly what the kernel
-        // would.
-        nb_skip.assign(hi_cl + 1, 0);
-        for (size_t nb = lo_cl; nb <= hi_cl; ++nb) {
-          nb_skip[nb] = SimilarityUpperBound(measure, cap, na, nb, nb) < theta;
-        }
-      }
-      since_rebuild = 0;
-      skipped_at_rebuild = skipped_postings;
-      ++rebuild_count;
-      ++rebuilds;
-    };
-    const auto process_run = [&](const kb::FrozenIndex::MatchedRun& run,
-                                 bool long_run) {
-      // Arm the threshold at the first long run from a bounded sample of
-      // the touched set; after that, re-tighten from the full touched set,
-      // but only while skipping is actually paying (some posting was
-      // skipped since the last rebuild) — on corpora where no admissible
-      // bound can fall below theta, the cheap arming is the whole overhead.
-      const bool aggressive = k <= kThetaAggressiveK;
-      if (pruning && long_run && scratch->touched.size() >= k &&
-          rebuild_count < kThetaRebuildLimit) {
-        if (rebuild_count == 0) {
-          rebuild_theta(aggressive
-                            ? scratch->touched.size()
-                            : std::min(scratch->touched.size(),
-                                       std::max(k, kThetaSampleSize)));
-        } else if (aggressive
-                       ? since_rebuild >= aggressive_stride
-                       : (skipped_postings > skipped_at_rebuild &&
-                          since_rebuild >= kThetaRebuildStride *
-                                               scratch->touched.size())) {
-          rebuild_theta(scratch->touched.size());
-        }
-      }
-      if (theta_active) {
-        if (nb_skip[bound_nb(index.block_bound(run.block_end - 1).nb_lo,
-                             index.block_bound(run.block_begin).nb_hi)]) {
-          ++skipped_runs;
-          skipped_blocks += run.block_end - run.block_begin;
-          skipped_postings += run.length;
-          ++tail_skipped;
-          return;
-        }
-      }
-      tail_skipped = 0;
-      const bool multi_block = run.block_end - run.block_begin > 1;
-      for (uint32_t b = run.block_begin; b != run.block_end; ++b) {
-        if (theta_active && multi_block) {
-          const kb::FrozenIndex::BlockBound& bound = index.block_bound(b);
-          if (nb_skip[bound_nb(bound.nb_lo, bound.nb_hi)]) {
-            ++skipped_blocks;
-            skipped_postings += index.block(b).count;
-            continue;
-          }
-        }
-        const uint32_t decoded = index.AccumulateBlock(b, scratch);
-        scanned += decoded;
-        since_rebuild += decoded;
-      }
-    };
-    if (!pruning) {
-      for (const kb::FrozenIndex::MatchedRun& run : runs) {
-        process_run(run, /*long_run=*/false);
-      }
-    } else {
-      // Short runs first so the threshold is informed by the selective
-      // terms before the long runs (where skipping pays) come up. Two
-      // passes over the (ascending-block-ordered) run list — not a sort —
-      // keep each class streaming forward through the posting arena.
-      for (const kb::FrozenIndex::MatchedRun& run : runs) {
-        if (run.length < kb::kPostingBlockSize) process_run(run, false);
-      }
-      for (const kb::FrozenIndex::MatchedRun& run : runs) {
-        if (run.length >= kb::kPostingBlockSize) process_run(run, true);
-      }
-    }
-  }
-  if (num_candidates != nullptr) {
-    *num_candidates = known_part ? scratch->touched.size() : index.num_nodes();
-  }
-  PostingsScannedCounter()->Add(scanned);
-  if (skipped_postings > 0) PostingsSkippedCounter()->Add(skipped_postings);
-  if (skipped_blocks > 0) BlocksSkippedCounter()->Add(skipped_blocks);
-  if (skipped_runs > 0) RunsSkippedCounter()->Add(skipped_runs);
-  if (rebuilds > 0) ThetaRebuildCounter()->Add(rebuilds);
-  if (tail_skipped > 0) EarlyExitCounter()->Add();
-  if (k == 0) {
-    heap.clear();
-    return known_part;
-  }
-
-  obs::SampledTimer rank_span(RankStageHistogram());
-  // Exact final selection. Every node that can be in the true top k was
-  // fully accumulated (skipped blocks hold only nodes whose upper bound is
-  // strictly below a lower bound on the 25th-best score), so the counts
-  // feeding the kernel here are exact for every contender. Items carry
-  // ORIGINAL node ids: BetterItem is a strict total order on (score, node),
-  // making the result independent of the rank-remapped offer order, and
-  // downstream code dedup / shard ordinal mapping never see ranks.
-  heap.clear();
-  for (uint32_t rank : scratch->touched) {
-    OfferItem(&heap, k,
-              {SimilarityFromCounts(measure, scratch->shared[rank], na,
-                                    index.rank_feature_count(rank)),
-               index.node_of_rank(rank)});
-  }
-  if (!known_part) {
-    // Unknown-part fallback: untouched nodes are candidates at exactly
-    // score 0. Every touched node scores > 0 (shared >= 1), so filling the
-    // tail with zero-score nodes in ascending node order is exact, and the
-    // fill can stop the moment the heap is full — any later zero loses the
-    // id tie-break against one already in.
-    const uint32_t n = static_cast<uint32_t>(index.num_nodes());
-    for (uint32_t node = 0; heap.size() < k && node < n; ++node) {
-      const uint32_t rank = index.rank_of_node(node);
-      if (scratch->epoch[rank] == scratch->current) continue;  // Touched.
-      OfferItem(&heap, k,
-                {SimilarityFromCounts(measure, 0, na,
-                                      index.node_feature_count(node)),
-                 node});
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), BetterItem);
   return known_part;
 }
 

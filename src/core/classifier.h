@@ -42,11 +42,6 @@ class RankedKnnClassifier {
     /// "We retrieve the error codes of the 25 best-scored candidate
     /// nodes" (§4.3).
     size_t max_nodes = 25;
-    /// Score-upper-bound pruning over the frozen index's block-compressed
-    /// postings (DESIGN.md §15). Results are bit-identical either way; off
-    /// forces the accumulate-everything reference path, which equivalence
-    /// tests and the bench A/B against the pruned one.
-    bool prune = true;
   };
 
   explicit RankedKnnClassifier(Config config) : config_(config) {}
@@ -95,17 +90,6 @@ class RankedKnnClassifier {
   const Config& config() const { return config_; }
 
  private:
-  /// Maxscore-style pruned SelectTopNodes over the block-compressed
-  /// posting layout; bit-identical to the unpruned path (DESIGN.md §15).
-  /// NOTE: under active skips, `num_candidates` for known parts counts
-  /// only the nodes actually accumulated (a lower bound on the brute
-  /// candidate-set size); skips engage only on runs of >= one full block.
-  bool SelectTopNodesPruned(const kb::FrozenIndex& index,
-                            const std::string& part_id,
-                            const std::vector<int64_t>& features,
-                            kb::FrozenIndex::Scratch* scratch,
-                            size_t* num_candidates) const;
-
   Config config_;
 };
 

@@ -76,17 +76,4 @@ double SimilarityFromCounts(SimilarityMeasure measure, size_t shared_count,
   return 0.0;
 }
 
-double SimilarityUpperBound(SimilarityMeasure measure, size_t cap_shared,
-                            size_t size_a, size_t size_b_min,
-                            size_t size_b_max) {
-  // With shared maxed at s(nb) = min(c0, nb) where c0 = min(cap, |A|), the
-  // score as a function of nb rises while nb <= c0 (shared grows with nb)
-  // and falls after (shared pinned at c0, denominator grows), for every
-  // measure. Clamping the peak into [nb_min, nb_max] therefore lands on the
-  // maximizing |B| of the whole range.
-  const size_t c0 = std::min(cap_shared, size_a);
-  const size_t nb = std::min(std::max(c0, size_b_min), size_b_max);
-  return SimilarityFromCounts(measure, std::min(c0, nb), size_a, nb);
-}
-
 }  // namespace qatk::core

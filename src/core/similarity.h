@@ -41,20 +41,6 @@ double Similarity(SimilarityMeasure measure, const std::vector<int64_t>& a,
 double SimilarityFromCounts(SimilarityMeasure measure, size_t shared_count,
                             size_t size_a, size_t size_b);
 
-/// Admissible score upper bound for block-pruned top-k scoring (DESIGN.md
-/// §15): the largest similarity any node whose feature-set size |B| lies in
-/// [size_b_min, size_b_max] can reach against a probe of size |A| = size_a
-/// when the shared count cannot exceed cap_shared (nor min(|A|, |B|)).
-/// All four measures are monotone nondecreasing in the shared count and,
-/// with shared maxed out, unimodal in |B| with the peak at
-/// |B| = min(cap_shared, |A|); the bound is therefore one kernel evaluation
-/// at the maximizing (shared, |B|) pair. Because it reuses
-/// SimilarityFromCounts, an achievable score can equal the bound
-/// bit-for-bit but never exceed it. Requires size_b_min <= size_b_max.
-double SimilarityUpperBound(SimilarityMeasure measure, size_t cap_shared,
-                            size_t size_a, size_t size_b_min,
-                            size_t size_b_max);
-
 }  // namespace qatk::core
 
 #endif  // QATK_CORE_SIMILARITY_H_

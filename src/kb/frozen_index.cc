@@ -30,6 +30,11 @@ obs::Counter* ScratchRebuildCounter() {
   return counter;
 }
 
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return v.size() * sizeof(T);
+}
+
 /// (feature, node) pair used while grouping postings into CSR runs.
 struct Posting {
   int64_t feature;
@@ -119,82 +124,7 @@ FrozenIndex FrozenIndex::Build(const KnowledgeBase& knowledge) {
   AppendRuns(all_pairs, &index.all_feature_ids_, &index.all_offsets_,
              &index.all_postings_);
   index.all_offsets_.push_back(index.all_postings_.size());
-
-  index.BuildPrunedLayout();
   return index;
-}
-
-void FrozenIndex::BuildPrunedLayout() {
-  const uint32_t n = static_cast<uint32_t>(num_nodes());
-  rank_to_node_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) rank_to_node_[i] = i;
-  std::sort(rank_to_node_.begin(), rank_to_node_.end(),
-            [this](uint32_t a, uint32_t b) {
-              const uint32_t fa = node_feature_count(a);
-              const uint32_t fb = node_feature_count(b);
-              if (fa != fb) return fa > fb;
-              return a < b;
-            });
-  node_to_rank_.resize(n);
-  rank_feature_count_.resize(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    node_to_rank_[rank_to_node_[r]] = r;
-    rank_feature_count_[r] = node_feature_count(rank_to_node_[r]);
-  }
-  run_block_offsets_ = EncodeRuns(offsets_, postings_);
-  all_run_block_offsets_ = EncodeRuns(all_offsets_, all_postings_);
-
-  // Expand the canonical u16-delta encoding back into a flat rank array for
-  // the query-time accumulation loop, running every block through the
-  // validating decoder — a freeze-time integrity check of the codec on the
-  // exact bytes queries will depend on.
-  block_posting_offset_.reserve(blocks_.size() + 1);
-  block_posting_offset_.push_back(0);
-  size_t total = 0;
-  for (const PostingBlock& block : blocks_) {
-    total += block.count;
-    block_posting_offset_.push_back(static_cast<uint32_t>(total));
-  }
-  rank_postings_.reserve(total);
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    const Status status = DecodePostingBlocks(blocks_, b, b + 1, deltas_,
-                                              kPostingBlockSize,
-                                              &rank_postings_);
-    QATK_CHECK(status.ok()) << "frozen posting block " << b
-                            << " failed to decode: " << status.message();
-  }
-  QATK_CHECK(rank_postings_.size() == total);
-}
-
-std::vector<uint32_t> FrozenIndex::EncodeRuns(
-    const std::vector<size_t>& offsets,
-    const std::vector<uint32_t>& postings) {
-  std::vector<uint32_t> run_offsets;
-  const size_t rows = offsets.empty() ? 0 : offsets.size() - 1;
-  run_offsets.reserve(rows + 1);
-  run_offsets.push_back(static_cast<uint32_t>(blocks_.size()));
-  std::vector<uint32_t> ranks;
-  for (size_t row = 0; row < rows; ++row) {
-    ranks.clear();
-    for (size_t k = offsets[row]; k < offsets[row + 1]; ++k) {
-      ranks.push_back(node_to_rank_[postings[k]]);
-    }
-    std::sort(ranks.begin(), ranks.end());
-    const size_t block_begin = blocks_.size();
-    EncodePostingBlocks(ranks.data(), ranks.size(), kPostingBlockSize,
-                        &blocks_, &deltas_);
-    // Bound ingredients: |B| is non-increasing along the rank-sorted run,
-    // so each block's range is (last posting's size, first's).
-    size_t pos = 0;
-    for (size_t b = block_begin; b < blocks_.size(); ++b) {
-      const uint32_t count = blocks_[b].count;
-      block_bounds_.push_back({rank_feature_count_[ranks[pos + count - 1]],
-                               rank_feature_count_[ranks[pos]]});
-      pos += count;
-    }
-    run_offsets.push_back(static_cast<uint32_t>(blocks_.size()));
-  }
-  return run_offsets;
 }
 
 FrozenIndex FrozenIndex::Build(
@@ -218,6 +148,14 @@ FrozenIndex FrozenIndex::Build(
   return Build(slice);
 }
 
+size_t FrozenIndex::memory_bytes() const {
+  return VectorBytes(part_ranges_) + VectorBytes(feature_ids_) +
+         VectorBytes(offsets_) + VectorBytes(postings_) +
+         VectorBytes(all_feature_ids_) + VectorBytes(all_offsets_) +
+         VectorBytes(all_postings_) + VectorBytes(node_code_) +
+         VectorBytes(node_offsets_) + VectorBytes(feature_arena_);
+}
+
 void FrozenIndex::BeginQuery(Scratch* scratch) const {
   const size_t n = num_nodes();
   if (scratch->epoch.size() != n) {
@@ -230,7 +168,6 @@ void FrozenIndex::BeginQuery(Scratch* scratch) const {
   }
   ++scratch->current;
   scratch->touched.clear();
-  scratch->runs.clear();
 }
 
 void FrozenIndex::AccumulateRange(const std::vector<int64_t>& features,
@@ -284,45 +221,6 @@ void FrozenIndex::AccumulateSharedAllNodes(
   BeginQuery(scratch);
   AccumulateRange(features, all_feature_ids_, all_offsets_, all_postings_, 0,
                   all_feature_ids_.size(), scratch);
-}
-
-void FrozenIndex::MatchRange(const std::vector<int64_t>& features,
-                             const std::vector<int64_t>& feature_ids,
-                             const std::vector<size_t>& offsets,
-                             const std::vector<uint32_t>& run_block_offsets,
-                             size_t feat_begin, size_t feat_end,
-                             Scratch* scratch) const {
-  const int64_t* row_begin = feature_ids.data() + feat_begin;
-  const int64_t* row_end = feature_ids.data() + feat_end;
-  const int64_t* row = row_begin;
-  for (int64_t f : features) {
-    row = std::lower_bound(row, row_end, f);
-    if (row == row_end) break;
-    if (*row != f) continue;
-    const size_t r = static_cast<size_t>(row - feature_ids.data());
-    scratch->runs.push_back(
-        {run_block_offsets[r], run_block_offsets[r + 1],
-         static_cast<uint32_t>(offsets[r + 1] - offsets[r])});
-  }
-}
-
-bool FrozenIndex::MatchRuns(const std::string& part_id,
-                            const std::vector<int64_t>& features,
-                            Scratch* scratch) const {
-  BeginQuery(scratch);
-  auto it = part_index_.find(part_id);
-  if (it == part_index_.end()) return false;
-  const PartRange& range = part_ranges_[it->second];
-  MatchRange(features, feature_ids_, offsets_, run_block_offsets_,
-             range.begin, range.end, scratch);
-  return true;
-}
-
-void FrozenIndex::MatchRunsAllNodes(const std::vector<int64_t>& features,
-                                    Scratch* scratch) const {
-  BeginQuery(scratch);
-  MatchRange(features, all_feature_ids_, all_offsets_,
-             all_run_block_offsets_, 0, all_feature_ids_.size(), scratch);
 }
 
 }  // namespace qatk::kb

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "kb/knowledge_base.h"
-#include "kb/posting_codec.h"
 
 namespace qatk::kb {
 
@@ -40,32 +39,10 @@ namespace qatk::kb {
 /// threads may query it concurrently, each with its own Scratch.
 class FrozenIndex {
  public:
-  /// One matched posting run for the pruned scorer: the run's compressed
-  /// blocks as a [block_begin, block_end) range into block(), plus its
-  /// total posting count.
-  struct MatchedRun {
-    uint32_t block_begin = 0;
-    uint32_t block_end = 0;
-    uint32_t length = 0;
-  };
-
-  /// Freeze-time score-bound ingredients for one posting block: the
-  /// smallest and largest node feature-set size (|B|) inside it. Postings
-  /// are stored in frequency-rank order, so |B| is non-increasing along
-  /// every run and the pair is just (last posting's size, first's).
-  struct BlockBound {
-    uint32_t nb_lo = 0;
-    uint32_t nb_hi = 0;
-  };
-
   /// Per-thread accumulator state. Epoch-tagged: a query bumps `current`
   /// and lazily treats any slot whose `epoch` tag is stale as zero, so
   /// repeated queries neither clear nor reallocate the arrays. Reusable
   /// across indexes of different sizes (BeginQuery re-sizes on demand).
-  /// NOTE: the legacy Accumulate* path indexes epoch/shared/touched by
-  /// node id, the pruned MatchRuns/AccumulateBlock path by frequency rank
-  /// (see rank_of_node); both spaces are [0, num_nodes), and the epoch tag
-  /// makes interleaving the two paths on one Scratch safe.
   struct Scratch {
     /// Query stamp per node; `shared[n]` is valid iff `epoch[n] == current`.
     std::vector<uint64_t> epoch;
@@ -79,17 +56,6 @@ class FrozenIndex {
     /// seen-code-id list, kept here so a query allocates nothing.
     std::vector<std::pair<double, uint32_t>> heap;
     std::vector<uint32_t> seen_codes;
-    /// Matched posting runs for the pruned scorer (MatchRuns*).
-    std::vector<MatchedRun> runs;
-    /// Provisional-score buffer for the pruned scorer's threshold
-    /// (nth_element workspace).
-    std::vector<double> theta_scores;
-    /// Per-query skip verdict table, indexed by the bound's clamped |B|:
-    /// nb_skip[nb] == (upper bound at nb) < theta. The bound for a block
-    /// depends on its (nb_lo, nb_hi) only through clamp(c0, lo, hi), so a
-    /// table over nb turns the hot-loop bound check into integer work with
-    /// decisions identical to evaluating the kernel per block.
-    std::vector<uint8_t> nb_skip;
   };
 
   /// An empty index (zero nodes); every probe ranks nothing.
@@ -116,6 +82,10 @@ class FrozenIndex {
   /// Total posting entries in the per-part CSR (the all-parts CSR mirrors
   /// the same count).
   size_t num_postings() const { return postings_.size(); }
+  /// Bytes held by the flat arrays (size() * sizeof(T) summed over the
+  /// CSRs, the node metadata and the feature arena); excludes the part
+  /// and code string tables.
+  size_t memory_bytes() const;
 
   bool HasPart(const std::string& part_id) const {
     return part_index_.count(part_id) > 0;
@@ -163,54 +133,6 @@ class FrozenIndex {
     return scratch.epoch[node] == scratch.current ? scratch.shared[node] : 0;
   }
 
-  // --- Pruned scoring layout (DESIGN.md §15) -------------------------------
-  //
-  // A second, block-compressed view of the same postings: node ids remapped
-  // to frequency ranks (larger feature sets -> lower rank, ties by node id),
-  // each run's postings sorted by rank and encoded as u16-delta blocks with
-  // per-block |B| ranges. The pruned top-k loop in core::RankedKnnClassifier
-  // consumes it via MatchRuns* + AccumulateBlock; the legacy arrays above
-  // stay untouched so the unpruned reference path runs on the same object.
-
-  /// Collects the matched runs for a part-restricted probe into
-  /// `scratch->runs` (and resets `scratch` for a new query). Returns false
-  /// when the part id is unknown; caller falls back to MatchRunsAllNodes.
-  /// `features` must be sorted + deduplicated.
-  bool MatchRuns(const std::string& part_id,
-                 const std::vector<int64_t>& features, Scratch* scratch) const;
-
-  /// All-parts variant for the unknown-part fallback.
-  void MatchRunsAllNodes(const std::vector<int64_t>& features,
-                         Scratch* scratch) const;
-
-  size_t num_blocks() const { return blocks_.size(); }
-  const PostingBlock& block(size_t b) const { return blocks_[b]; }
-  const BlockBound& block_bound(size_t b) const { return block_bounds_[b]; }
-
-  /// Frequency-rank remap: rank_of_node / node_of_rank are inverse
-  /// permutations of [0, num_nodes).
-  uint32_t node_of_rank(uint32_t rank) const { return rank_to_node_[rank]; }
-  uint32_t rank_of_node(uint32_t node) const { return node_to_rank_[node]; }
-  /// node_feature_count(node_of_rank(rank)), cached rank-contiguous so the
-  /// pruned scoring loop reads it sequentially.
-  uint32_t rank_feature_count(uint32_t rank) const {
-    return rank_feature_count_[rank];
-  }
-
-  /// Bumps the rank-indexed accumulators in `scratch` for every posting in
-  /// block `b`. Reads the freeze-time-decoded rank array (the u16-delta
-  /// encoding is validated and expanded once in BuildPrunedLayout, so the
-  /// per-query loop runs at raw-CSR speed). Returns postings accumulated.
-  uint32_t AccumulateBlock(size_t b, Scratch* scratch) const {
-    const uint32_t* ranks = rank_postings_.data() + block_posting_offset_[b];
-    const uint32_t count = blocks_[b].count;
-    const uint64_t current = scratch->current;
-    for (uint32_t i = 0; i < count; ++i) {
-      TouchRank(ranks[i], current, scratch);
-    }
-    return count;
-  }
-
  private:
   /// One part's run of features inside feature_ids_ / offsets_.
   struct PartRange {
@@ -229,29 +151,6 @@ class FrozenIndex {
                        const std::vector<uint32_t>& postings,
                        size_t feat_begin, size_t feat_end,
                        Scratch* scratch) const;
-
-  static void TouchRank(uint32_t rank, uint64_t current, Scratch* scratch) {
-    if (scratch->epoch[rank] != current) {
-      scratch->epoch[rank] = current;
-      scratch->shared[rank] = 1;
-      scratch->touched.push_back(rank);
-    } else {
-      ++scratch->shared[rank];
-    }
-  }
-
-  /// Builds the rank remap + block-compressed layouts after the CSR freeze.
-  void BuildPrunedLayout();
-  /// Re-encodes one CSR's rows as rank-sorted delta blocks; returns the
-  /// per-row [begin, end) offsets into blocks_ (rows + 1 entries).
-  std::vector<uint32_t> EncodeRuns(const std::vector<size_t>& offsets,
-                                   const std::vector<uint32_t>& postings);
-  /// Shared matching walk for MatchRuns*.
-  void MatchRange(const std::vector<int64_t>& features,
-                  const std::vector<int64_t>& feature_ids,
-                  const std::vector<size_t>& offsets,
-                  const std::vector<uint32_t>& run_block_offsets,
-                  size_t feat_begin, size_t feat_end, Scratch* scratch) const;
 
   std::unordered_map<std::string, uint32_t> part_index_;
   std::vector<PartRange> part_ranges_;
@@ -272,22 +171,6 @@ class FrozenIndex {
   /// Contiguous node-feature arena; node_offsets_ has num_nodes + 1 rows.
   std::vector<size_t> node_offsets_;
   std::vector<int64_t> feature_arena_;
-
-  /// Pruned layout: frequency-rank permutation, shared block/delta arenas,
-  /// per-block bounds, and per-CSR-row block offsets (rows + 1 entries).
-  std::vector<uint32_t> rank_to_node_;
-  std::vector<uint32_t> node_to_rank_;
-  std::vector<uint32_t> rank_feature_count_;
-  std::vector<PostingBlock> blocks_;
-  std::vector<uint16_t> deltas_;
-  std::vector<BlockBound> block_bounds_;
-  std::vector<uint32_t> run_block_offsets_;
-  std::vector<uint32_t> all_run_block_offsets_;
-  /// Ranks decoded once from blocks_/deltas_ at freeze time (the decoder
-  /// validates the encoding as a side effect); block b's postings live at
-  /// [block_posting_offset_[b], block_posting_offset_[b] + blocks_[b].count).
-  std::vector<uint32_t> rank_postings_;
-  std::vector<uint32_t> block_posting_offset_;
 };
 
 }  // namespace qatk::kb

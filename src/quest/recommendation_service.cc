@@ -31,6 +31,7 @@ struct ServiceMetrics {
   obs::Gauge* index_nodes;
   obs::Gauge* index_parts;
   obs::Gauge* index_postings;
+  obs::Gauge* index_bytes;
 };
 
 const ServiceMetrics& Metrics() {
@@ -57,6 +58,7 @@ const ServiceMetrics& Metrics() {
     m.index_nodes = registry.GetGauge("qatk_service_index_nodes");
     m.index_parts = registry.GetGauge("qatk_service_index_parts");
     m.index_postings = registry.GetGauge("qatk_service_index_postings");
+    m.index_bytes = registry.GetGauge("qatk_service_index_bytes");
     return m;
   }();
   return metrics;
@@ -69,6 +71,7 @@ void RecordIndexStats(const kb::FrozenIndex& index) {
   m.index_nodes->Set(static_cast<int64_t>(index.num_nodes()));
   m.index_parts->Set(static_cast<int64_t>(index.num_parts()));
   m.index_postings->Set(static_cast<int64_t>(index.num_postings()));
+  m.index_bytes->Set(static_cast<int64_t>(index.memory_bytes()));
 }
 
 /// Generation ids are unique across every service instance in the
@@ -195,8 +198,7 @@ RecommendationService::RecommendationService(const tax::Taxonomy* taxonomy,
     : taxonomy_(taxonomy),
       options_(options),
       state_(std::make_shared<const TrainedState>()),
-      classifier_({options.similarity, options.max_nodes,
-                   options.prune_topk}) {}
+      classifier_({options.similarity, options.max_nodes}) {}
 
 std::shared_ptr<const RecommendationService::TrainedState>
 RecommendationService::Snapshot() const {

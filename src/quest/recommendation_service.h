@@ -63,10 +63,6 @@ class RecommendationService {
     core::SimilarityMeasure similarity = core::SimilarityMeasure::kJaccard;
     size_t max_nodes = 25;
     size_t top_n = 10;
-    /// Score-upper-bound pruning on the top-k scoring path (bit-identical
-    /// results either way; see core::RankedKnnClassifier::Config::prune).
-    /// Off is the A/B reference for equivalence tests and benches.
-    bool prune_topk = true;
     /// Optional fault injector (borrowed, may be nullptr); training
     /// observes op "train.bundle" once per corpus bundle, so tests can
     /// fail a training pass at any point and assert it had no effect.

@@ -32,9 +32,9 @@
 // N-way cluster (DESIGN.md §14): training keeps only the knowledge nodes
 // of the parts this shard owns under --sharder, and the ShardQuery /
 // ShardTopK probes answer raw pre-dedup partials for the qatk_cluster
-// front end to merge. The sharder must be stateless (hash or range) and
-// identical across the whole cluster; the front end verifies it via the
-// "shard" object in Health.
+// front end to merge. The sharder (hash or range) must be identical
+// across the whole cluster; the front end verifies it via the "shard"
+// object in Health.
 //
 // Quick poke with nc (frames are 4-byte big-endian length + JSON):
 //   printf '{"id":1,"method":"Health","params":{}}' | awk '{
@@ -186,13 +186,6 @@ int main(int argc, char** argv) {
         qatk::cluster::MakeSharder(sharder_name, num_shards));
     if (sharder == nullptr) {
       std::fprintf(stderr, "unknown sharder: %s\n", sharder_name.c_str());
-      return 2;
-    }
-    if (!sharder->stateless()) {
-      std::fprintf(stderr,
-                   "sharder %s is stateful; shard workers need a stateless "
-                   "sharder (hash or range)\n",
-                   sharder_name.c_str());
       return 2;
     }
     service_options.shard.shard_index = shard_index;

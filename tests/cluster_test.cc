@@ -23,7 +23,6 @@
 #include "kb/data_bundle.h"
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
-#include "obs/metrics.h"
 #include "quest/recommendation_service.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -47,7 +46,6 @@ TEST(SharderTest, HashIsDeterministicAndInRange) {
     EXPECT_LT(shard, 4u);
     EXPECT_EQ(shard, b.ShardFor(key)) << key;
   }
-  EXPECT_TRUE(a.stateless());
   EXPECT_STREQ(a.name(), "hash");
 }
 
@@ -76,25 +74,12 @@ TEST(SharderTest, RangeIsMonotoneInTheKeyPrefix) {
   // Extremes of the prefix space land on the extreme shards.
   EXPECT_EQ(sharder.ShardFor(std::string(8, '\x00')), 0u);
   EXPECT_EQ(sharder.ShardFor(std::string(8, '\xff')), 4u);
-  EXPECT_TRUE(sharder.stateless());
-}
-
-TEST(SharderTest, RoundRobinIsStatefulFirstSeenCyclic) {
-  RoundRobinSharder sharder(3);
-  EXPECT_FALSE(sharder.stateless());
-  EXPECT_EQ(sharder.ShardFor("first"), 0u);
-  EXPECT_EQ(sharder.ShardFor("second"), 1u);
-  EXPECT_EQ(sharder.ShardFor("third"), 2u);
-  EXPECT_EQ(sharder.ShardFor("fourth"), 0u);
-  // Re-asking for a seen key returns its original assignment.
-  EXPECT_EQ(sharder.ShardFor("second"), 1u);
-  EXPECT_EQ(sharder.ShardFor("fifth"), 1u);
 }
 
 TEST(SharderTest, FactoryCoversNamesAndRejectsBadInput) {
   EXPECT_NE(MakeSharder("hash", 3), nullptr);
   EXPECT_NE(MakeSharder("range", 3), nullptr);
-  EXPECT_NE(MakeSharder("round_robin", 3), nullptr);
+  EXPECT_EQ(MakeSharder("round_robin", 3), nullptr);
   EXPECT_EQ(MakeSharder("hash", 0), nullptr);
   EXPECT_EQ(MakeSharder("mystery", 3), nullptr);
   auto one = MakeSharder("hash", 1);
@@ -338,53 +323,11 @@ TEST_F(ClusterEquivalenceTest, RangeShardsMatchSingleNode) {
   }
 }
 
-TEST_F(ClusterEquivalenceTest, PrunedShardsMatchUnprunedSingleNodeReplay) {
-  // Pruning-on 3-shard replay against a pruning-OFF single node: proves in
-  // one sweep that neither the frequency-sorted ordinal remap nor the
-  // block-skipping threshold changes a single cross-shard merge — codes,
-  // score bits, and ordinal tie-breaking all bit-identical (hash + range).
-  RecommendationService::Options unpruned_options;
-  unpruned_options.prune_topk = false;
-  RecommendationService unpruned(&world_->taxonomy(), unpruned_options);
-  ASSERT_TRUE(unpruned.Train(*corpus_).ok());
-
-  for (const char* sharder_name : {"hash", "range"}) {
-    auto shards = TrainShards(sharder_name, 3);  // prune_topk defaults on.
-    auto sharder = MakeSharder(sharder_name, 3);
-    ASSERT_NE(sharder, nullptr);
-    size_t mismatches = 0;
-    std::string first;
-    for (const auto& bundle : corpus_->bundles) {
-      auto want = unpruned.Recommend(bundle);
-      ASSERT_TRUE(want.ok()) << want.status();
-      auto got = ClusterRecommend(shards, *sharder, bundle);
-      if (!SameRecommendation(want.ValueOrDie(), got)) {
-        if (++mismatches == 1) first = bundle.reference_number;
-      }
-    }
-    for (int i = 0; i < 6; ++i) {
-      kb::DataBundle probe =
-          corpus_->bundles[(i * 53) % corpus_->bundles.size()];
-      probe.part_id = "ZZ-PRUNED-" + std::to_string(i);
-      auto want = unpruned.Recommend(probe);
-      ASSERT_TRUE(want.ok()) << want.status();
-      auto got = ClusterRecommend(shards, *sharder, probe);
-      if (!SameRecommendation(want.ValueOrDie(), got)) {
-        if (++mismatches == 1) first = probe.part_id;
-      }
-    }
-    EXPECT_EQ(mismatches, 0u)
-        << sharder_name << "/3 pruned cluster diverged from the unpruned "
-        << "single node; first at " << first;
-  }
-}
-
-/// Index-level version with a corpus engineered so the pruned scorer
-/// *provably skips blocks inside the slices* (30 full-overlap contenders +
-/// 300 hopeless light nodes per part): sliced pruned partials, mapped
-/// through kept-node global ordinals, must merge to exactly what the
-/// unrestricted index computes without pruning.
-TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
+/// Index-level cross-shard merge on a tie-heavy corpus (30 full-overlap
+/// contenders + 300 light nodes per part, 330-posting runs): sliced
+/// partials, mapped through kept-node global ordinals, must merge to
+/// exactly what the unrestricted index computes.
+TEST(ShardedIndexTest, SlicedPartialsMergeExactlyToFullIndex) {
   kb::KnowledgeBase knowledge;
   const std::vector<std::string> parts = {"PART-A", "PART-B", "PART-C"};
   const std::vector<int64_t> heavy = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
@@ -392,8 +335,7 @@ TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
     // Tie-heavy contenders: 30 distinct nodes with identical feature sets
     // (identical scores), so cross-shard dedup has real ordinal ties to
     // break. Codes must be distinct — AddInstance merges identical
-    // (part, code, features) triples, and merged nodes would leave the
-    // short runs too small to ever arm the pruning threshold.
+    // (part, code, features) triples into one node.
     for (int i = 0; i < 30; ++i) {
       knowledge.AddInstance(part, "H" + std::to_string(i), heavy);
     }
@@ -416,14 +358,9 @@ TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
         &kept[s]));
   }
 
-  core::RankedKnnClassifier pruned(
-      {core::SimilarityMeasure::kJaccard, 25, true});
-  core::RankedKnnClassifier unpruned(
-      {core::SimilarityMeasure::kJaccard, 25, false});
+  core::RankedKnnClassifier classifier(
+      {core::SimilarityMeasure::kJaccard, 25});
   kb::FrozenIndex::Scratch scratch;
-  obs::Counter* blocks_skipped =
-      obs::Registry::Global().GetCounter("qatk_prune_blocks_skipped_total");
-  const uint64_t skipped_before = blocks_skipped->Value();
 
   // Turns the scratch heap into a ShardPartial, mapping local node indices
   // to global ordinals (identity for the unrestricted index).
@@ -446,22 +383,22 @@ TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
   probe_parts.push_back("NO-SUCH-PART");
   for (const std::string& part : probe_parts) {
     for (const std::vector<int64_t>& features : probes) {
-      // Reference: the unrestricted index, pruning off, one partial.
+      // Reference: the unrestricted index, one partial.
       const bool known =
-          unpruned.SelectTopNodes(full, part, features, &scratch);
+          classifier.SelectTopNodes(full, part, features, &scratch);
       auto want = MergePartials({to_partial(full, known, nullptr, scratch)},
                                 25, 10);
 
-      // Cluster: owner probe when known, fallback scatter when not —
-      // pruning on inside every slice.
+      // Cluster: owner probe when known, fallback scatter when not.
       std::vector<RecommendationService::ShardPartial> partials;
       const uint32_t owner = sharder.ShardFor(part);
-      if (pruned.SelectTopNodes(slices[owner], part, features, &scratch)) {
+      if (classifier.SelectTopNodes(slices[owner], part, features,
+                                    &scratch)) {
         partials.push_back(
             to_partial(slices[owner], true, &kept[owner], scratch));
       } else {
         for (uint32_t s = 0; s < 3; ++s) {
-          pruned.SelectTopNodes(slices[s], part, features, &scratch);
+          classifier.SelectTopNodes(slices[s], part, features, &scratch);
           partials.push_back(to_partial(slices[s], false, &kept[s], scratch));
         }
       }
@@ -484,16 +421,6 @@ TEST(ShardedPruningTest, SlicedPrunedPartialsMergeExactlyUnderRealSkips) {
       }
     }
   }
-  // The corpus was built to make pruning fire inside the slices; if this
-  // stops holding, the test is no longer exercising what it claims.
-#ifndef QATK_NO_METRICS
-  EXPECT_GT(blocks_skipped->Value(), skipped_before)
-      << "no block was ever skipped: the sliced corpora no longer trigger "
-      << "pruning";
-#else
-  (void)blocks_skipped;
-  (void)skipped_before;
-#endif
 }
 
 TEST_F(ClusterEquivalenceTest, ShardTopKProbeDoesNotScoreUnknownParts) {

@@ -33,43 +33,33 @@ std::vector<int64_t> RandomFeatureSet(Rng* rng, size_t max_size,
 }
 
 /// Asserts the indexed path reproduces the brute-force path bit for bit:
-/// same codes, same order, same score doubles, same candidate count — with
-/// the pruned (default) and unpruned top-k paths both checked.
+/// same codes, same order, same score doubles, same candidate count.
 void ExpectEquivalent(const KnowledgeBase& knowledge, const FrozenIndex& index,
                       FrozenIndex::Scratch* scratch,
                       const std::string& part_id,
                       const std::vector<int64_t>& features, size_t max_nodes) {
   for (core::SimilarityMeasure measure : kAllMeasures) {
-    for (bool prune : {true, false}) {
-      core::RankedKnnClassifier classifier({measure, max_nodes, prune});
-      std::vector<core::ScoredCode> brute =
-          classifier.Classify(knowledge, part_id, features);
-      size_t num_candidates = 0;
-      std::vector<core::ScoredCode> indexed =
-          classifier.Classify(index, part_id, features, scratch,
-                              &num_candidates);
-      // These corpora have no run spanning a full posting block, so the
-      // pruned path never skips and the touched set is the exact brute
-      // candidate set on both paths.
-      ASSERT_EQ(knowledge.SelectCandidates(part_id, features).size(),
-                num_candidates)
-          << "candidate-count mismatch, part=" << part_id;
-      ASSERT_EQ(brute.size(), indexed.size())
-          << "rank-length mismatch, measure="
-          << core::SimilarityMeasureToString(measure) << " part=" << part_id
-          << " prune=" << prune;
-      for (size_t i = 0; i < brute.size(); ++i) {
-        ASSERT_EQ(brute[i].error_code, indexed[i].error_code)
-            << "code mismatch at rank " << i << ", measure="
-            << core::SimilarityMeasureToString(measure)
-            << " prune=" << prune;
-        // Bit-identical, not approximately equal: both paths must perform
-        // the same double operations on the same (shared, |A|, |B|) counts.
-        ASSERT_EQ(brute[i].score, indexed[i].score)
-            << "score mismatch at rank " << i << ", measure="
-            << core::SimilarityMeasureToString(measure)
-            << " prune=" << prune;
-      }
+    core::RankedKnnClassifier classifier({measure, max_nodes});
+    std::vector<core::ScoredCode> brute =
+        classifier.Classify(knowledge, part_id, features);
+    size_t num_candidates = 0;
+    std::vector<core::ScoredCode> indexed = classifier.Classify(
+        index, part_id, features, scratch, &num_candidates);
+    ASSERT_EQ(knowledge.SelectCandidates(part_id, features).size(),
+              num_candidates)
+        << "candidate-count mismatch, part=" << part_id;
+    ASSERT_EQ(brute.size(), indexed.size())
+        << "rank-length mismatch, measure="
+        << core::SimilarityMeasureToString(measure) << " part=" << part_id;
+    for (size_t i = 0; i < brute.size(); ++i) {
+      ASSERT_EQ(brute[i].error_code, indexed[i].error_code)
+          << "code mismatch at rank " << i << ", measure="
+          << core::SimilarityMeasureToString(measure);
+      // Bit-identical, not approximately equal: both paths must perform
+      // the same double operations on the same (shared, |A|, |B|) counts.
+      ASSERT_EQ(brute[i].score, indexed[i].score)
+          << "score mismatch at rank " << i << ", measure="
+          << core::SimilarityMeasureToString(measure);
     }
   }
 }
@@ -104,6 +94,10 @@ TEST(FrozenIndexTest, SnapshotsNodesAndArena) {
             (std::vector<int64_t>{3, 7, 9}));
   EXPECT_TRUE(index.HasPart("P1"));
   EXPECT_FALSE(index.HasPart("P2"));
+  // Flat arrays: 2 part ranges (32 B); per-part and all-parts CSRs with
+  // 3 rows, 4 offsets and 4 postings each (2 x 72 B); 3 code ids (12 B);
+  // 4 node offsets and 4 arena features (64 B).
+  EXPECT_EQ(index.memory_bytes(), 252u);
 }
 
 TEST(FrozenIndexTest, KnownPartWithoutSharedFeatureIsEmptyNotAllNodes) {

@@ -16,7 +16,6 @@
 #include "datagen/world.h"
 #include "feature_reference.h"
 #include "kb/features.h"
-#include "kb/posting_codec.h"
 #include "server/json.h"
 #include "server/demo_corpus.h"
 #include "server/protocol.h"
@@ -571,154 +570,6 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
-
-// ---------------------------------------------------------------------------
-// u16-delta posting block codec: byte-identical round trips + hostile input.
-// ---------------------------------------------------------------------------
-
-class PostingCodecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-/// Round trip over posting lists drawn from the regimes the frozen index
-/// produces — dense low ids, sparse ids forcing deltas past 16 bits (block
-/// splits), and exact block-boundary lengths. Decoding must reproduce the
-/// ids exactly, and re-encoding the decoded list must reproduce the block
-/// and delta arrays byte for byte (the encoder is canonical).
-TEST_P(PostingCodecFuzzTest, RoundTripsByteIdentically) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 200; ++trial) {
-    // Sizes hit 0, 1, exact multiples of the block size, and ragged tails.
-    const size_t size_choices[] = {0, 1, 63, 64, 65, 128,
-                                   rng.NextBounded(400)};
-    const size_t n = size_choices[rng.NextBounded(7)];
-    // Gap regime: dense (delta ~1-3), blocky (~1000), or hostile-sparse
-    // (past 65535, forcing a fresh block mid-list).
-    const uint64_t gap_caps[] = {3, 1000, 200000};
-    const uint64_t gap_cap = gap_caps[rng.NextBounded(3)];
-    std::vector<uint32_t> ids;
-    uint64_t next = rng.NextBounded(1000);
-    for (size_t i = 0; i < n; ++i) {
-      if (next > 0xFFFFFFFFull) break;
-      ids.push_back(static_cast<uint32_t>(next));
-      next += 1 + rng.NextBounded(gap_cap);
-    }
-
-    std::vector<kb::PostingBlock> blocks;
-    std::vector<uint16_t> deltas;
-    const size_t appended = kb::EncodePostingBlocks(
-        ids.data(), ids.size(), kb::kPostingBlockSize, &blocks, &deltas);
-    ASSERT_EQ(appended, blocks.size());
-
-    std::vector<uint32_t> decoded;
-    ASSERT_TRUE(kb::DecodePostingBlocks(blocks, 0, blocks.size(), deltas,
-                                        kb::kPostingBlockSize, &decoded)
-                    .ok());
-    ASSERT_EQ(ids, decoded);
-
-    std::vector<kb::PostingBlock> blocks2;
-    std::vector<uint16_t> deltas2;
-    kb::EncodePostingBlocks(decoded.data(), decoded.size(),
-                            kb::kPostingBlockSize, &blocks2, &deltas2);
-    ASSERT_EQ(blocks.size(), blocks2.size());
-    ASSERT_EQ(deltas.size(), deltas2.size());
-    ASSERT_EQ(0, std::memcmp(blocks.data(), blocks2.data(),
-                             blocks.size() * sizeof(kb::PostingBlock)));
-    ASSERT_EQ(0, std::memcmp(deltas.data(), deltas2.data(),
-                             deltas.size() * sizeof(uint16_t)));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PostingCodecFuzzTest,
-                         ::testing::Values(1u, 42u, 0xC0DECULL));
-
-/// Hostile decodes: every structural-corruption class the validating
-/// decoder guards against must come back as a Status error, never a crash
-/// or a silently wrong list.
-TEST(PostingCodecFuzzTest, HostileInputsAreRejected) {
-  // A healthy two-block encoding to corrupt.
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < 100; ++i) ids.push_back(i * 3);
-  std::vector<kb::PostingBlock> blocks;
-  std::vector<uint16_t> deltas;
-  kb::EncodePostingBlocks(ids.data(), ids.size(), kb::kPostingBlockSize,
-                          &blocks, &deltas);
-  ASSERT_EQ(blocks.size(), 2u);
-  std::vector<uint32_t> out;
-
-  {  // Out-of-bounds block range.
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(blocks, 0, blocks.size() + 1,
-                                         deltas, kb::kPostingBlockSize, &out)
-                     .ok());
-    EXPECT_FALSE(kb::DecodePostingBlocks(blocks, 2, 1, deltas,
-                                         kb::kPostingBlockSize, &out)
-                     .ok());
-  }
-  {  // Empty block.
-    auto bad = blocks;
-    bad[0].count = 0;
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(bad, 0, bad.size(), deltas,
-                                         kb::kPostingBlockSize, &out)
-                     .ok());
-  }
-  {  // Oversized block.
-    auto bad = blocks;
-    bad[0].count = kb::kPostingBlockSize + 1;
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(bad, 0, bad.size(), deltas,
-                                         kb::kPostingBlockSize, &out)
-                     .ok());
-  }
-  {  // Truncated delta arena.
-    auto short_deltas = deltas;
-    short_deltas.resize(deltas.size() - 1);
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(blocks, 0, blocks.size(),
-                                         short_deltas, kb::kPostingBlockSize,
-                                         &out)
-                     .ok());
-  }
-  {  // Delta offset pointing past the arena.
-    auto bad = blocks;
-    bad[1].delta_offset = static_cast<uint32_t>(deltas.size());
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(bad, 0, bad.size(), deltas,
-                                         kb::kPostingBlockSize, &out)
-                     .ok());
-  }
-  {  // Zero delta (postings must strictly increase inside a block).
-    auto bad_deltas = deltas;
-    bad_deltas[3] = 0;
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(blocks, 0, blocks.size(),
-                                         bad_deltas, kb::kPostingBlockSize,
-                                         &out)
-                     .ok());
-  }
-  {  // Overflowing deltas: id accumulation must not wrap past uint32.
-    std::vector<kb::PostingBlock> wrap{{0xFFFFFFF0u, 3, 0, 0}};
-    std::vector<uint16_t> wrap_deltas{0xFFFF, 0xFFFF};
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(wrap, 0, 1, wrap_deltas,
-                                         kb::kPostingBlockSize, &out)
-                     .ok());
-  }
-  {  // Non-monotone block starts: block 2 restarting below block 1's end.
-    auto bad = blocks;
-    bad[1].first = 0;
-    out.clear();
-    EXPECT_FALSE(kb::DecodePostingBlocks(bad, 0, bad.size(), deltas,
-                                         kb::kPostingBlockSize, &out)
-                     .ok());
-  }
-  {  // The uncorrupted original still decodes after all of the above.
-    out.clear();
-    ASSERT_TRUE(kb::DecodePostingBlocks(blocks, 0, blocks.size(), deltas,
-                                        kb::kPostingBlockSize, &out)
-                    .ok());
-    EXPECT_EQ(out, ids);
-  }
-}
 
 }  // namespace
 }  // namespace qatk

@@ -1,0 +1,246 @@
+// Adversarial equivalence battery for the indexed top-k scoring path: the
+// frozen-index accumulate-and-heap scorer must be bit-identical to the
+// brute-force classifier — same codes, same (score desc, node asc) order,
+// same score doubles, same candidate count — over corpora built to stress
+// every way a top-k selection can go wrong: tie-heavy score distributions,
+// scores landing exactly on the k-th best, singleton/empty postings and
+// feature sets, posting runs spanning hundreds of nodes, and unknown-part
+// fallbacks whose zero-score tail is filled in node-id order.
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/classifier.h"
+#include "core/similarity.h"
+#include "kb/frozen_index.h"
+#include "kb/knowledge_base.h"
+
+namespace qatk {
+namespace {
+
+constexpr core::SimilarityMeasure kAllMeasures[] = {
+    core::SimilarityMeasure::kJaccard,
+    core::SimilarityMeasure::kOverlap,
+    core::SimilarityMeasure::kDice,
+    core::SimilarityMeasure::kCosine,
+};
+
+/// Top-k budgets every probe is checked at; 25 is the paper's value.
+constexpr size_t kAllK[] = {1, 3, 5, 10, 25};
+
+std::vector<int64_t> RandomFeatureSet(Rng* rng, size_t max_size,
+                                      int64_t domain) {
+  std::set<int64_t> unique;
+  const size_t size = rng->NextBounded(max_size + 1);
+  for (size_t i = 0; i < size; ++i) {
+    unique.insert(static_cast<int64_t>(rng->NextBounded(domain)));
+  }
+  return {unique.begin(), unique.end()};
+}
+
+/// Bit-exact comparison: equal codes and equal score *bits* at every rank.
+void ExpectSameRanking(const std::vector<core::ScoredCode>& expected,
+                       const std::vector<core::ScoredCode>& actual,
+                       core::SimilarityMeasure measure, size_t k) {
+  ASSERT_EQ(expected.size(), actual.size())
+      << "rank-length mismatch, measure="
+      << core::SimilarityMeasureToString(measure) << " k=" << k;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i].error_code, actual[i].error_code)
+        << "code mismatch at rank " << i
+        << ", measure=" << core::SimilarityMeasureToString(measure)
+        << " k=" << k;
+    ASSERT_EQ(0, std::memcmp(&expected[i].score, &actual[i].score,
+                             sizeof(double)))
+        << "score bits mismatch at rank " << i
+        << ", measure=" << core::SimilarityMeasureToString(measure)
+        << " k=" << k << ", expected=" << expected[i].score
+        << ", actual=" << actual[i].score;
+  }
+}
+
+/// Indexed vs brute force for one probe at one k across all measures,
+/// including the candidate count the brute-force path would have scored.
+void ExpectIndexedMatchesBrute(const kb::KnowledgeBase& knowledge,
+                               const kb::FrozenIndex& index,
+                               kb::FrozenIndex::Scratch* scratch,
+                               const std::string& part_id,
+                               const std::vector<int64_t>& features,
+                               size_t k) {
+  const size_t brute_candidates =
+      knowledge.SelectCandidates(part_id, features).size();
+  for (core::SimilarityMeasure measure : kAllMeasures) {
+    core::RankedKnnClassifier classifier({measure, k});
+    size_t num_candidates = 0;
+    std::vector<core::ScoredCode> indexed =
+        classifier.Classify(index, part_id, features, scratch,
+                            &num_candidates);
+    ASSERT_EQ(brute_candidates, num_candidates)
+        << "candidate-count mismatch, part=" << part_id << " k=" << k;
+    ExpectSameRanking(classifier.Classify(knowledge, part_id, features),
+                      indexed, measure, k);
+  }
+}
+
+/// Indexed vs brute force for one probe at every k in kAllK.
+void ExpectIndexedMatchesBruteAllK(const kb::KnowledgeBase& knowledge,
+                                   const kb::FrozenIndex& index,
+                                   kb::FrozenIndex::Scratch* scratch,
+                                   const std::string& part_id,
+                                   const std::vector<int64_t>& features) {
+  for (size_t k : kAllK) {
+    ExpectIndexedMatchesBrute(knowledge, index, scratch, part_id, features,
+                              k);
+  }
+}
+
+/// ≥200 seeded corpora with small feature domains and hundreds of
+/// instances in few parts: near-every pair of nodes collides on features,
+/// so scores are tie-heavy and posting runs are long and dense.
+TEST(IndexedBruteEquivalenceTest, AdversarialRandomizedCorpora) {
+  Rng rng(0x9121BADF00DULL);
+  kb::FrozenIndex::Scratch scratch;  // Deliberately shared across corpora.
+  const size_t kCorpora = 220;
+  for (size_t c = 0; c < kCorpora; ++c) {
+    const size_t num_parts = 1 + rng.NextBounded(3);
+    const size_t num_codes = 1 + rng.NextBounded(8);
+    const int64_t feature_domain =
+        2 + static_cast<int64_t>(rng.NextBounded(11));
+    const size_t num_instances = 40 + rng.NextBounded(201);
+    kb::KnowledgeBase knowledge;
+    for (size_t i = 0; i < num_instances; ++i) {
+      knowledge.AddInstance(
+          "P" + std::to_string(rng.NextBounded(num_parts)),
+          "E" + std::to_string(rng.NextBounded(num_codes)),
+          RandomFeatureSet(&rng, 8, feature_domain));
+    }
+    kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+
+    for (size_t p = 0; p < 8; ++p) {
+      const std::string part_id =
+          rng.NextBernoulli(0.25)
+              ? "GHOST" + std::to_string(rng.NextBounded(3))
+              : "P" + std::to_string(rng.NextBounded(num_parts));
+      const std::vector<int64_t> features =
+          p % 5 == 0 ? std::vector<int64_t>{}
+                     : RandomFeatureSet(&rng, 6, feature_domain);
+      ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, part_id,
+                                    features);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "corpus " << c << " probe " << p << " diverged";
+      }
+    }
+  }
+}
+
+/// Scores landing exactly on the k-th best: more equal-score nodes than
+/// the heap holds, so only the node-id tie-break decides who is kept.
+TEST(IndexedBruteEquivalenceTest, ScoresExactlyOnTieKeepIdTieBreak) {
+  kb::KnowledgeBase knowledge;
+  // 150 nodes with identical feature sets (distinct codes, so nothing
+  // merges): every score identical.
+  for (int i = 0; i < 150; ++i) {
+    knowledge.AddInstance("P0", "E" + std::to_string(i), {1, 2, 3});
+  }
+  kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+  kb::FrozenIndex::Scratch scratch;
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0", {1, 2, 3});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0", {1, 3});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0", {2});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "GHOST", {1});
+}
+
+/// Singleton and empty postings: parts with one node, nodes with no
+/// features, features with one posting, probes matching nothing.
+TEST(IndexedBruteEquivalenceTest, SingletonAndEmptyPostings) {
+  kb::KnowledgeBase knowledge;
+  knowledge.AddInstance("P0", "E0", {});     // Featureless node.
+  knowledge.AddInstance("P1", "E1", {7});    // Singleton posting.
+  for (int i = 0; i < 130; ++i) {            // One long-run part besides.
+    knowledge.AddInstance("P2", "E" + std::to_string(i % 4), {7, 9, i % 3});
+  }
+  kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+  kb::FrozenIndex::Scratch scratch;
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0", {7});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P1", {7});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P2", {7, 9});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P2", {});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P2", {1000});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "GHOST", {7});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "GHOST", {});
+}
+
+/// 30 strong contenders behind 500 hopeless light nodes that share one
+/// probe feature with them: one 530-posting run, the top k decided among
+/// the strong nodes only.
+TEST(IndexedBruteEquivalenceTest, StrongContendersAmongHopelessNodes) {
+  kb::KnowledgeBase knowledge;
+  const std::vector<int64_t> probe = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  for (int i = 0; i < 30; ++i) {  // Full-overlap contenders, |B| = 10.
+    knowledge.AddInstance("P0", "HEAVY" + std::to_string(i), probe);
+  }
+  for (int i = 0; i < 500; ++i) {  // |B| = 2, share one probe feature.
+    knowledge.AddInstance("P0", "LIGHT" + std::to_string(i),
+                          {0, 100 + i});
+  }
+  kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+  kb::FrozenIndex::Scratch scratch;
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0", probe);
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0", {0});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "P0",
+                                {0, 100, 101});
+  ExpectIndexedMatchesBruteAllK(knowledge, index, &scratch, "GHOST", probe);
+}
+
+/// Unknown-part fallback with k larger than the touched set and larger
+/// than the whole index: the zero-score tail must hold the lowest-id
+/// untouched nodes, and a k past num_nodes must rank every node.
+TEST(IndexedBruteEquivalenceTest, UnknownPartFillsZeroTailInNodeOrder) {
+  kb::KnowledgeBase knowledge;
+  // Nodes 0..11, distinct codes; probe {5} touches only nodes 3 and 8.
+  for (int i = 0; i < 12; ++i) {
+    const std::vector<int64_t> features =
+        i == 3 || i == 8 ? std::vector<int64_t>{5, 100 + i}
+                         : std::vector<int64_t>{200 + i};
+    knowledge.AddInstance("P" + std::to_string(i % 3),
+                          "E" + std::to_string(i), features);
+  }
+  knowledge.AddInstance("P0", "EMPTY", {});  // Node 12: no features at all.
+  kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+  ASSERT_EQ(index.num_nodes(), 13u);
+  kb::FrozenIndex::Scratch scratch;
+
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{13},
+                   size_t{14}, size_t{100}}) {
+    ExpectIndexedMatchesBrute(knowledge, index, &scratch, "GHOST", {5}, k);
+    ExpectIndexedMatchesBrute(knowledge, index, &scratch, "GHOST", {}, k);
+    ExpectIndexedMatchesBrute(knowledge, index, &scratch, "GHOST", {999}, k);
+  }
+
+  // Spelled out at k = 5: the two touched nodes first, then the three
+  // lowest-id untouched nodes at score 0.
+  core::RankedKnnClassifier classifier({core::SimilarityMeasure::kJaccard, 5});
+  ASSERT_FALSE(classifier.SelectTopNodes(index, "GHOST", {5}, &scratch));
+  std::vector<uint32_t> nodes;
+  for (const auto& item : scratch.heap) nodes.push_back(item.second);
+  EXPECT_EQ(nodes, (std::vector<uint32_t>{3, 8, 0, 1, 2}));
+  EXPECT_GT(scratch.heap[1].first, 0.0);
+  EXPECT_EQ(scratch.heap[2].first, 0.0);
+
+  // k past num_nodes: every node is ranked, the featureless one included.
+  core::RankedKnnClassifier everything(
+      {core::SimilarityMeasure::kJaccard, 100});
+  size_t num_candidates = 0;
+  everything.SelectTopNodes(index, "GHOST", {5}, &scratch, &num_candidates);
+  EXPECT_EQ(num_candidates, 13u);
+  ASSERT_EQ(scratch.heap.size(), 13u);
+  EXPECT_EQ(scratch.heap.back().second, 12u);
+}
+
+}  // namespace
+}  // namespace qatk
