@@ -3,7 +3,8 @@
 # Release-mode perf smoke.
 #
 # Stages, in sequence:
-#   1. address,undefined  — memory errors, UB, leaks
+#   1. address,undefined  — memory errors, UB, leaks; any ASan or UBSan
+#                           report aborts the test and fails the stage
 #   2. thread             — data races in the serving / thread-pool paths
 #   3. perf               — the indexed-vs-brute equivalence battery
 #                           (indexed_brute_test: adversarial corpora, all
@@ -87,6 +88,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# A UBSan report must fail the stage that hit it. The sanitizer trees are
+# built with -fno-sanitize-recover=all (CMakeLists.txt); halt_on_error also
+# covers a tree configured by hand without it.
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:+${UBSAN_OPTIONS}:}halt_on_error=1:print_stacktrace=1"
+
 STAGES=("${1:-address,undefined}")
 if [[ $# -eq 0 ]]; then
   STAGES=("address,undefined" "thread" "perf" "serve" "obs" "durability" "cluster" "scaling" "loadbench")

@@ -1,19 +1,90 @@
 #include "server/json.h"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <system_error>
 
 namespace qatk::server {
 
 namespace {
 
+/// Per-thread stacks on which Json::Parser stages the members and items
+/// of the objects and arrays still open. Each container is moved into
+/// place, sized exactly once, when its closing bracket is read; nested
+/// containers push above their parent's entries and pop back to them.
+struct ParseStage {
+  std::vector<std::pair<std::string, Json>> members;
+  std::vector<Json> items;
+};
+
+ParseStage& ThreadParseStage() {
+  thread_local ParseStage stage;
+  return stage;
+}
+
+/// Stage capacity kept between parses; a larger hostile document does not
+/// pin its peak on the thread.
+constexpr size_t kMaxRetainedStage = 1024;
+
+/// Index of the first byte at or after `pos` that a JSON string cannot
+/// carry as itself ('"', '\\' or a control byte below 0x20), or
+/// text.size(). Both directions of the codec copy the bytes before it in
+/// one append.
+size_t PlainRunEnd(std::string_view text, size_t pos) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // Eight bytes per step. (x - 0x01..) & ~x & 0x80.. flags the bytes of
+    // x that are zero, and with 0x20.. in place of 0x01.. the bytes below
+    // 0x20. A borrow can flag a byte above a true hit but never below
+    // one, so the lowest flag is exact.
+    constexpr uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr uint64_t kHighBits = 0x8080808080808080ULL;
+    while (pos + 8 <= text.size()) {
+      uint64_t word;
+      std::memcpy(&word, text.data() + pos, sizeof(word));
+      const uint64_t quote = word ^ (kOnes * '"');
+      const uint64_t backslash = word ^ (kOnes * '\\');
+      const uint64_t flags = (((quote - kOnes) & ~quote) |
+                              ((backslash - kOnes) & ~backslash) |
+                              ((word - kOnes * 0x20) & ~word)) &
+                             kHighBits;
+      if (flags != 0) {
+        return pos + static_cast<size_t>(std::countr_zero(flags)) / 8;
+      }
+      pos += 8;
+    }
+  }
+  while (pos < text.size()) {
+    const unsigned char c = static_cast<unsigned char>(text[pos]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+    ++pos;
+  }
+  return pos;
+}
+
+}  // namespace
+
 /// Recursive-descent parser over a string_view with an explicit cursor.
 /// Depth is capped so a frame of ten thousand '[' cannot blow the stack.
-class Parser {
+class Json::Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text)
+      : text_(text), stage_(ThreadParseStage()) {}
+
+  ~Parser() {
+    // An error return leaves the open containers' entries staged.
+    stage_.members.clear();
+    stage_.items.clear();
+    if (stage_.members.capacity() > kMaxRetainedStage) {
+      stage_.members.shrink_to_fit();
+    }
+    if (stage_.items.capacity() > kMaxRetainedStage) {
+      stage_.items.shrink_to_fit();
+    }
+  }
 
   Result<Json> ParseDocument() {
     SkipWhitespace();
@@ -50,6 +121,7 @@ class Parser {
     return false;
   }
 
+  /// `out` is a fresh, null Json.
   Status ParseValue(int depth, Json* out) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     SkipWhitespace();
@@ -59,12 +131,9 @@ class Parser {
         return ParseObject(depth, out);
       case '[':
         return ParseArray(depth, out);
-      case '"': {
-        std::string value;
-        QATK_RETURN_NOT_OK(ParseString(&value));
-        *out = Json(std::move(value));
-        return Status::OK();
-      }
+      case '"':
+        out->type_ = Type::kString;
+        return ParseString(&out->string_);
       case 't':
         if (text_.substr(pos_, 4) == "true") {
           pos_ += 4;
@@ -82,7 +151,6 @@ class Parser {
       case 'n':
         if (text_.substr(pos_, 4) == "null") {
           pos_ += 4;
-          *out = Json();
           return Status::OK();
         }
         return Error("invalid literal");
@@ -91,44 +159,75 @@ class Parser {
     }
   }
 
+  /// Moves the entries staged from `base` up into `out`, allocating it
+  /// once at its final size, and pops them off the stage.
+  template <typename T>
+  static void Unstage(size_t base, std::vector<T>* staged,
+                      std::vector<T>* out) {
+    const auto first = staged->begin() + static_cast<ptrdiff_t>(base);
+    out->assign(std::make_move_iterator(first),
+                std::make_move_iterator(staged->end()));
+    staged->erase(first, staged->end());
+  }
+
   Status ParseObject(int depth, Json* out) {
     ++pos_;  // '{'
-    *out = Json::Object();
+    out->type_ = Type::kObject;
+    std::vector<std::pair<std::string, Json>>& staged = stage_.members;
+    const size_t base = staged.size();
     SkipWhitespace();
-    if (Consume('}')) return Status::OK();
-    for (;;) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
+    if (!Consume('}')) {
+      for (;;) {
+        SkipWhitespace();
+        if (pos_ >= text_.size() || text_[pos_] != '"') {
+          return Error("expected object key");
+        }
+        std::string key;
+        QATK_RETURN_NOT_OK(ParseString(&key));
+        SkipWhitespace();
+        if (!Consume(':')) return Error("expected ':' after object key");
+        Json value;
+        QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
+        // Same rule as Set: a repeated key keeps its first position and
+        // takes the last value.
+        bool repeated = false;
+        for (size_t i = base; i < staged.size(); ++i) {
+          if (staged[i].first == key) {
+            staged[i].second = std::move(value);
+            repeated = true;
+            break;
+          }
+        }
+        if (!repeated) staged.emplace_back(std::move(key), std::move(value));
+        SkipWhitespace();
+        if (Consume(',')) continue;
+        if (Consume('}')) break;
+        return Error("expected ',' or '}' in object");
       }
-      std::string key;
-      QATK_RETURN_NOT_OK(ParseString(&key));
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' after object key");
-      Json value;
-      QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
-      out->Set(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Error("expected ',' or '}' in object");
     }
+    Unstage(base, &staged, &out->members_);
+    return Status::OK();
   }
 
   Status ParseArray(int depth, Json* out) {
     ++pos_;  // '['
-    *out = Json::Array();
+    out->type_ = Type::kArray;
+    std::vector<Json>& staged = stage_.items;
+    const size_t base = staged.size();
     SkipWhitespace();
-    if (Consume(']')) return Status::OK();
-    for (;;) {
-      Json value;
-      QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
-      out->Append(std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Error("expected ',' or ']' in array");
+    if (!Consume(']')) {
+      for (;;) {
+        Json value;
+        QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
+        staged.push_back(std::move(value));
+        SkipWhitespace();
+        if (Consume(',')) continue;
+        if (Consume(']')) break;
+        return Error("expected ',' or ']' in array");
+      }
     }
+    Unstage(base, &staged, &out->items_);
+    return Status::OK();
   }
 
   Status ParseHex4(uint32_t* out) {
@@ -174,16 +273,13 @@ class Parser {
     ++pos_;  // opening quote
     out->clear();
     for (;;) {
+      const size_t run = pos_;
+      pos_ = PlainRunEnd(text_, pos_);
+      out->append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) return Error("unterminated string");
       char c = text_[pos_++];
       if (c == '"') return Status::OK();
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("raw control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
+      if (c != '\\') return Error("raw control character in string");
       if (pos_ >= text_.size()) return Error("truncated escape");
       char esc = text_[pos_++];
       switch (esc) {
@@ -267,18 +363,27 @@ class Parser {
         ++pos_;
       }
     }
-    // The slice is a valid JSON number by construction; strtod needs a
-    // NUL-terminated buffer.
-    std::string literal(text_.substr(start, pos_ - start));
-    *out = Json(std::strtod(literal.c_str(), nullptr));
+    // The slice is a valid JSON number by construction, which is also
+    // valid from_chars input (JSON has no leading '+').
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0;
+    if (std::from_chars(first, last, value).ec ==
+        std::errc::result_out_of_range) {
+      // from_chars leaves `value` untouched when the literal overflows or
+      // underflows to zero; strtod gives the +-inf / signed zero the wire
+      // has always decoded. Rare, so the NUL-terminated copy is fine.
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    out->type_ = Type::kNumber;
+    out->number_ = value;
     return Status::OK();
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  ParseStage& stage_;
 };
-
-}  // namespace
 
 Result<Json> Json::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
@@ -290,6 +395,10 @@ const Json* Json::Find(std::string_view key) const {
     if (name == key) return &value;
   }
   return nullptr;
+}
+
+Json* Json::Find(std::string_view key) {
+  return const_cast<Json*>(std::as_const(*this).Find(key));
 }
 
 std::string Json::GetString(std::string_view key, std::string fallback) const {
@@ -307,7 +416,13 @@ double Json::GetNumber(std::string_view key, double fallback) const {
 int64_t Json::GetInt(std::string_view key, int64_t fallback) const {
   const Json* member = Find(key);
   if (member == nullptr || !member->is_number()) return fallback;
-  return static_cast<int64_t>(member->number_value());
+  const double value = member->number_value();
+  // [-2^63, 2^63) is exactly the range the cast is defined on; NaN fails
+  // both comparisons.
+  if (!(value >= -9223372036854775808.0 && value < 9223372036854775808.0)) {
+    return fallback;
+  }
+  return static_cast<int64_t>(value);
 }
 
 bool Json::GetBool(std::string_view key, bool fallback) const {
@@ -334,8 +449,20 @@ Json& Json::Append(Json value) {
   return *this;
 }
 
+void Json::Reserve(size_t n) {
+  if (type_ == Type::kObject) members_.reserve(n);
+  if (type_ == Type::kArray) items_.reserve(n);
+}
+
 void JsonEscape(std::string_view text, std::string* out) {
-  for (char c : text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t pos = 0;
+  for (;;) {
+    const size_t run = pos;
+    pos = PlainRunEnd(text, pos);
+    out->append(text.data() + run, pos - run);
+    if (pos == text.size()) return;
+    const unsigned char c = static_cast<unsigned char>(text[pos++]);
     switch (c) {
       case '"': out->append("\\\""); break;
       case '\\': out->append("\\\\"); break;
@@ -344,36 +471,44 @@ void JsonEscape(std::string_view text, std::string* out) {
       case '\n': out->append("\\n"); break;
       case '\r': out->append("\\r"); break;
       case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out->append(escaped, sizeof(escaped));
+      }
     }
   }
 }
 
-std::string JsonNumberToString(double value) {
-  if (!std::isfinite(value)) return "null";  // JSON has no Inf/NaN.
-  // Integral values in the exactly-representable int64 range print as
-  // integers: ids and counters stay clean, and parsing recovers the exact
-  // value.
-  // (Negative zero takes the %g path so its sign survives the trip.)
-  if (value == std::floor(value) &&
-      std::fabs(value) < 9.007199254740992e15 && !std::signbit(value)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    return buf;
+void AppendJsonNumber(double value, std::string* out) {
+  if (!std::isfinite(value)) {  // JSON has no Inf/NaN.
+    out->append("null");
+    return;
   }
-  // 17 significant digits: enough for any double to round-trip exactly.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  // Enough for any int64 and for the longest %.17g form,
+  // "-2.2250738585072014e-308" (24 bytes).
+  char buf[32];
+  std::to_chars_result printed;
+  // Integral values in the exactly-representable range print as integers:
+  // ids and counters stay clean, and parsing recovers the exact value.
+  // (Negative zero takes the general path so its sign survives the trip.)
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15 &&
+      !std::signbit(value)) {
+    printed = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<int64_t>(value));
+  } else {
+    // 17 significant digits: enough for any double to round-trip exactly.
+    // general at precision 17 is specified as printf's %.17g.
+    printed = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 17);
+  }
+  out->append(buf, static_cast<size_t>(printed.ptr - buf));
+}
+
+std::string JsonNumberToString(double value) {
+  std::string out;
+  AppendJsonNumber(value, &out);
+  return out;
 }
 
 void Json::DumpTo(std::string* out) const {
@@ -385,7 +520,7 @@ void Json::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       return;
     case Type::kNumber:
-      out->append(JsonNumberToString(number_));
+      AppendJsonNumber(number_, out);
       return;
     case Type::kString:
       out->push_back('"');

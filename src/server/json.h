@@ -19,12 +19,20 @@ namespace qatk::server {
 ///    encoded requests/responses are byte-deterministic and diffable;
 ///    lookups are linear, which is fine for the handful of keys a frame
 ///    carries.
-///  * Numbers are doubles emitted with up to 17 significant digits, so a
-///    similarity score survives encode -> parse bit-for-bit (IEEE-754
-///    doubles round-trip exactly through 17 digits); integral values in
-///    the int64 range print without an exponent or trailing ".0".
+///  * Numbers are doubles. AppendJsonNumber prints them with
+///    std::to_chars: non-negative integral values below 2^53 as integers
+///    (no exponent, no ".0"), everything else in chars_format::general at
+///    precision 17, which is byte-for-byte the output of printf("%.17g").
+///    17 digits round-trip any IEEE-754 double, so a similarity score
+///    survives encode -> parse bit-for-bit. Parse reads numbers with
+///    std::from_chars straight off the frame bytes and falls back to
+///    std::strtod on out_of_range, so overflow still decodes to +-inf and
+///    total underflow to a signed zero, exactly as strtod would.
 ///  * Parse enforces a nesting-depth cap and rejects trailing garbage, so
 ///    a hostile frame cannot stack-overflow the server or smuggle bytes.
+///    Each object and array is sized once: its members are staged on a
+///    per-thread stack while it is parsed and moved into place at its
+///    closing bracket.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -73,11 +81,16 @@ class Json {
 
   /// Object member by key, or nullptr when absent / not an object.
   const Json* Find(std::string_view key) const;
+  /// Mutable overload, so a decoder can move a member out of a parsed
+  /// document instead of copying it.
+  Json* Find(std::string_view key);
 
   /// Typed member accessors with defaults, for tolerant decoding.
   std::string GetString(std::string_view key,
                         std::string fallback = std::string()) const;
   double GetNumber(std::string_view key, double fallback = 0) const;
+  /// GetInt also returns `fallback` for a number that is not finite or
+  /// lies outside the int64 range, where the cast would be undefined.
   int64_t GetInt(std::string_view key, int64_t fallback = 0) const;
   bool GetBool(std::string_view key, bool fallback = false) const;
 
@@ -85,6 +98,8 @@ class Json {
   Json& Set(std::string key, Json value);
   /// Appends an array element.
   Json& Append(Json value);
+  /// Reserves room for `n` array items or object members (by type).
+  void Reserve(size_t n);
 
   /// Serializes compactly (no whitespace). Deterministic: member order is
   /// insertion order.
@@ -95,6 +110,8 @@ class Json {
   void DumpTo(std::string* out) const;
 
  private:
+  class Parser;
+
   Type type_;
   bool bool_ = false;
   double number_ = 0;
@@ -108,9 +125,14 @@ class Json {
 /// emitter that must stay wire-compatible.
 void JsonEscape(std::string_view text, std::string* out);
 
-/// Formats a double the way Json::Dump does: integral int64-range values
-/// as integers, everything else with up to 17 significant digits so the
-/// value round-trips exactly.
+/// Appends `value` to `out` the way Json::Dump prints numbers: "null"
+/// for Inf/NaN, non-negative integral values below 2^53 as integers
+/// (std::to_chars of the int64), everything else as
+/// std::to_chars(chars_format::general, 17), whose bytes equal
+/// printf("%.17g").
+void AppendJsonNumber(double value, std::string* out);
+
+/// AppendJsonNumber into a fresh string.
 std::string JsonNumberToString(double value);
 
 }  // namespace qatk::server

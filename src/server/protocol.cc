@@ -69,8 +69,10 @@ constexpr MethodName kMethodNames[] = {
 
 Json ScoredCodesToJson(const std::vector<core::ScoredCode>& codes) {
   Json array = Json::Array();
+  array.Reserve(codes.size());
   for (const core::ScoredCode& scored : codes) {
     Json entry = Json::Object();
+    entry.Reserve(2);
     entry.Set("code", Json(scored.error_code));
     entry.Set("score", Json(scored.score));
     array.Append(std::move(entry));
@@ -108,20 +110,34 @@ Result<Request> ParseRequest(std::string_view payload) {
   request.method_name = method->string_value();
   request.method = MethodFromString(request.method_name);
   request.deadline_ms = document.GetInt("deadline_ms", -1);
-  const Json* params = document.Find("params");
-  request.params =
-      (params != nullptr && params->is_object()) ? *params : Json::Object();
+  // The document dies here, so params move out instead of being copied.
+  Json* params = document.Find("params");
+  request.params = (params != nullptr && params->is_object())
+                       ? std::move(*params)
+                       : Json::Object();
   return request;
 }
 
+// The envelope writers below print their fixed keys directly and dump the
+// caller's params/result in place. The bytes are exactly those of Dump()
+// on an object holding the same members in the same order; the golden
+// frames pin this.
+
 std::string EncodeRequest(int64_t id, std::string_view method,
                           const Json& params, int64_t deadline_ms) {
-  Json document = Json::Object();
-  document.Set("id", Json(id));
-  document.Set("method", Json(method));
-  if (deadline_ms >= 0) document.Set("deadline_ms", Json(deadline_ms));
-  document.Set("params", params);
-  return document.Dump();
+  std::string out = "{\"id\":";
+  AppendJsonNumber(static_cast<double>(id), &out);
+  out.append(",\"method\":\"");
+  JsonEscape(method, &out);
+  out.push_back('"');
+  if (deadline_ms >= 0) {
+    out.append(",\"deadline_ms\":");
+    AppendJsonNumber(static_cast<double>(deadline_ms), &out);
+  }
+  out.append(",\"params\":");
+  params.DumpTo(&out);
+  out.push_back('}');
+  return out;
 }
 
 std::string EncodeResponse(int64_t id, const Status& status,
@@ -133,12 +149,19 @@ std::string EncodeResponse(int64_t id, const Status& status,
 
 void EncodeResponseTo(int64_t id, const Status& status, const Json& result,
                       std::string* out) {
-  Json document = Json::Object();
-  document.Set("id", Json(id));
-  document.Set("code", Json(StatusCodeToString(status.code())));
-  document.Set("message", Json(status.message()));
-  document.Set("result", status.ok() ? result : Json());
-  document.DumpTo(out);
+  out->append("{\"id\":");
+  AppendJsonNumber(static_cast<double>(id), out);
+  out->append(",\"code\":\"");
+  JsonEscape(StatusCodeToString(status.code()), out);
+  out->append("\",\"message\":\"");
+  JsonEscape(status.message(), out);
+  out->append("\",\"result\":");
+  if (status.ok()) {
+    result.DumpTo(out);
+  } else {
+    out->append("null");
+  }
+  out->push_back('}');
 }
 
 Result<Response> ParseResponse(std::string_view payload) {
@@ -157,8 +180,8 @@ Result<Response> ParseResponse(std::string_view payload) {
     }
   }
   response.message = document.GetString("message");
-  const Json* result = document.Find("result");
-  if (result != nullptr) response.result = *result;
+  Json* result = document.Find("result");
+  if (result != nullptr) response.result = std::move(*result);
   return response;
 }
 
@@ -193,6 +216,7 @@ Json BundleToParams(const kb::DataBundle& bundle) {
 Json RecommendationToJson(
     const quest::RecommendationService::Recommendation& recommendation) {
   Json result = Json::Object();
+  result.Reserve(2);
   result.Set("top", ScoredCodesToJson(recommendation.top));
   result.Set("truncated", Json(recommendation.truncated));
   return result;
@@ -201,11 +225,14 @@ Json RecommendationToJson(
 Json ShardPartialToJson(
     const quest::RecommendationService::ShardPartial& partial) {
   Json result = Json::Object();
+  result.Reserve(3);
   result.Set("known", Json(partial.known_part));
   result.Set("fallback", Json(partial.fallback));
   Json items = Json::Array();
+  items.Reserve(partial.items.size());
   for (const auto& item : partial.items) {
     Json entry = Json::Object();
+    entry.Reserve(3);
     entry.Set("code", Json(item.error_code));
     entry.Set("score", Json(item.score));
     entry.Set("ordinal", Json(static_cast<int64_t>(item.ordinal)));
@@ -388,7 +415,7 @@ std::string RenderPrometheusText(const obs::RegistrySnapshot& snapshot) {
     MaybeTypeLine(base, "counter", &last_base, &out);
     out.append(name);
     out.push_back(' ');
-    out.append(JsonNumberToString(static_cast<double>(value)));
+    AppendJsonNumber(static_cast<double>(value), &out);
     out.push_back('\n');
   }
   last_base = {};
@@ -398,7 +425,7 @@ std::string RenderPrometheusText(const obs::RegistrySnapshot& snapshot) {
     MaybeTypeLine(base, "gauge", &last_base, &out);
     out.append(name);
     out.push_back(' ');
-    out.append(JsonNumberToString(static_cast<double>(value)));
+    AppendJsonNumber(static_cast<double>(value), &out);
     out.push_back('\n');
   }
   last_base = {};
@@ -421,16 +448,16 @@ std::string RenderPrometheusText(const obs::RegistrySnapshot& snapshot) {
               : std::string("le=\"+Inf\"");
       AppendSeries(base, "_bucket", labels, le, &out);
       out.push_back(' ');
-      out.append(JsonNumberToString(static_cast<double>(cumulative)));
+      AppendJsonNumber(static_cast<double>(cumulative), &out);
       out.push_back('\n');
     }
     AppendSeries(base, "_sum", labels, "", &out);
     out.push_back(' ');
-    out.append(JsonNumberToString(static_cast<double>(hist.sum)));
+    AppendJsonNumber(static_cast<double>(hist.sum), &out);
     out.push_back('\n');
     AppendSeries(base, "_count", labels, "", &out);
     out.push_back(' ');
-    out.append(JsonNumberToString(static_cast<double>(hist.total)));
+    AppendJsonNumber(static_cast<double>(hist.total), &out);
     out.push_back('\n');
   }
   return out;

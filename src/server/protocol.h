@@ -100,10 +100,13 @@ struct Request {
 
 /// Parses a request payload. Fails only on malformed JSON, a non-object
 /// document, or a missing/non-string "method"; an unrecognized method name
-/// parses fine with method == kUnknown.
+/// parses fine with method == kUnknown. `params` is moved out of the parsed
+/// document, never deep-copied. Non-integral ids and deadlines truncate;
+/// non-finite or out-of-int64-range ones read as absent (Json::GetInt).
 Result<Request> ParseRequest(std::string_view payload);
 
-/// Client-side encoder: one request payload (not yet framed).
+/// Client-side encoder: one request payload (not yet framed). Writes the
+/// envelope keys directly and dumps `params` in place.
 std::string EncodeRequest(int64_t id, std::string_view method,
                           const Json& params, int64_t deadline_ms = -1);
 
@@ -117,7 +120,9 @@ struct Response {
   bool ok() const { return code == StatusCode::kOk; }
 };
 
-/// Server-side encoder: one response payload (not yet framed).
+/// Server-side encoder: one response payload (not yet framed). Writes the
+/// envelope keys directly and dumps `result` in place (null unless `status`
+/// is OK).
 std::string EncodeResponse(int64_t id, const Status& status,
                            const Json& result);
 
@@ -129,7 +134,8 @@ void EncodeResponseTo(int64_t id, const Status& status, const Json& result,
 
 /// Parses a response payload (client side). Unknown code names map to
 /// kInternal rather than failing, so a newer server never strands an older
-/// client without an error message.
+/// client without an error message. `result` is moved out of the parsed
+/// document, never deep-copied.
 Result<Response> ParseResponse(std::string_view payload);
 
 /// Builds a kb::DataBundle from request params (all fields optional
@@ -148,8 +154,8 @@ Json RecommendationToJson(
 
 /// JSON shape of one shard partial: {"known": b, "fallback": b, "items":
 /// [{"code", "score", "ordinal"}, ...]}. Scores print through the JSON
-/// codec's %.17g, so the merge on the coordinator side sees bit-identical
-/// doubles.
+/// codec's 17-digit to_chars (AppendJsonNumber), so the merge on the
+/// coordinator side sees bit-identical doubles.
 Json ShardPartialToJson(
     const quest::RecommendationService::ShardPartial& partial);
 
@@ -172,8 +178,8 @@ Response Dispatch(quest::RecommendationService* service,
 /// counters and gauges as `name value`, histograms as cumulative
 /// `name_bucket{le="..."}` series plus `name_sum` / `name_count`. Labels
 /// embedded in a metric's name are preserved (`le` is spliced into the
-/// existing label set). Values print through JsonNumberToString, so the
-/// %.17g round-trip contract of the JSON codec applies here too.
+/// existing label set). Values print through AppendJsonNumber, so the
+/// round-trip contract of the JSON codec applies here too.
 std::string RenderPrometheusText(const obs::RegistrySnapshot& snapshot);
 
 }  // namespace qatk::server

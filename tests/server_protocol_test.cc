@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +67,59 @@ TEST(JsonTest, StringEscapes) {
   EXPECT_EQ(parsed->GetString("s"), "tab\t quote\" back\\ nl\n ctl\x01");
 }
 
+/// Byte-at-a-time JSON string escaping, the reference for JsonEscape.
+std::string NaiveEscape(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonTest, EscapesAtEveryOffsetOfAWord) {
+  // The codec scans strings several bytes at a time: put each byte that
+  // needs escaping at every offset, next to multi-byte UTF-8 and bytes
+  // just above the control range, and check both directions.
+  const char specials[] = {'"', '\\', '\n', '\x01', '\x1f', '\0'};
+  for (const char special : specials) {
+    for (size_t offset = 0; offset < 24; ++offset) {
+      std::string text(offset, 'a');
+      text.push_back(special);
+      text += "\xC3\xA9 !\x7f\xff";
+      text.push_back(special);
+      text += std::string(offset % 9, '~');
+      std::string escaped;
+      JsonEscape(text, &escaped);
+      ASSERT_EQ(escaped, NaiveEscape(text)) << "offset " << offset;
+      auto parsed = Json::Parse("\"" + escaped + "\"");
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      EXPECT_EQ(parsed->string_value(), text) << "offset " << offset;
+      // A raw control byte is rejected wherever it sits.
+      if (static_cast<unsigned char>(special) < 0x20) {
+        EXPECT_FALSE(Json::Parse("\"" + text + "\"").ok())
+            << "offset " << offset;
+      }
+    }
+  }
+}
+
 TEST(JsonTest, UnicodeEscapesAndSurrogatePairs) {
   auto parsed = Json::Parse(R"({"s":"\u00e9\u0416\ud83d\ude00"})");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -84,6 +143,198 @@ TEST(JsonTest, DepthCapRejectsDeepNesting) {
   for (int i = 0; i < 100; ++i) deep += '[';
   for (int i = 0; i < 100; ++i) deep += ']';
   EXPECT_FALSE(Json::Parse(deep).ok());
+}
+
+TEST(JsonTest, StagedMembersKeepSetSemanticsAcrossNesting) {
+  // A repeated key keeps its first position and takes the last value, at
+  // every depth, exactly as Json::Set does.
+  auto parsed = Json::Parse(
+      R"({"a":{"x":1,"y":[1,{"z":2,"z":3}],"x":4},"b":[[],{}],"a":5,)"
+      R"("c":[{"k":[{"k":1}]},[[2]]]})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->Dump(),
+            R"({"a":5,"b":[[],{}],"c":[{"k":[{"k":1}]},[[2]]]})");
+  auto inner = Json::Parse(R"({"x":1,"y":[1,{"z":2,"z":3}],"x":4})");
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  EXPECT_EQ(inner->Dump(), R"({"x":4,"y":[1,{"z":3}]})");
+}
+
+TEST(JsonTest, FailedParseLeavesNothingStagedForTheNext) {
+  // Errors deep inside open objects and arrays must not leak their staged
+  // members into the next document parsed on this thread.
+  const char* broken[] = {R"({"a":[1,2,{"b":)", R"([{"a":1},{"b":[true,)",
+                          R"({"a":{"b":{"c":1,"d":x}}})"};
+  for (const char* text : broken) {
+    ASSERT_FALSE(Json::Parse(text).ok()) << text;
+    auto next = Json::Parse(R"({"c":[3,{"d":4}]})");
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->Dump(), R"({"c":[3,{"d":4}]})") << "after " << text;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Number codec, differential against the C library. The wire prints every
+// double with std::to_chars and reads it with std::from_chars; these pin
+// both to the printf("%.17g") / strtod behaviour the protocol was defined
+// with, so no recorded frame and no decoded score can drift.
+
+/// What the wire has always carried for `value`: printf's %.17g, and null
+/// for the values JSON cannot spell. Integral values print the same under
+/// %.17g as under %lld, so this also pins the integer path.
+std::string PrintfNumber(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+double BitsToDouble(uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+uint64_t DoubleToBits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(JsonNumberTest, PrintsLikePrintfOnEdgeCases) {
+  const double two53 = 9007199254740992.0;
+  const double two63 = 9223372036854775808.0;
+  const double values[] = {
+      0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1.0 / 3.0, 0.25, 42.0, -42.0,
+      // Subnormals and the ends of the range.
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0), DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+      // Around the integer path's 2^53 cutover.
+      two53 - 1, two53, two53 + 2, -(two53 - 1), -two53,
+      std::nextafter(two53 - 1, 0.0), std::nextafter(two53, 0.0),
+      1e15, 1e16, 1e17, 123456789012345678.0,
+      // Around the int64 range's ends.
+      two63, -two63, std::nextafter(two63, 0.0), std::nextafter(-two63, 0.0),
+      std::nextafter(two63, HUGE_VAL), 1e19, -1e19,
+      // Exponent-form switch points of %g.
+      1e-4, 1e-5, 9.9999999999999995e-5, 1e-300, 5e-324,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double value : values) {
+    EXPECT_EQ(JsonNumberToString(value), PrintfNumber(value))
+        << "bits 0x" << std::hex << DoubleToBits(value);
+  }
+}
+
+TEST(JsonNumberTest, PrintsLikePrintfOnRandomBitPatterns) {
+  std::mt19937_64 rng(20161017);
+  std::string out;
+  size_t mismatches = 0;
+  constexpr int kPatterns = 1 << 20;
+  for (int i = 0; i < kPatterns; ++i) {
+    const double value = BitsToDouble(rng());
+    out.clear();
+    AppendJsonNumber(value, &out);
+    if (out != PrintfNumber(value) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << DoubleToBits(value)
+                    << ": wire '" << out << "' vs %.17g '"
+                    << PrintfNumber(value) << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << kPatterns << " patterns";
+}
+
+TEST(JsonNumberTest, IntegralValuesPrintLikePrintf) {
+  // Random integral doubles on both sides of 2^53, where the integer path
+  // hands over to the general one.
+  std::mt19937_64 rng(53);
+  for (int i = 0; i < 200000; ++i) {
+    const int shift = static_cast<int>(rng() % 64);
+    const double value =
+        static_cast<double>(rng() >> shift) * ((rng() & 1) ? 1.0 : -1.0);
+    ASSERT_EQ(JsonNumberToString(value), PrintfNumber(value))
+        << "bits 0x" << std::hex << DoubleToBits(value);
+  }
+}
+
+/// Parses `literal` as a one-number JSON document.
+double ParseWireNumber(const std::string& literal) {
+  auto parsed = Json::Parse(literal);
+  EXPECT_TRUE(parsed.ok()) << literal << ": " << parsed.status();
+  EXPECT_TRUE(parsed.ok() && parsed->is_number()) << literal;
+  return parsed.ok() ? parsed->number_value() : std::nan("");
+}
+
+TEST(JsonNumberTest, ParsesLikeStrtodOnEdgeCases) {
+  const char* literals[] = {
+      // Overflow to +-inf and total underflow to a signed zero: from_chars
+      // reports out_of_range on these and leaves its output alone.
+      "1e400", "-1e400", "1e-400", "-1e-400", "1e999999", "-1e-999999",
+      "1.7976931348623159e308", "-1.7976931348623159e308",
+      "2.4703282292062327e-324", "-2.4703282292062327e-324",
+      // Subnormals that do not underflow.
+      "4.9e-324", "2.4703282292062328e-324", "-4.9e-324",
+      "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "0", "-0", "0.0", "-0.0", "0e10", "-0E-10", "9007199254740993",
+      "9223372036854775807", "-9223372036854775808",
+      "0.1000000000000000055511151231257827021181583404541015625",
+      "123456789012345678901234567890e-30", "1E+2", "1e-2"};
+  for (const char* literal : literals) {
+    const double expected = std::strtod(literal, nullptr);
+    EXPECT_EQ(DoubleToBits(ParseWireNumber(literal)), DoubleToBits(expected))
+        << literal;
+  }
+  // The sign of an underflowed zero survives.
+  EXPECT_TRUE(std::signbit(ParseWireNumber("-1e-400")));
+  EXPECT_TRUE(std::isinf(ParseWireNumber("1e400")));
+}
+
+TEST(JsonNumberTest, ParsesLikeStrtodOnRandomLiterals) {
+  std::mt19937_64 rng(1324);
+  auto digits = [&rng](size_t n, bool nonzero_first) {
+    std::string text;
+    for (size_t i = 0; i < n; ++i) {
+      const int low = (i == 0 && nonzero_first) ? 1 : 0;
+      text.push_back(static_cast<char>('0' + low + rng() % (10 - low)));
+    }
+    return text;
+  };
+  size_t mismatches = 0;
+  constexpr int kLiterals = 200000;
+  for (int i = 0; i < kLiterals; ++i) {
+    std::string literal;
+    if (i % 2 == 0) {
+      // Random JSON grammar: sign, integer part, fraction, exponent.
+      if (rng() & 1) literal.push_back('-');
+      literal += (rng() % 8 == 0) ? std::string("0")
+                                  : digits(1 + rng() % 20, true);
+      if (rng() & 1) literal += "." + digits(1 + rng() % 25, false);
+      if (rng() & 1) {
+        literal.push_back((rng() & 1) ? 'e' : 'E');
+        const int sign = static_cast<int>(rng() % 3);
+        if (sign == 1) literal.push_back('+');
+        if (sign == 2) literal.push_back('-');
+        literal += std::to_string(rng() % 420);
+      }
+    } else {
+      // A random finite double as the wire prints it.
+      double value;
+      do {
+        value = BitsToDouble(rng());
+      } while (!std::isfinite(value));
+      literal = PrintfNumber(value);
+    }
+    const double expected = std::strtod(literal.c_str(), nullptr);
+    const double got = ParseWireNumber(literal);
+    if (DoubleToBits(got) != DoubleToBits(expected) && ++mismatches <= 5) {
+      ADD_FAILURE() << literal << ": parsed 0x" << std::hex
+                    << DoubleToBits(got) << " vs strtod 0x"
+                    << DoubleToBits(expected);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << kLiterals << " literals";
 }
 
 // ---------------------------------------------------------------------------
@@ -194,6 +445,42 @@ TEST(RequestTest, MissingMethodRejected) {
   EXPECT_FALSE(ParseRequest(R"({"id":1,"method":5})").ok());
   EXPECT_FALSE(ParseRequest(R"([1,2,3])").ok());
   EXPECT_FALSE(ParseRequest("not json").ok());
+}
+
+/// Frames `payload`, then decodes and parses it as the server does.
+Result<Request> ParseFramedRequest(const std::string& payload) {
+  std::string wire;
+  AppendFrame(payload, &wire);
+  const FrameDecode decode = DecodeFrame(wire);
+  EXPECT_EQ(decode.state, FrameDecode::State::kFrame);
+  return ParseRequest(decode.payload);
+}
+
+TEST(RequestTest, HostileNumbersReadAsAbsent) {
+  // Ids, deadlines and ordinals that no int64 can hold (or that parse to
+  // +-inf) read as the field's fallback. Casting them would be undefined
+  // behaviour; on x86 it yields INT64_MIN.
+  const char* huge[] = {"1e300", "-1e300", "1e400", "-1e400",
+                        "9223372036854775808", "9223372036854775807",
+                        "-9223372036854777856"};
+  for (const char* number : huge) {
+    auto request = ParseFramedRequest(
+        std::string(R"({"id":)") + number +
+        R"(,"method":"ConfirmAssignment","deadline_ms":)" + number +
+        R"(,"params":{"ordinal":)" + number + "}}");
+    ASSERT_TRUE(request.ok()) << request.status();
+    EXPECT_EQ(request->id, 0) << number;
+    EXPECT_EQ(request->deadline_ms, -1) << number;
+    EXPECT_EQ(request->params.GetInt("ordinal", -1), -1) << number;
+  }
+  // The ends of the range that do fit still read as numbers.
+  auto edge = ParseFramedRequest(
+      R"({"id":-9223372036854775808,"method":"Health",)"
+      R"("deadline_ms":9223372036854774784,"params":{"ordinal":-0.5}})");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->id, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(edge->deadline_ms, 9223372036854774784);
+  EXPECT_EQ(edge->params.GetInt("ordinal", -1), 0);
 }
 
 TEST(RequestTest, EncodeParsesBack) {
@@ -472,7 +759,7 @@ TEST(GoldenFrameTest, ResponseEncodersReproduceRecordedFramesBitExact) {
             GoldenBytes(kGoldenInvalidResponse));
 
   // The shard partial travels through ShardPartialToJson: member order
-  // and the %.17g score formatting are part of the wire contract (the
+  // and the 17-digit score formatting are part of the wire contract (the
   // coordinator merges the parsed-back doubles bit-for-bit).
   quest::RecommendationService::ShardPartial partial;
   partial.known_part = true;

@@ -150,7 +150,7 @@ TEST_F(ServerTest, WireResponsesBitIdenticalToInProcess) {
     auto direct = service_->Recommend(bundle);
     ASSERT_EQ(wire->ok(), direct.ok());
     if (direct.ok()) {
-      // Scores cross the wire through %.17g text; the comparison is on
+      // Scores cross the wire as 17-digit text; the comparison is on
       // the serialized form, which is bit-exact iff the doubles are.
       EXPECT_EQ(wire->result.Dump(), RecommendationToJson(*direct).Dump())
           << "bundle " << i;
@@ -756,6 +756,29 @@ TEST_F(ServerTest, AcceptFaultDelaysButDoesNotLoseConnections) {
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_TRUE(response->ok());
   server_.reset();
+}
+
+TEST_F(ServerTest, UnpipelinedRequestCostsOneReadAndOneWrite) {
+  // An injector with no faults only counts the server's read(2) and
+  // write(2) calls. A request that arrives alone is taken in one read: a
+  // short read ends the read round rather than reading again for an
+  // EAGAIN. Its response leaves in one write.
+  FaultInjector counter;
+  Server::Options options;
+  options.fault = &counter;
+  Start(options);
+  constexpr uint64_t kRequests = 20;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    auto response = client_.Call(static_cast<int64_t>(i), "Recommend",
+                                 BundleToParams(corpus_->bundles[i]));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->id, static_cast<int64_t>(i));
+  }
+  // Tearing the server down joins its loops, so the counts are final. The
+  // drain's last pull on the still-open connection is one more read.
+  server_.reset();
+  EXPECT_EQ(counter.op_counts().at("server.read"), kRequests + 1);
+  EXPECT_EQ(counter.op_counts().at("server.write"), kRequests);
 }
 
 }  // namespace
