@@ -9,7 +9,9 @@
 #   3. perf               — the indexed-vs-brute equivalence battery
 #                           (indexed_brute_test: adversarial corpora, all
 #                           measures x k in {1,3,5,10,25}, unknown-part
-#                           fallbacks) under ASan+UBSan, then a Release
+#                           fallbacks, and seeded confirm sequences whose
+#                           per-part segment rebuilds must equal a
+#                           from-scratch Build) under ASan+UBSan, then a Release
 #                           build of bench_knn_throughput --quick; proves
 #                           brute == indexed rankings bit-for-bit and
 #                           fails if the frozen index is slower than
@@ -61,14 +63,17 @@
 #                           notice and succeeds, so laptops and small CI
 #                           runners stay green without masking a real
 #                           regression on serving-class hardware.
-#   9. loadbench          — a 5 s open-loop QUEST serving smoke on the
-#                           oem-steady workload (loadbench/run.py, seed 1,
-#                           untraced; builds into .bench_build/). Exit 0
-#                           passes. Exit 3 means the run was refused for
-#                           host noise: it says nothing about the code, so
-#                           the stage prints a notice and passes. Any other
-#                           status (1: build failure or a wrong answer)
-#                           fails the stage.
+#   9. loadbench          — open-loop QUEST serving smokes
+#                           (loadbench/run.py, seed 1, untraced; builds
+#                           into .bench_build/): 5 s of oem-steady, then
+#                           25 s of confirm-storm (the shortest run its
+#                           confirm count allows), which byte-compares the
+#                           end state after its served confirms with a
+#                           reference. Exit 0 passes. Exit 3 means the run
+#                           was refused for host noise: it says nothing
+#                           about the code, so the stage prints a notice
+#                           and passes. Any other status (1: build failure
+#                           or a wrong answer) fails the stage.
 #
 # Each sanitizer pass gets its own build tree under build-san/ so the
 # sanitizer runtimes never mix; the perf and serve stages share
@@ -82,7 +87,7 @@
 #   scripts/check.sh durability # crash torture under ASan+UBSan
 #   scripts/check.sh cluster    # sharded scatter-gather serving end-to-end
 #   scripts/check.sh scaling    # 1->4 multi-core scaling gates
-#   scripts/check.sh loadbench  # open-loop serving smoke (oem-steady)
+#   scripts/check.sh loadbench  # open-loop serving smokes (oem-steady, confirm-storm)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,7 +116,8 @@ for STAGE in "${STAGES[@]}"; do
     # The indexed-vs-brute battery rides the perf stage under ASan+UBSan:
     # the scorer indexes epoch-tagged accumulators and CSR offsets, exactly
     # the kind of indexing an off-by-one corrupts silently long before it
-    # corrupts visibly.
+    # corrupts visibly. The same binary runs the confirm-sequence battery,
+    # which drives copy-on-write parts and per-part segment rebuilds.
     SAN="address,undefined"
     SAN_DIR="build-san/${SAN//,/+}"
     echo "=== indexed-vs-brute battery under ${SAN} (build: ${SAN_DIR}) ==="
@@ -222,18 +228,21 @@ for STAGE in "${STAGES[@]}"; do
     continue
   fi
   if [[ "${STAGE}" == "loadbench" ]]; then
-    echo "=== loadbench smoke: oem-steady, seed 1, 5 s (build: .bench_build/) ==="
-    STATUS=0
-    python3 loadbench/run.py --workload oem-steady --seed 1 --seconds 5 \
-      --trace 0 || STATUS=$?
-    if [[ "${STATUS}" -eq 3 ]]; then
-      echo "NOTICE: loadbench refused the run for host noise (exit 3);" \
-        "that says nothing about the code, so the stage passes" >&2
-    elif [[ "${STATUS}" -ne 0 ]]; then
-      echo "loadbench failed with exit ${STATUS} (1: build failure or a" \
-        "wrong answer)" >&2
-      exit 1
-    fi
+    for RUN in "oem-steady 5" "confirm-storm 25"; do
+      read -r WORKLOAD SECONDS <<<"${RUN}"
+      echo "=== loadbench smoke: ${WORKLOAD}, seed 1, ${SECONDS} s (build: .bench_build/) ==="
+      STATUS=0
+      python3 loadbench/run.py --workload "${WORKLOAD}" --seed 1 \
+        --seconds "${SECONDS}" --trace 0 || STATUS=$?
+      if [[ "${STATUS}" -eq 3 ]]; then
+        echo "NOTICE: loadbench refused the ${WORKLOAD} run for host noise" \
+          "(exit 3); that says nothing about the code, so the stage passes" >&2
+      elif [[ "${STATUS}" -ne 0 ]]; then
+        echo "loadbench ${WORKLOAD} failed with exit ${STATUS} (1: build" \
+          "failure or a wrong answer)" >&2
+        exit 1
+      fi
+    done
     continue
   fi
   if [[ "${STAGE}" == "durability" ]]; then

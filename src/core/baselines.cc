@@ -7,7 +7,7 @@ namespace qatk::core {
 
 void CodeFrequencyBaseline::AddObservation(const std::string& part_id,
                                            const std::string& error_code) {
-  ++counts_[part_id][error_code];
+  ++counts_[part_id].Mutable()[error_code];
 }
 
 std::vector<ScoredCode> CodeFrequencyBaseline::Rank(
@@ -15,8 +15,8 @@ std::vector<ScoredCode> CodeFrequencyBaseline::Rank(
   std::vector<ScoredCode> out;
   auto it = counts_.find(part_id);
   if (it == counts_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [code, count] : it->second) {
+  out.reserve(it->second->size());
+  for (const auto& [code, count] : *it->second) {
     out.push_back({code, static_cast<double>(count)});
   }
   std::sort(out.begin(), out.end(),

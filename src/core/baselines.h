@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cow.h"
 #include "core/classifier.h"
 #include "kb/knowledge_base.h"
 
@@ -14,8 +15,15 @@ namespace qatk::core {
 /// which are available in the database for the part ID of the data bundle
 /// under consideration are sorted by their frequency in this database, and
 /// the first k returned". Ignores the text entirely.
+///
+/// Counts live in one copy-on-write table per part: a copy of the
+/// baseline shares every table, and a later observation clones only its
+/// own part's.
 class CodeFrequencyBaseline {
  public:
+  /// error code -> observation count, for one part.
+  using PartCounts = std::map<std::string, size_t>;
+
   CodeFrequencyBaseline() = default;
 
   /// Counts one training observation of (part id, error code).
@@ -25,7 +33,7 @@ class CodeFrequencyBaseline {
   /// Persistence path: restores a serialized count verbatim.
   void Restore(const std::string& part_id, const std::string& error_code,
                size_t count) {
-    counts_[part_id][error_code] = count;
+    counts_[part_id].Mutable()[error_code] = count;
   }
 
   /// Error codes for the part, most frequent first (score = count).
@@ -37,12 +45,12 @@ class CodeFrequencyBaseline {
 
   /// Raw (part id -> error code -> count) table, ordered both ways
   /// (std::map), for snapshot serialization.
-  const std::map<std::string, std::map<std::string, size_t>>& counts() const {
+  const std::map<std::string, CowPtr<PartCounts>>& counts() const {
     return counts_;
   }
 
  private:
-  std::map<std::string, std::map<std::string, size_t>> counts_;
+  std::map<std::string, CowPtr<PartCounts>> counts_;
 };
 
 /// \brief The unsorted-candidate-set baseline (§5.1 baseline 2): the error

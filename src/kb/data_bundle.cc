@@ -1,5 +1,7 @@
 #include "kb/data_bundle.h"
 
+#include <utility>
+
 namespace qatk::kb {
 
 namespace {
@@ -42,8 +44,28 @@ std::vector<const DataBundle*> Corpus::LearnableBundles() const {
   return out;
 }
 
-std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
-                            const Corpus& corpus) {
+DescriptionCatalog::DescriptionCatalog()
+    : tables_(std::make_shared<const Tables>()) {}
+
+DescriptionCatalog::DescriptionCatalog(Texts part_descriptions,
+                                       Texts error_descriptions)
+    : tables_(std::make_shared<const Tables>(
+          Tables{std::move(part_descriptions), std::move(error_descriptions)})) {
+}
+
+DescriptionCatalog DescriptionCatalog::WithErrorDescription(
+    const std::string& code, const std::string& text) const {
+  if (tables_->errors.count(code) > 0) return *this;
+  Texts errors = tables_->errors;
+  errors.emplace(code, text);
+  return DescriptionCatalog(tables_->parts, std::move(errors));
+}
+
+namespace {
+
+std::string Compose(const DataBundle& bundle, unsigned sources,
+                    const DescriptionCatalog::Texts& part_descriptions,
+                    const DescriptionCatalog::Texts& error_descriptions) {
   std::string doc;
   if (sources & kMechanicReport) AppendSection(&doc, bundle.mechanic_report);
   if (sources & kInitialReport) {
@@ -52,16 +74,28 @@ std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
   if (sources & kSupplierReport) AppendSection(&doc, bundle.supplier_report);
   if (sources & kFinalReport) AppendSection(&doc, bundle.final_oem_report);
   if (sources & kPartDescription) {
-    auto it = corpus.part_descriptions.find(bundle.part_id);
-    if (it != corpus.part_descriptions.end()) AppendSection(&doc, it->second);
+    auto it = part_descriptions.find(bundle.part_id);
+    if (it != part_descriptions.end()) AppendSection(&doc, it->second);
   }
   if ((sources & kErrorDescription) && !bundle.error_code.empty()) {
-    auto it = corpus.error_descriptions.find(bundle.error_code);
-    if (it != corpus.error_descriptions.end()) {
-      AppendSection(&doc, it->second);
-    }
+    auto it = error_descriptions.find(bundle.error_code);
+    if (it != error_descriptions.end()) AppendSection(&doc, it->second);
   }
   return doc;
+}
+
+}  // namespace
+
+std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
+                            const Corpus& corpus) {
+  return Compose(bundle, sources, corpus.part_descriptions,
+                 corpus.error_descriptions);
+}
+
+std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
+                            const DescriptionCatalog& catalog) {
+  return Compose(bundle, sources, catalog.part_descriptions(),
+                 catalog.error_descriptions());
 }
 
 }  // namespace qatk::kb

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,12 +77,42 @@ struct Corpus {
   std::vector<const DataBundle*> LearnableBundles() const;
 };
 
+/// \brief Immutable part and error-code description texts behind one
+/// shared pointer: copying a catalog copies the pointer, not the texts.
+class DescriptionCatalog {
+ public:
+  using Texts = std::map<std::string, std::string>;
+
+  /// An empty catalog.
+  DescriptionCatalog();
+  DescriptionCatalog(Texts part_descriptions, Texts error_descriptions);
+
+  const Texts& part_descriptions() const { return tables_->parts; }
+  const Texts& error_descriptions() const { return tables_->errors; }
+
+  /// A catalog that also describes `code`; an existing description of
+  /// `code` is kept (first registration wins).
+  DescriptionCatalog WithErrorDescription(const std::string& code,
+                                          const std::string& text) const;
+
+ private:
+  struct Tables {
+    Texts parts;
+    Texts errors;
+  };
+  std::shared_ptr<const Tables> tables_;
+};
+
 /// Concatenates the selected text sources of `bundle` into one document
 /// (paper §4.4 step 1: "combine related reports into one document").
 /// Description texts are looked up in `corpus`; missing sources are
 /// skipped silently.
 std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
                             const Corpus& corpus);
+
+/// ComposeDocument with the description texts looked up in `catalog`.
+std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
+                            const DescriptionCatalog& catalog);
 
 }  // namespace qatk::kb
 

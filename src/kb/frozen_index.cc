@@ -1,6 +1,7 @@
 #include "kb/frozen_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -30,100 +31,81 @@ obs::Counter* ScratchRebuildCounter() {
   return counter;
 }
 
+obs::Counter* SegmentBuildCounter() {
+  static obs::Counter* counter =
+      obs::Registry::Global().GetCounter("qatk_kb_segment_builds_total");
+  return counter;
+}
+
+/// Test-observable twin of SegmentBuildCounter (obs compiles out under
+/// QATK_NO_METRICS).
+std::atomic<uint64_t> g_segment_builds{0};
+
 template <typename T>
 size_t VectorBytes(const std::vector<T>& v) {
   return v.size() * sizeof(T);
 }
 
-/// (feature, node) pair used while grouping postings into CSR runs.
-struct Posting {
-  int64_t feature;
-  uint32_t node;
-  bool operator<(const Posting& other) const {
-    if (feature != other.feature) return feature < other.feature;
-    return node < other.node;
-  }
-};
+}  // namespace
 
-/// Appends `pairs` (sorted by feature, then node) as CSR rows.
-void AppendRuns(const std::vector<Posting>& pairs,
-                std::vector<int64_t>* feature_ids,
-                std::vector<size_t>* offsets,
-                std::vector<uint32_t>* postings) {
-  size_t i = 0;
-  while (i < pairs.size()) {
-    const int64_t feature = pairs[i].feature;
-    feature_ids->push_back(feature);
-    offsets->push_back(postings->size());
-    while (i < pairs.size() && pairs[i].feature == feature) {
-      postings->push_back(pairs[i].node);
-      ++i;
-    }
+FrozenIndex::FrozenIndex() : tables_(std::make_shared<const Tables>()) {}
+
+std::shared_ptr<const FrozenIndex::Segment> FrozenIndex::BuildSegment(
+    const KnowledgePart& part) {
+  g_segment_builds.fetch_add(1, std::memory_order_relaxed);
+  SegmentBuildCounter()->Add();
+  auto segment = std::make_shared<Segment>();
+  // The part's posting lists already hold ascending global ids; only the
+  // feature order has to be imposed.
+  segment->feature_ids.reserve(part.postings.size());
+  size_t total = 0;
+  for (const auto& [feature, nodes] : part.postings) {
+    segment->feature_ids.push_back(feature);
+    total += nodes.size();
   }
+  std::sort(segment->feature_ids.begin(), segment->feature_ids.end());
+  segment->offsets.reserve(segment->feature_ids.size() + 1);
+  segment->postings.reserve(total);
+  for (int64_t feature : segment->feature_ids) {
+    segment->offsets.push_back(static_cast<uint32_t>(segment->postings.size()));
+    const std::vector<uint32_t>& nodes = part.postings.at(feature);
+    segment->postings.insert(segment->postings.end(), nodes.begin(),
+                             nodes.end());
+  }
+  segment->offsets.push_back(static_cast<uint32_t>(segment->postings.size()));
+  return segment;
 }
 
-}  // namespace
+uint32_t FrozenIndex::InternCode(const std::string& code, Tables* tables) {
+  auto [it, inserted] = tables->code_index.emplace(
+      code, static_cast<uint32_t>(tables->codes.size()));
+  if (inserted) tables->codes.push_back(code);
+  return it->second;
+}
 
 FrozenIndex FrozenIndex::Build(const KnowledgeBase& knowledge) {
   FrozenIndex index;
-  const std::vector<KnowledgeNode>& nodes = knowledge.nodes();
-  QATK_CHECK(nodes.size() < std::numeric_limits<uint32_t>::max())
-      << "FrozenIndex node indices are 32-bit";
-  const uint32_t num_nodes = static_cast<uint32_t>(nodes.size());
-
-  // Node arena + code interning, in knowledge-base insertion order.
-  size_t total_features = 0;
-  for (const KnowledgeNode& node : nodes) total_features += node.features.size();
+  auto tables = std::make_shared<Tables>();
+  const size_t num_nodes = knowledge.num_nodes();
   index.node_code_.reserve(num_nodes);
-  index.node_offsets_.reserve(num_nodes + 1);
-  index.feature_arena_.reserve(total_features);
-  index.node_offsets_.push_back(0);
-  std::unordered_map<std::string, uint32_t> code_index;
-  std::unordered_map<std::string, std::vector<Posting>> per_part;
-  for (uint32_t i = 0; i < num_nodes; ++i) {
-    const KnowledgeNode& node = nodes[i];
-    auto [it, inserted] =
-        code_index.emplace(node.error_code, index.codes_.size());
-    if (inserted) index.codes_.push_back(node.error_code);
-    index.node_code_.push_back(it->second);
-    index.feature_arena_.insert(index.feature_arena_.end(),
-                                node.features.begin(), node.features.end());
-    index.node_offsets_.push_back(index.feature_arena_.size());
-    // Every node registers its part, even with an empty feature set: a part
-    // whose nodes share no probe feature is still *known* (empty candidate
-    // set), never the all-nodes fallback.
-    per_part[node.part_id];
-    for (int64_t f : node.features) per_part[node.part_id].push_back({f, i});
+  index.node_size_.reserve(num_nodes);
+  // Codes are interned in first-seen order over global node ids.
+  for (size_t i = 0; i < num_nodes; ++i) {
+    const KnowledgeNode& node = knowledge.node(i);
+    index.AppendNode(node, InternCode(node.error_code, tables.get()));
   }
-
-  // Per-part CSR. Parts are interned in node insertion order for
-  // determinism (iteration over per_part would be hash order).
-  index.feature_ids_.reserve(total_features);  // Upper bound.
-  index.postings_.reserve(total_features);
-  for (const KnowledgeNode& node : nodes) {
-    auto [it, inserted] =
-        index.part_index_.emplace(node.part_id, index.part_ranges_.size());
-    if (!inserted) continue;
-    std::vector<Posting>& pairs = per_part[node.part_id];
-    std::sort(pairs.begin(), pairs.end());
-    PartRange range;
-    range.begin = index.feature_ids_.size();
-    AppendRuns(pairs, &index.feature_ids_, &index.offsets_, &index.postings_);
-    range.end = index.feature_ids_.size();
-    index.part_ranges_.push_back(range);
+  // The knowledge base interns parts in node insertion order too. Every
+  // part gets a segment, even one whose nodes have no features: such a
+  // part is still *known* (empty candidate set), never the all-nodes
+  // fallback.
+  index.segments_.reserve(knowledge.num_parts());
+  for (size_t p = 0; p < knowledge.num_parts(); ++p) {
+    const KnowledgePart& part = knowledge.part(p);
+    tables->part_index.emplace(part.part_id, static_cast<uint32_t>(p));
+    index.segments_.push_back(BuildSegment(part));
+    index.num_postings_ += index.segments_.back()->postings.size();
   }
-  index.offsets_.push_back(index.postings_.size());
-
-  // All-parts CSR for the unknown-part fallback.
-  std::vector<Posting> all_pairs;
-  all_pairs.reserve(total_features);
-  for (uint32_t i = 0; i < num_nodes; ++i) {
-    for (int64_t f : nodes[i].features) all_pairs.push_back({f, i});
-  }
-  std::sort(all_pairs.begin(), all_pairs.end());
-  AppendRuns(all_pairs, &index.all_feature_ids_, &index.all_offsets_,
-             &index.all_postings_);
-  index.all_offsets_.push_back(index.all_postings_.size());
+  index.tables_ = std::move(tables);
   return index;
 }
 
@@ -137,10 +119,10 @@ FrozenIndex FrozenIndex::Build(
   // filtered down — tie-breaking inside the slice is unchanged.
   KnowledgeBase slice;
   if (kept_nodes != nullptr) kept_nodes->clear();
-  const std::vector<KnowledgeNode>& nodes = knowledge.nodes();
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (!include_part(nodes[i].part_id)) continue;
-    slice.RestoreNode(nodes[i]);
+  for (size_t i = 0; i < knowledge.num_nodes(); ++i) {
+    const KnowledgeNode& node = knowledge.node(i);
+    if (!include_part(node.part_id)) continue;
+    slice.RestoreNode(node);
     if (kept_nodes != nullptr) {
       kept_nodes->push_back(static_cast<uint32_t>(i));
     }
@@ -148,12 +130,60 @@ FrozenIndex FrozenIndex::Build(
   return Build(slice);
 }
 
+void FrozenIndex::RebuildPart(const KnowledgeBase& knowledge,
+                              const std::string& part_id) {
+  const KnowledgePart* part = knowledge.FindPart(part_id);
+  QATK_CHECK(part != nullptr) << "RebuildPart: unknown part '" << part_id
+                              << "'";
+  QATK_CHECK(knowledge.num_nodes() >= num_nodes())
+      << "RebuildPart: the knowledge base lost nodes";
+  // The shared tables are cloned only if this rebuild interns a new code
+  // or a new part. Ids already in tables_ are equal in the clone.
+  std::shared_ptr<Tables> cloned;
+  auto writable = [&]() -> Tables* {
+    if (cloned == nullptr) cloned = std::make_shared<Tables>(*tables_);
+    return cloned.get();
+  };
+  for (size_t i = num_nodes(); i < knowledge.num_nodes(); ++i) {
+    const KnowledgeNode& node = knowledge.node(i);
+    QATK_DCHECK(node.part_id == part_id);
+    auto code = tables_->code_index.find(node.error_code);
+    AppendNode(node, code != tables_->code_index.end()
+                         ? code->second
+                         : InternCode(node.error_code, writable()));
+  }
+  std::shared_ptr<const Segment> segment = BuildSegment(*part);
+  num_postings_ += segment->postings.size();
+  auto slot = tables_->part_index.find(part_id);
+  if (slot == tables_->part_index.end()) {
+    writable()->part_index.emplace(part_id,
+                                   static_cast<uint32_t>(segments_.size()));
+    segments_.push_back(std::move(segment));
+  } else {
+    num_postings_ -= segments_[slot->second]->postings.size();
+    segments_[slot->second] = std::move(segment);
+  }
+  if (cloned != nullptr) tables_ = std::move(cloned);
+}
+
 size_t FrozenIndex::memory_bytes() const {
-  return VectorBytes(part_ranges_) + VectorBytes(feature_ids_) +
-         VectorBytes(offsets_) + VectorBytes(postings_) +
-         VectorBytes(all_feature_ids_) + VectorBytes(all_offsets_) +
-         VectorBytes(all_postings_) + VectorBytes(node_code_) +
-         VectorBytes(node_offsets_) + VectorBytes(feature_arena_);
+  size_t bytes = VectorBytes(node_code_) + VectorBytes(node_size_);
+  for (const std::shared_ptr<const Segment>& segment : segments_) {
+    bytes += VectorBytes(segment->feature_ids) +
+             VectorBytes(segment->offsets) + VectorBytes(segment->postings);
+  }
+  return bytes;
+}
+
+const FrozenIndex::Segment* FrozenIndex::FindSegment(
+    const std::string& part_id) const {
+  auto it = tables_->part_index.find(part_id);
+  return it == tables_->part_index.end() ? nullptr
+                                         : segments_[it->second].get();
+}
+
+uint64_t FrozenIndex::SegmentBuildsForTest() {
+  return g_segment_builds.load(std::memory_order_relaxed);
 }
 
 void FrozenIndex::BeginQuery(Scratch* scratch) const {
@@ -170,27 +200,29 @@ void FrozenIndex::BeginQuery(Scratch* scratch) const {
   scratch->touched.clear();
 }
 
-void FrozenIndex::AccumulateRange(const std::vector<int64_t>& features,
-                                  const std::vector<int64_t>& feature_ids,
-                                  const std::vector<size_t>& offsets,
-                                  const std::vector<uint32_t>& postings,
-                                  size_t feat_begin, size_t feat_end,
-                                  Scratch* scratch) const {
-  const int64_t* row_begin = feature_ids.data() + feat_begin;
-  const int64_t* row_end = feature_ids.data() + feat_end;
-  const int64_t* row = row_begin;
+uint64_t FrozenIndex::AccumulateSegment(const Segment& segment,
+                                        const std::vector<int64_t>& features,
+                                        Scratch* scratch) {
+  const int64_t* rows = segment.feature_ids.data();
+  const int64_t* row_end = rows + segment.feature_ids.size();
+  const int64_t* row = rows;
   const uint64_t current = scratch->current;
   uint64_t scanned = 0;
   for (int64_t f : features) {
     // Both the probe and the CSR rows are sorted ascending, so the search
-    // front only ever advances.
-    row = std::lower_bound(row, row_end, f);
+    // front only ever advances. Segments hold tens of rows, and the
+    // unknown-part fallback searches every one of them: a forward walk in
+    // steps of eight beats a binary search per probe feature there.
+    while (row_end - row >= 8 && row[7] < f) row += 8;
+    while (row != row_end && *row < f) ++row;
     if (row == row_end) break;
     if (*row != f) continue;
-    const size_t r = static_cast<size_t>(row - feature_ids.data());
-    scanned += offsets[r + 1] - offsets[r];
-    for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-      const uint32_t node = postings[k];
+    const size_t r = static_cast<size_t>(row - rows);
+    const uint32_t begin = segment.offsets[r];
+    const uint32_t end = segment.offsets[r + 1];
+    scanned += end - begin;
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t node = segment.postings[k];
       if (scratch->epoch[node] != current) {
         scratch->epoch[node] = current;
         scratch->shared[node] = 1;
@@ -200,27 +232,28 @@ void FrozenIndex::AccumulateRange(const std::vector<int64_t>& features,
       }
     }
   }
-  // One sharded add per query, not per posting, keeps the hot loop clean.
-  PostingsScannedCounter()->Add(scanned);
+  return scanned;
 }
 
 bool FrozenIndex::AccumulateShared(const std::string& part_id,
                                    const std::vector<int64_t>& features,
                                    Scratch* scratch) const {
   BeginQuery(scratch);
-  auto it = part_index_.find(part_id);
-  if (it == part_index_.end()) return false;
-  const PartRange& range = part_ranges_[it->second];
-  AccumulateRange(features, feature_ids_, offsets_, postings_, range.begin,
-                  range.end, scratch);
+  const Segment* segment = FindSegment(part_id);
+  if (segment == nullptr) return false;
+  // One sharded add per query, not per posting, keeps the hot loop clean.
+  PostingsScannedCounter()->Add(AccumulateSegment(*segment, features, scratch));
   return true;
 }
 
 void FrozenIndex::AccumulateSharedAllNodes(
     const std::vector<int64_t>& features, Scratch* scratch) const {
   BeginQuery(scratch);
-  AccumulateRange(features, all_feature_ids_, all_offsets_, all_postings_, 0,
-                  all_feature_ids_.size(), scratch);
+  uint64_t scanned = 0;
+  for (const std::shared_ptr<const Segment>& segment : segments_) {
+    scanned += AccumulateSegment(*segment, features, scratch);
+  }
+  PostingsScannedCounter()->Add(scanned);
 }
 
 }  // namespace qatk::kb

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,23 +12,27 @@
 
 namespace qatk::kb {
 
-/// \brief Frozen, immutable CSR snapshot of a KnowledgeBase, built once
-/// after training and served read-only.
+/// \brief Frozen CSR snapshot of a KnowledgeBase, built after training and
+/// served read-only, made of immutable per-part segments.
 ///
-/// The live KnowledgeBase keeps its postings in nested hash maps
-/// (part -> feature -> node list), which is ideal for incremental inserts
-/// but chases pointers on every probe and forces the classifier to re-merge
-/// each candidate's sorted feature vector per query. The frozen index lays
-/// the same data out flat:
+/// The live KnowledgeBase keeps its postings in hash maps (feature -> node
+/// list per part), which is ideal for incremental inserts but chases
+/// pointers on every probe and forces the classifier to re-merge each
+/// candidate's sorted feature vector per query. The frozen index lays the
+/// same data out flat:
 ///
-///   * part ids interned to dense indices; per part one contiguous run of
-///     sorted feature ids (`feature_ids_`) with a parallel `offsets_` array
-///     into one flat `postings_` array of node indices (classic CSR);
-///   * a second CSR over *all* parts (`all_*`) backing the unknown-part
-///     fallback, where every node is a candidate (§4.3);
-///   * per-node metadata: feature-set size, interned error code, and the
-///     feature ids themselves in one contiguous arena (`feature_arena_`),
-///     so nothing on the scoring path allocates or hashes strings.
+///   * one Segment per part (parts interned in node insertion order): the
+///     part's sorted feature ids, a parallel `offsets` array and one flat
+///     `postings` array of *global* node ids (classic CSR). Segments are
+///     immutable and held by `shared_ptr<const>`, so copies of the index
+///     share them; RebuildPart replaces one part's segment and leaves every
+///     other one pointer-equal to its predecessor's;
+///   * per-node metadata over global node ids: feature-set size and
+///     interned error code, so nothing on the scoring path allocates or
+///     hashes strings.
+///
+/// The unknown-part fallback, where every node is a candidate (§4.3),
+/// accumulates over all segments; there is no second, all-parts layout.
 ///
 /// Scoring uses term-at-a-time accumulation: for each probe feature, walk
 /// its posting list and bump a per-node shared-feature counter. All four
@@ -35,8 +40,9 @@ namespace qatk::kb {
 /// plus the stored node sizes replace the per-candidate sorted merge —
 /// O(postings touched) instead of O(candidates × merge).
 ///
-/// Thread-safety: the index is immutable after Build, so any number of
+/// Thread-safety: a published index is never mutated, so any number of
 /// threads may query it concurrently, each with its own Scratch.
+/// RebuildPart mutates only the index it is called on (a private copy).
 class FrozenIndex {
  public:
   /// Per-thread accumulator state. Epoch-tagged: a query bumps `current`
@@ -58,12 +64,21 @@ class FrozenIndex {
     std::vector<uint32_t> seen_codes;
   };
 
-  /// An empty index (zero nodes); every probe ranks nothing.
-  FrozenIndex() = default;
+  /// One part's CSR: `offsets[i]..offsets[i+1]` is the postings range of
+  /// `feature_ids[i]`; postings are global node ids, ascending per row.
+  struct Segment {
+    std::vector<int64_t> feature_ids;
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> postings;
+  };
 
-  /// Snapshots `knowledge` into CSR form. Node indices, part interning and
-  /// code interning all follow knowledge-base insertion order, which is
-  /// what keeps tie-breaking identical to the brute-force path.
+  /// An empty index (zero nodes); every probe ranks nothing.
+  FrozenIndex();
+
+  /// Snapshots `knowledge` into CSR form, one segment per part. Node ids,
+  /// part interning and code interning all follow knowledge-base insertion
+  /// order, which is what keeps tie-breaking identical to the brute-force
+  /// path.
   static FrozenIndex Build(const KnowledgeBase& knowledge);
 
   /// Partition-restricted freeze: snapshots only the nodes whose part id
@@ -77,43 +92,42 @@ class FrozenIndex {
       const std::function<bool(const std::string&)>& include_part,
       std::vector<uint32_t>* kept_nodes = nullptr);
 
+  /// Brings this index up to date with `knowledge` after instances were
+  /// added to `part_id` only: interns the appended nodes and rebuilds that
+  /// one part's segment (adding it for a new part). Every other segment
+  /// stays shared. The result equals Build(knowledge).
+  void RebuildPart(const KnowledgeBase& knowledge, const std::string& part_id);
+
   size_t num_nodes() const { return node_code_.size(); }
-  size_t num_parts() const { return part_ranges_.size(); }
-  /// Total posting entries in the per-part CSR (the all-parts CSR mirrors
-  /// the same count).
-  size_t num_postings() const { return postings_.size(); }
+  size_t num_parts() const { return segments_.size(); }
+  /// Total posting entries over all segments.
+  size_t num_postings() const { return num_postings_; }
   /// Bytes held by the flat arrays (size() * sizeof(T) summed over the
-  /// CSRs, the node metadata and the feature arena); excludes the part
-  /// and code string tables.
+  /// segments and the node metadata); excludes the part and code string
+  /// tables.
   size_t memory_bytes() const;
 
   bool HasPart(const std::string& part_id) const {
-    return part_index_.count(part_id) > 0;
+    return tables_->part_index.count(part_id) > 0;
   }
 
+  /// The part's segment, or nullptr for an unknown part. Equal pointers
+  /// across two indexes mean the segment is shared, not rebuilt.
+  const Segment* FindSegment(const std::string& part_id) const;
+
   /// Size of the node's feature set (|B| in the similarity formulas).
-  uint32_t node_feature_count(uint32_t node) const {
-    return static_cast<uint32_t>(node_offsets_[node + 1] -
-                                 node_offsets_[node]);
-  }
+  uint32_t node_feature_count(uint32_t node) const { return node_size_[node]; }
 
   /// Interned error-code id of the node (equal ids <=> equal code strings).
   uint32_t node_code_id(uint32_t node) const { return node_code_[node]; }
 
   /// Error-code string of the node.
   const std::string& node_error_code(uint32_t node) const {
-    return codes_[node_code_[node]];
+    return tables_->codes[node_code_[node]];
   }
 
-  /// The node's sorted feature ids as a [begin, end) range into the arena.
-  std::pair<const int64_t*, const int64_t*> node_features(
-      uint32_t node) const {
-    const int64_t* base = feature_arena_.data();
-    return {base + node_offsets_[node], base + node_offsets_[node + 1]};
-  }
-
-  /// Term-at-a-time accumulation over the part-restricted postings.
-  /// Returns false when the part id is unknown (caller falls back to
+  /// Term-at-a-time accumulation over the part's segment. Returns false
+  /// when the part id is unknown (caller falls back to
   /// AccumulateSharedAllNodes; §4.3 "we select all nodes"). On return,
   /// `scratch->touched` holds exactly the nodes of this part sharing >= 1
   /// probe feature — the brute-force candidate set — with their shared
@@ -122,9 +136,9 @@ class FrozenIndex {
                         const std::vector<int64_t>& features,
                         Scratch* scratch) const;
 
-  /// Accumulation over the all-parts postings, for unknown-part probes
-  /// where every node (even with zero shared features) is a candidate.
-  /// Untouched nodes simply keep a stale epoch tag (read as shared = 0).
+  /// Accumulation over every segment, for unknown-part probes where every
+  /// node (even with zero shared features) is a candidate. Untouched nodes
+  /// simply keep a stale epoch tag (read as shared = 0).
   void AccumulateSharedAllNodes(const std::vector<int64_t>& features,
                                 Scratch* scratch) const;
 
@@ -133,44 +147,49 @@ class FrozenIndex {
     return scratch.epoch[node] == scratch.current ? scratch.shared[node] : 0;
   }
 
+  /// Segments built since process start (also counted in
+  /// `qatk_kb_segment_builds_total`). Test hook for the sharing contract:
+  /// Build makes one per part, RebuildPart exactly one.
+  static uint64_t SegmentBuildsForTest();
+
  private:
-  /// One part's run of features inside feature_ids_ / offsets_.
-  struct PartRange {
-    size_t begin = 0;
-    size_t end = 0;
+  /// Part and code interning, shared by pointer between index copies and
+  /// cloned only when a rebuild adds a part or a code.
+  struct Tables {
+    std::unordered_map<std::string, uint32_t> part_index;
+    std::vector<std::string> codes;
+    std::unordered_map<std::string, uint32_t> code_index;
   };
+
+  /// Builds one part's CSR from its knowledge-base slice.
+  static std::shared_ptr<const Segment> BuildSegment(
+      const KnowledgePart& part);
+
+  /// Id of `code` in `tables`, interning it if new.
+  static uint32_t InternCode(const std::string& code, Tables* tables);
+
+  /// Appends the per-node metadata of the next global node.
+  void AppendNode(const KnowledgeNode& node, uint32_t code_id) {
+    node_code_.push_back(code_id);
+    node_size_.push_back(static_cast<uint32_t>(node.features.size()));
+  }
 
   /// Resets `scratch` for a new query against this index.
   void BeginQuery(Scratch* scratch) const;
 
-  /// Walks the CSR rows [feat_begin, feat_end) of `feature_ids` matching
-  /// `features` and bumps accumulators for every posted node.
-  void AccumulateRange(const std::vector<int64_t>& features,
-                       const std::vector<int64_t>& feature_ids,
-                       const std::vector<size_t>& offsets,
-                       const std::vector<uint32_t>& postings,
-                       size_t feat_begin, size_t feat_end,
-                       Scratch* scratch) const;
+  /// Walks the rows of `segment` matching `features` and bumps the
+  /// accumulators of every posted node; returns the postings scanned.
+  static uint64_t AccumulateSegment(const Segment& segment,
+                                    const std::vector<int64_t>& features,
+                                    Scratch* scratch);
 
-  std::unordered_map<std::string, uint32_t> part_index_;
-  std::vector<PartRange> part_ranges_;
-  /// Per-part sorted feature-id runs; offsets_[i]..offsets_[i+1] is the
-  /// postings range of feature_ids_[i].
-  std::vector<int64_t> feature_ids_;
-  std::vector<size_t> offsets_;
-  std::vector<uint32_t> postings_;
-
-  /// All-parts CSR for the unknown-part fallback.
-  std::vector<int64_t> all_feature_ids_;
-  std::vector<size_t> all_offsets_;
-  std::vector<uint32_t> all_postings_;
-
-  /// Interned error codes, first-seen order over nodes.
-  std::vector<std::string> codes_;
+  std::shared_ptr<const Tables> tables_;
+  /// One segment per interned part.
+  std::vector<std::shared_ptr<const Segment>> segments_;
+  size_t num_postings_ = 0;
+  /// Per-node metadata over global node ids.
   std::vector<uint32_t> node_code_;
-  /// Contiguous node-feature arena; node_offsets_ has num_nodes + 1 rows.
-  std::vector<size_t> node_offsets_;
-  std::vector<int64_t> feature_arena_;
+  std::vector<uint32_t> node_size_;
 };
 
 }  // namespace qatk::kb

@@ -156,19 +156,17 @@ Status KbStore::SaveKnowledgeBase(const KnowledgeBase& kb,
       T("vocab"),
       Schema({{"id", TypeId::kInt64}, {"word", TypeId::kString}})));
 
-  const std::vector<KnowledgeNode>& nodes = kb.nodes();
-  for (size_t i = 0; i < nodes.size(); ++i) {
+  for (size_t i = 0; i < kb.num_nodes(); ++i) {
+    const KnowledgeNode& node = kb.node(i);
     int64_t node_id = static_cast<int64_t>(i);
     QATK_RETURN_NOT_OK(
         db_->Insert(T("nodes"),
-                    Tuple({I(node_id), S(nodes[i].part_id),
-                           S(nodes[i].error_code),
-                           I(static_cast<int64_t>(nodes[i].instance_count))}))
+                    Tuple({I(node_id), S(node.part_id), S(node.error_code),
+                           I(static_cast<int64_t>(node.instance_count))}))
             .status());
-    for (int64_t f : nodes[i].features) {
+    for (int64_t f : node.features) {
       QATK_RETURN_NOT_OK(
-          db_->Insert(T("features"),
-                      Tuple({I(node_id), S(nodes[i].part_id), I(f)}))
+          db_->Insert(T("features"), Tuple({I(node_id), S(node.part_id), I(f)}))
               .status());
     }
   }

@@ -89,16 +89,8 @@ uint64_t NextGeneration() {
 std::atomic<int64_t> g_live_reader_states{0};
 std::atomic<uint64_t> g_reader_refreshes{0};
 
-/// Packs the description catalogs of `state` into its compose_context so
-/// ComposeDocument calls on the hot path borrow instead of copying.
-void PackComposeContext(RecommendationService::TrainedState* state) {
-  state->compose_context.part_descriptions = state->part_descriptions;
-  state->compose_context.error_descriptions = state->error_descriptions;
-}
-
 /// FullListForPart over one snapshot (shared by the public read path and
-/// the DefineErrorCode duplicate check, which runs it on the
-/// writer-private successor state).
+/// the DefineErrorCode duplicate check).
 std::vector<core::ScoredCode> FullListFor(
     const RecommendationService::TrainedState& state,
     const std::string& part_id) {
@@ -283,10 +275,8 @@ Status RecommendationService::TrainInternal(const kb::Corpus& corpus,
         extractor.Extract(
             kb::ComposeDocument(bundle, kb::kTrainSources, corpus)));
     if (owned) {
-      const size_t nodes_before = next->knowledge.num_nodes();
-      next->knowledge.AddInstance(bundle.part_id, bundle.error_code,
-                                  std::move(features));
-      if (next->knowledge.num_nodes() > nodes_before) {
+      if (next->knowledge.AddInstance(bundle.part_id, bundle.error_code,
+                                      std::move(features))) {
         next->node_ordinals.push_back(seq);
       }
       next->frequency.AddObservation(bundle.part_id, bundle.error_code);
@@ -295,9 +285,8 @@ Status RecommendationService::TrainInternal(const kb::Corpus& corpus,
   }
   next->ordinal_high = seq;
   next->index = kb::FrozenIndex::Build(next->knowledge);
-  next->part_descriptions = corpus.part_descriptions;
-  next->error_descriptions = corpus.error_descriptions;
-  PackComposeContext(next.get());
+  next->compose_context = kb::DescriptionCatalog(corpus.part_descriptions,
+                                                 corpus.error_descriptions);
   // Manually defined codes survive a retrain (they carry no training
   // observations the corpus could reproduce).
   next->manual_codes = state_->manual_codes;
@@ -376,7 +365,7 @@ RecommendationService::Recommend(const kb::DataBundle& bundle) const {
   if (!trained()) return Status::Invalid("service not trained");
   ReaderState& reader = AcquireReader();
   // Compose the test-time document (no final report / error description)
-  // against the snapshot's pre-packed catalogs: no map copies, no locks.
+  // against the snapshot's shared catalogs: no map copies, no locks.
   std::string document = kb::ComposeDocument(bundle, kb::kTestSources,
                                              reader.state->compose_context);
   return RecommendWithReader(reader, bundle.part_id, document);
@@ -455,11 +444,12 @@ Status RecommendationService::ConfirmAssignment(const kb::DataBundle& bundle,
   }
   obs::ScopedTimer confirm_span(Metrics().confirm_us);
   std::lock_guard<std::mutex> writer_lock(writer_mutex_);
-  // Copy-on-write: the successor state starts as a deep copy (readers
-  // keep serving the old snapshot untouched; the immutable concept trie is
-  // shared, not copied), absorbs the confirmed instance — interning any
-  // new words into its own vocabulary copy — and re-freezes the index so
-  // (index, vocabulary) stay paired.
+  // Copy-on-write: the successor state starts as a copy that shares every
+  // knowledge-base part, index segment, frequency table and catalog with
+  // the published one (readers keep serving it untouched). It absorbs the
+  // confirmed instance — cloning only that part's slices and interning
+  // any new words into its own vocabulary copy — and rebuilds only that
+  // part's index segment, so (index, vocabulary) stay paired.
   auto next = std::make_shared<TrainedState>(*state_);
   kb::FeatureExtractor extractor(options_.model, next->concepts,
                                  &next->vocabulary);
@@ -477,14 +467,13 @@ Status RecommendationService::ConfirmAssignment(const kb::DataBundle& bundle,
   const uint64_t resolved_ordinal =
       ordinal < 0 ? next->ordinal_high : static_cast<uint64_t>(ordinal);
   const size_t nodes_before = next->knowledge.num_nodes();
-  next->knowledge.AddInstance(bundle.part_id, error_code,
-                              std::move(features));
-  if (next->knowledge.num_nodes() > nodes_before &&
+  if (next->knowledge.AddInstance(bundle.part_id, error_code,
+                                  std::move(features)) &&
       next->node_ordinals.size() == nodes_before) {
     next->node_ordinals.push_back(resolved_ordinal);
   }
   next->ordinal_high = std::max(next->ordinal_high, resolved_ordinal + 1);
-  next->index = kb::FrozenIndex::Build(next->knowledge);
+  next->index.RebuildPart(next->knowledge, bundle.part_id);
   next->frequency.AddObservation(bundle.part_id, error_code);
   next->generation = NextGeneration();
   // Ack-after-fsync: log before publish; a failed append acknowledges
@@ -510,8 +499,9 @@ Status RecommendationService::DefineErrorCode(const std::string& part_id,
                                               const std::string& code,
                                               const std::string& description) {
   std::lock_guard<std::mutex> writer_lock(writer_mutex_);
-  auto next = std::make_shared<TrainedState>(*state_);
-  for (const core::ScoredCode& existing : FullListFor(*next, part_id)) {
+  // The checks read the published state (stable under the writer lock);
+  // only an accepted definition pays for a successor copy.
+  for (const core::ScoredCode& existing : FullListFor(*state_, part_id)) {
     if (existing.error_code == code) {
       return Status::AlreadyExists("error code '" + code +
                                    "' already defined for part '" + part_id +
@@ -521,16 +511,18 @@ Status RecommendationService::DefineErrorCode(const std::string& part_id,
   // Descriptions are global: a different part may have registered this
   // code already. First registration wins; redefining with a different
   // description is rejected instead of silently clobbered.
-  auto described = next->error_descriptions.find(code);
-  if (described != next->error_descriptions.end() &&
-      described->second != description) {
+  const kb::DescriptionCatalog::Texts& descriptions =
+      state_->compose_context.error_descriptions();
+  auto described = descriptions.find(code);
+  if (described != descriptions.end() && described->second != description) {
     return Status::AlreadyExists(
         "error code '" + code + "' already described as '" +
         described->second + "'; refusing to overwrite");
   }
+  auto next = std::make_shared<TrainedState>(*state_);
   next->manual_codes[part_id].push_back(code);
-  next->error_descriptions.emplace(code, description);
-  PackComposeContext(next.get());
+  next->compose_context =
+      next->compose_context.WithErrorDescription(code, description);
   next->generation = NextGeneration();
   if (log_ != nullptr && !replaying_) {
     const uint64_t lsn = last_lsn_.load(std::memory_order_relaxed) + 1;
@@ -545,8 +537,10 @@ Status RecommendationService::DefineErrorCode(const std::string& part_id,
 Result<std::string> RecommendationService::DescribeCode(
     const std::string& code) const {
   std::shared_ptr<const TrainedState> state = Snapshot();
-  auto it = state->error_descriptions.find(code);
-  if (it == state->error_descriptions.end()) {
+  const kb::DescriptionCatalog::Texts& descriptions =
+      state->compose_context.error_descriptions();
+  auto it = descriptions.find(code);
+  if (it == descriptions.end()) {
     return Status::KeyError("no description for error code '" + code + "'");
   }
   return it->second;
@@ -605,8 +599,9 @@ Status RecommendationService::Recover(const std::string& data_dir) {
         next->frequency.Restore(part, code, static_cast<size_t>(count));
       }
     }
-    next->part_descriptions = std::move(snapshot.part_descriptions);
-    next->error_descriptions = std::move(snapshot.error_descriptions);
+    next->compose_context =
+        kb::DescriptionCatalog(std::move(snapshot.part_descriptions),
+                               std::move(snapshot.error_descriptions));
     next->manual_codes = std::move(snapshot.manual_codes);
     next->node_ordinals = std::move(snapshot.node_ordinals);
     next->ordinal_high = snapshot.ordinal_high;
@@ -615,7 +610,6 @@ Status RecommendationService::Recover(const std::string& data_dir) {
     if (snapshot.trained) {
       next->concepts = kb::BuildConcepts(options_.model, taxonomy_);
     }
-    PackComposeContext(next.get());
     next->generation = NextGeneration();
     if (snapshot.trained) RecordIndexStats(next->index);
     {
@@ -674,15 +668,18 @@ ServiceSnapshot RecommendationService::BuildSnapshot() const {
   snapshot.trained = trained_.load(std::memory_order_relaxed);
   const TrainedState& state = *state_;
   snapshot.vocabulary = state.vocabulary.Entries();
-  snapshot.nodes = state.knowledge.nodes();
+  snapshot.nodes.reserve(state.knowledge.num_nodes());
+  for (size_t i = 0; i < state.knowledge.num_nodes(); ++i) {
+    snapshot.nodes.push_back(state.knowledge.node(i));
+  }
   for (const auto& [part, codes] : state.frequency.counts()) {
     auto& out = snapshot.frequency[part];
-    for (const auto& [code, count] : codes) {
+    for (const auto& [code, count] : *codes) {
       out[code] = static_cast<uint64_t>(count);
     }
   }
-  snapshot.part_descriptions = state.part_descriptions;
-  snapshot.error_descriptions = state.error_descriptions;
+  snapshot.part_descriptions = state.compose_context.part_descriptions();
+  snapshot.error_descriptions = state.compose_context.error_descriptions();
   snapshot.manual_codes = state.manual_codes;
   snapshot.node_ordinals = state.node_ordinals;
   snapshot.ordinal_high = state.ordinal_high;

@@ -91,6 +91,10 @@ class RecommendationService {
   /// the read paths consult. Published as `shared_ptr<const TrainedState>`
   /// and never mutated afterwards, so any reader holding the pointer sees
   /// a coherent (index, vocabulary) pairing for as long as it keeps it.
+  /// A copy shares the bulky parts by pointer — knowledge-base parts,
+  /// index segments, frequency tables, catalogs, concept trie — and
+  /// copies only flat per-node arrays, so a confirm successor costs one
+  /// part's rebuild, not the whole model's.
   struct TrainedState {
     /// Globally unique publish id (monotone across all service
     /// instances); 0 is reserved for the untrained empty state.
@@ -104,14 +108,13 @@ class RecommendationService {
     /// taxonomy as it was then, and shared by pointer with every confirm
     /// successor and reader extractor of this model.
     std::shared_ptr<const tax::ConceptTrie> concepts;
-    /// Description catalogs, also pre-packed as a kb::Corpus so the
-    /// Recommend path composes documents without copying a map per query.
-    std::map<std::string, std::string> part_descriptions;
-    std::map<std::string, std::string> error_descriptions;
-    kb::Corpus compose_context;
+    /// Part and error-code description catalogs, read by every
+    /// ComposeDocument of this model and shared by pointer with its
+    /// confirm successors.
+    kb::DescriptionCatalog compose_context;
     /// Codes defined through the UI after training (frequency 0).
     std::map<std::string, std::vector<std::string>> manual_codes;
-    /// Cluster merge ordinals, parallel to `knowledge.nodes()`: the node's
+    /// Cluster merge ordinals, parallel to the knowledge nodes: the node's
     /// position in the *global* (all-shards) insertion order. On a shard
     /// that owns only a slice, local node indices are not comparable across
     /// shards, but ordinals are — the scatter-gather merge breaks score
@@ -292,9 +295,9 @@ class RecommendationService {
   /// synchronized: call only while no writer is active.
   const kb::KnowledgeBase& knowledge() const { return Snapshot()->knowledge; }
 
-  /// The frozen CSR index currently serving (rebuilt on every successful
-  /// Train / Retrain / ConfirmAssignment). Same synchronization caveat as
-  /// knowledge().
+  /// The frozen CSR index currently serving (built by every successful
+  /// Train / Retrain; a ConfirmAssignment rebuilds the confirmed part's
+  /// segment only). Same synchronization caveat as knowledge().
   const kb::FrozenIndex& frozen_index() const { return Snapshot()->index; }
 
   /// The current published snapshot. Takes the (tiny) snapshot mutex, so

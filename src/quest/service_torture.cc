@@ -172,23 +172,25 @@ std::string Fingerprint(const RecommendationService& service) {
     fp += word + "=" + std::to_string(id) + "\n";
   }
   fp += "nodes:\n";
-  for (const kb::KnowledgeNode& node : state->knowledge.nodes()) {
-    fp += node.part_id + "|" + node.error_code + "|";
-    for (int64_t f : node.features) fp += std::to_string(f) + ",";
-    fp += "|" + std::to_string(node.instance_count) + "\n";
+  for (const kb::KnowledgeNode* node : state->knowledge.AllNodes()) {
+    fp += node->part_id + "|" + node->error_code + "|";
+    for (int64_t f : node->features) fp += std::to_string(f) + ",";
+    fp += "|" + std::to_string(node->instance_count) + "\n";
   }
   fp += "frequency:\n";
   for (const auto& [part, codes] : state->frequency.counts()) {
-    for (const auto& [code, count] : codes) {
+    for (const auto& [code, count] : *codes) {
       fp += part + "|" + code + "|" + std::to_string(count) + "\n";
     }
   }
   fp += "parts:\n";
-  for (const auto& [key, value] : state->part_descriptions) {
+  for (const auto& [key, value] :
+       state->compose_context.part_descriptions()) {
     fp += key + "=" + value + "\n";
   }
   fp += "errors:\n";
-  for (const auto& [key, value] : state->error_descriptions) {
+  for (const auto& [key, value] :
+       state->compose_context.error_descriptions()) {
     fp += key + "=" + value + "\n";
   }
   fp += "manual:\n";

@@ -89,15 +89,22 @@ TEST(FrozenIndexTest, SnapshotsNodesAndArena) {
   EXPECT_EQ(index.node_error_code(1), "E1");
   // Equal codes intern to equal ids across nodes.
   EXPECT_EQ(index.node_code_id(0), index.node_code_id(2));
-  auto [begin, end] = index.node_features(0);
-  EXPECT_EQ(std::vector<int64_t>(begin, end),
-            (std::vector<int64_t>{3, 7, 9}));
+  EXPECT_EQ(index.node_feature_count(1), 1u);
   EXPECT_TRUE(index.HasPart("P1"));
   EXPECT_FALSE(index.HasPart("P2"));
-  // Flat arrays: 2 part ranges (32 B); per-part and all-parts CSRs with
-  // 3 rows, 4 offsets and 4 postings each (2 x 72 B); 3 code ids (12 B);
-  // 4 node offsets and 4 arena features (64 B).
-  EXPECT_EQ(index.memory_bytes(), 252u);
+  // P0's segment posts features 3, 7, 9 -> {0}, {0, 1}, {0}; P1's node has
+  // no features, so its segment is empty but present.
+  const FrozenIndex::Segment* p0 = index.FindSegment("P0");
+  ASSERT_NE(p0, nullptr);
+  EXPECT_EQ(p0->feature_ids, (std::vector<int64_t>{3, 7, 9}));
+  EXPECT_EQ(p0->offsets, (std::vector<uint32_t>{0, 1, 3, 4}));
+  EXPECT_EQ(p0->postings, (std::vector<uint32_t>{0, 0, 1, 0}));
+  ASSERT_NE(index.FindSegment("P1"), nullptr);
+  EXPECT_TRUE(index.FindSegment("P1")->feature_ids.empty());
+  EXPECT_EQ(index.FindSegment("P2"), nullptr);
+  // Flat arrays: P0's segment (3 rows = 24 B, 4 offsets = 16 B, 4 postings
+  // = 16 B), P1's (1 offset = 4 B), 3 code ids and 3 node sizes (24 B).
+  EXPECT_EQ(index.memory_bytes(), 84u);
 }
 
 TEST(FrozenIndexTest, KnownPartWithoutSharedFeatureIsEmptyNotAllNodes) {

@@ -242,5 +242,136 @@ TEST(IndexedBruteEquivalenceTest, UnknownPartFillsZeroTailInNodeOrder) {
   EXPECT_EQ(scratch.heap.back().second, 12u);
 }
 
+/// One published model in a confirm sequence: the knowledge base and the
+/// index served with it.
+struct Published {
+  kb::KnowledgeBase knowledge;
+  kb::FrozenIndex index;
+};
+
+/// The confirm step of the service: copy the published model (sharing
+/// every part), add the instance, rebuild the one touched part's segment.
+Published Confirm(const Published& current, const std::string& part_id,
+                  const std::string& code, std::vector<int64_t> features) {
+  Published next = current;
+  next.knowledge.AddInstance(part_id, code, std::move(features));
+  next.index.RebuildPart(next.knowledge, part_id);
+  return next;
+}
+
+/// The served index must be indistinguishable from a from-scratch Build
+/// of the same knowledge base, and both must match brute force.
+void ExpectServedMatchesRebuild(const Published& served,
+                                kb::FrozenIndex::Scratch* scratch,
+                                const std::vector<std::string>& part_ids,
+                                const std::vector<std::vector<int64_t>>& probes) {
+  const kb::FrozenIndex rebuilt = kb::FrozenIndex::Build(served.knowledge);
+  ASSERT_EQ(served.index.num_nodes(), rebuilt.num_nodes());
+  ASSERT_EQ(served.index.num_parts(), rebuilt.num_parts());
+  ASSERT_EQ(served.index.num_postings(), rebuilt.num_postings());
+  ASSERT_EQ(served.index.memory_bytes(), rebuilt.memory_bytes());
+  for (const std::string& part_id : part_ids) {
+    for (const std::vector<int64_t>& features : probes) {
+      for (size_t k : {size_t{1}, size_t{5}, size_t{25},
+                       served.index.num_nodes() + 1}) {
+        ExpectIndexedMatchesBrute(served.knowledge, served.index, scratch,
+                                  part_id, features, k);
+        for (core::SimilarityMeasure measure : kAllMeasures) {
+          core::RankedKnnClassifier classifier({measure, k});
+          kb::FrozenIndex::Scratch fresh;
+          ExpectSameRanking(
+              classifier.Classify(rebuilt, part_id, features, &fresh),
+              classifier.Classify(served.index, part_id, features, scratch),
+              measure, k);
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+/// Seeded confirm sequences over adversarial corpora: every step is a new
+/// node, a merge into an existing node, a new part, a new code or an
+/// empty feature set. After each step the served (incrementally rebuilt)
+/// index answers every probe — known parts, unknown parts, k past the
+/// touched set — exactly like a from-scratch Build and like brute force,
+/// and the predecessor it was copied from still answers as it did.
+TEST(IndexedBruteEquivalenceTest, ConfirmSequencesMatchFromScratchBuild) {
+  Rng rng(0xC0F1A5EEDULL);
+  kb::FrozenIndex::Scratch scratch;  // Deliberately shared across models.
+  const size_t kSequences = 24;
+  const size_t kSteps = 12;
+  for (size_t s = 0; s < kSequences; ++s) {
+    const size_t num_parts = 1 + rng.NextBounded(4);
+    size_t num_codes = 1 + rng.NextBounded(6);
+    const int64_t feature_domain =
+        2 + static_cast<int64_t>(rng.NextBounded(11));
+    Published current;
+    const size_t num_instances = rng.NextBounded(60);  // 0 = empty base.
+    for (size_t i = 0; i < num_instances; ++i) {
+      current.knowledge.AddInstance(
+          "P" + std::to_string(rng.NextBounded(num_parts)),
+          "E" + std::to_string(rng.NextBounded(num_codes)),
+          RandomFeatureSet(&rng, 8, feature_domain));
+    }
+    current.index = kb::FrozenIndex::Build(current.knowledge);
+    size_t extra_parts = 0;
+
+    for (size_t step = 0; step < kSteps; ++step) {
+      std::string part_id =
+          "P" + std::to_string(rng.NextBounded(num_parts + extra_parts));
+      std::string code = "E" + std::to_string(rng.NextBounded(num_codes));
+      std::vector<int64_t> features =
+          RandomFeatureSet(&rng, 8, feature_domain);
+      switch (step % 5) {
+        case 0:  // New node: a feature no node has yet.
+          features.push_back(feature_domain + static_cast<int64_t>(step));
+          break;
+        case 1:  // Merge: repeat an existing configuration verbatim.
+          if (current.knowledge.num_nodes() > 0) {
+            const kb::KnowledgeNode& node = current.knowledge.node(
+                rng.NextBounded(current.knowledge.num_nodes()));
+            part_id = node.part_id;
+            code = node.error_code;
+            features = node.features;
+          }
+          break;
+        case 2:  // New part.
+          part_id = "P" + std::to_string(num_parts + extra_parts++);
+          break;
+        case 3:  // New code.
+          code = "E" + std::to_string(num_codes++);
+          break;
+        case 4:  // Empty feature set.
+          features.clear();
+          break;
+      }
+      const size_t nodes_before = current.knowledge.num_nodes();
+      Published next = Confirm(current, part_id, code, features);
+      if (step % 5 == 1 && nodes_before > 0) {
+        ASSERT_EQ(next.knowledge.num_nodes(), nodes_before) << "no merge";
+      }
+
+      std::vector<std::string> part_ids = {"GHOST"};
+      for (size_t p = 0; p < num_parts + extra_parts; ++p) {
+        part_ids.push_back("P" + std::to_string(p));
+      }
+      std::vector<std::vector<int64_t>> probes = {{}, features};
+      for (int p = 0; p < 3; ++p) {
+        probes.push_back(RandomFeatureSet(&rng, 6, feature_domain + 12));
+      }
+      ExpectServedMatchesRebuild(next, &scratch, part_ids, probes);
+      // The predecessor shares all but one part with `next`; it must not
+      // have seen the confirm.
+      ExpectServedMatchesRebuild(current, &scratch, part_ids, probes);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "sequence " << s << " step " << step << " (kind "
+               << step % 5 << ", part " << part_id << ") diverged";
+      }
+      current = std::move(next);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qatk

@@ -240,7 +240,7 @@ TEST(KnowledgeBaseTest, IdenticalConfigurationsMerge) {
   knowledge.AddInstance("P1", "E1", {1, 2, 4});
   EXPECT_EQ(knowledge.num_nodes(), 2u);
   EXPECT_EQ(knowledge.num_instances(), 3u);
-  EXPECT_EQ(knowledge.nodes()[0].instance_count, 2u);
+  EXPECT_EQ(knowledge.node(0).instance_count, 2u);
 }
 
 TEST(KnowledgeBaseTest, DifferentCodesSameFeaturesStayDistinct) {

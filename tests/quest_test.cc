@@ -282,6 +282,90 @@ TEST_F(RecommendationServiceTest, ConfirmAssignmentLearnsOnline) {
   EXPECT_TRUE(found);
 }
 
+/// The per-part sharing contract of a confirm: Train builds one index
+/// segment per part, a confirm builds at most one (its own part's), and
+/// every other segment and knowledge-base part of the successor is the
+/// predecessor's, by pointer. No confirm rebuilds the concept trie.
+TEST_F(RecommendationServiceTest, ConfirmRebuildsOnlyItsOwnPart) {
+  RecommendationService service(&world_.taxonomy(), {});
+  const uint64_t builds_before_train = kb::FrozenIndex::SegmentBuildsForTest();
+  ASSERT_TRUE(service.Train(corpus_).ok());
+  auto trained = service.Snapshot();
+  ASSERT_GT(trained->knowledge.num_parts(), 2u);
+  EXPECT_EQ(kb::FrozenIndex::SegmentBuildsForTest() - builds_before_train,
+            trained->knowledge.num_parts());
+  const uint64_t trie_builds = tax::ConceptTrie::BuildsForTest();
+
+  // Every part of `after` except `confirmed` is shared with `before`.
+  auto expect_shared_except = [](const RecommendationService::TrainedState&
+                                     before,
+                                 const RecommendationService::TrainedState&
+                                     after,
+                                 const std::string& confirmed) {
+    for (size_t p = 0; p < before.knowledge.num_parts(); ++p) {
+      const std::string& part_id = before.knowledge.part(p).part_id;
+      const bool shared = part_id != confirmed;
+      EXPECT_EQ(shared, before.index.FindSegment(part_id) ==
+                            after.index.FindSegment(part_id))
+          << "segment of " << part_id;
+      EXPECT_EQ(shared, &before.knowledge.part(p) == &after.knowledge.part(p))
+          << "knowledge part " << part_id;
+    }
+  };
+
+  // A confirm into a known part: one segment build, all others shared.
+  kb::DataBundle novel;
+  novel.reference_number = "SHARE1";
+  novel.part_id = corpus_.bundles[0].part_id;
+  novel.mechanic_report = corpus_.bundles[0].mechanic_report;
+  uint64_t builds = kb::FrozenIndex::SegmentBuildsForTest();
+  ASSERT_TRUE(service.ConfirmAssignment(novel, "E_SHARE").ok());
+  EXPECT_LE(kb::FrozenIndex::SegmentBuildsForTest() - builds, 1u);
+  auto confirmed = service.Snapshot();
+  expect_shared_except(*trained, *confirmed, novel.part_id);
+
+  // A confirm into a new part adds one segment and shares every old one.
+  kb::DataBundle fresh = novel;
+  fresh.reference_number = "SHARE2";
+  fresh.part_id = "P_BRAND_NEW";
+  builds = kb::FrozenIndex::SegmentBuildsForTest();
+  ASSERT_TRUE(service.ConfirmAssignment(fresh, "E_SHARE").ok());
+  EXPECT_EQ(kb::FrozenIndex::SegmentBuildsForTest() - builds, 1u);
+  auto extended = service.Snapshot();
+  EXPECT_EQ(extended->index.num_parts(), confirmed->index.num_parts() + 1);
+  EXPECT_TRUE(extended->index.HasPart(fresh.part_id));
+  expect_shared_except(*confirmed, *extended, fresh.part_id);
+
+  EXPECT_EQ(tax::ConceptTrie::BuildsForTest(), trie_builds);
+  // The predecessors still answer exactly as before their successors
+  // existed: shared pieces were never written through.
+  EXPECT_FALSE(trained->index.HasPart(fresh.part_id));
+  EXPECT_EQ(trained->index.num_nodes(), trained->knowledge.num_nodes());
+  EXPECT_EQ(confirmed->index.num_nodes(), confirmed->knowledge.num_nodes());
+}
+
+/// A rejected definition publishes nothing: no new generation, so no
+/// reader has to refresh its snapshot.
+TEST_F(RecommendationServiceTest, RejectedDefineErrorCodePublishesNothing) {
+  RecommendationService service(&world_.taxonomy(), {});
+  ASSERT_TRUE(service.Train(corpus_).ok());
+  ASSERT_TRUE(service.DefineErrorCode("P01", "E_ONCE", "first").ok());
+  ASSERT_TRUE(service.Recommend(corpus_.bundles[0]).ok());
+  const uint64_t generation = service.Snapshot()->generation;
+  const uint64_t refreshes = RecommendationService::ReaderRefreshesForTest();
+
+  EXPECT_TRUE(
+      service.DefineErrorCode("P01", "E_ONCE", "first").IsAlreadyExists());
+  EXPECT_TRUE(
+      service.DefineErrorCode("P02", "E_ONCE", "other").IsAlreadyExists());
+  const std::string ranked = service.FullListForPart("P01")[0].error_code;
+  EXPECT_TRUE(service.DefineErrorCode("P01", ranked, "x").IsAlreadyExists());
+
+  EXPECT_EQ(service.Snapshot()->generation, generation);
+  ASSERT_TRUE(service.Recommend(corpus_.bundles[0]).ok());
+  EXPECT_EQ(RecommendationService::ReaderRefreshesForTest(), refreshes);
+}
+
 TEST_F(RecommendationServiceTest, ConfirmAssignmentValidates) {
   RecommendationService untrained(&world_.taxonomy(), {});
   kb::DataBundle bundle;

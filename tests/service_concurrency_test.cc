@@ -342,9 +342,8 @@ TEST_F(ServiceConcurrencyTest, ServedTrieIsPinnedToItsSnapshot) {
   kb::FeatureVocabulary vocabulary;
   kb::FeatureExtractor extractor(kb::FeatureModel::kBagOfConcepts,
                                  &taxonomy, &vocabulary);
-  for (const kb::KnowledgeNode& node : knowledge.nodes()) {
-    if (node.part_id != part_id) continue;
-    for (int64_t id : node.features) {
+  for (const kb::KnowledgeNode* node : knowledge.NodesForPart(part_id)) {
+    for (int64_t id : node->features) {
       auto cpt = taxonomy.Find(id);
       ASSERT_TRUE(cpt.ok());
       for (const auto& [lang, surfaces] : (*cpt)->synonyms) {

@@ -90,10 +90,10 @@ std::string Fingerprint(const RecommendationService& service) {
     fp += word + "=" + std::to_string(id) + ";";
   }
   fp += "\n";
-  for (const kb::KnowledgeNode& node : state->knowledge.nodes()) {
-    fp += node.part_id + "|" + node.error_code + "|";
-    for (int64_t f : node.features) fp += std::to_string(f) + ",";
-    fp += "|" + std::to_string(node.instance_count) + "\n";
+  for (const kb::KnowledgeNode* node : state->knowledge.AllNodes()) {
+    fp += node->part_id + "|" + node->error_code + "|";
+    for (int64_t f : node->features) fp += std::to_string(f) + ",";
+    fp += "|" + std::to_string(node->instance_count) + "\n";
   }
   for (const auto& [part, codes] : state->frequency.counts()) {
     (void)codes;
@@ -119,7 +119,8 @@ std::string Fingerprint(const RecommendationService& service) {
       fp += "\n";
     }
   }
-  for (const auto& [key, value] : state->error_descriptions) {
+  for (const auto& [key, value] :
+       state->compose_context.error_descriptions()) {
     fp += key + "=" + value + ";";
   }
   for (const auto& [part, codes] : state->manual_codes) {
