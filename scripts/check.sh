@@ -21,9 +21,10 @@
 #                           bench_serving_load --quick in-process (wire
 #                           responses must be bit-identical to direct
 #                           Recommend calls; shed/drain/fault gates), then
-#                           a real qatk_serve process on an ephemeral port,
-#                           the bench replayed against it over TCP, and a
-#                           SIGTERM drain that must exit 0. Writes
+#                           a real qatk_serve process with four event loops
+#                           (four SO_REUSEPORT listeners) on an ephemeral
+#                           port, the bench replayed against it over TCP,
+#                           and a SIGTERM drain that must exit 0. Writes
 #                           BENCH_serving.json at the repo root.
 #   5. obs                — observability hardening: the obs / fuzz /
 #                           golden-frame test binaries rerun under both
@@ -145,9 +146,11 @@ for STAGE in "${STAGES[@]}"; do
     "${BUILD_DIR}/bench/bench_serving_load" --quick --out=BENCH_serving.json
     # Cross-process: a real qatk_serve (independent training of the same
     # deterministic corpus), the bench replayed over TCP, SIGTERM drain.
+    # Four loops, so the replay and the drain run against four listeners.
     PORT_FILE="$(mktemp)"
     rm -f "${PORT_FILE}"
-    "${BUILD_DIR}/src/server/qatk_serve" --port=0 --port-file="${PORT_FILE}" &
+    "${BUILD_DIR}/src/server/qatk_serve" --port=0 --threads=4 \
+      --port-file="${PORT_FILE}" &
     SERVE_PID=$!
     for _ in $(seq 1 600); do
       [[ -f "${PORT_FILE}" ]] && break

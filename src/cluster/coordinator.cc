@@ -178,9 +178,9 @@ Response Coordinator::RouteQuery(const Request& request,
   obs::ScopedTimer fanout_span(fanout_us_);
   using ShardPartial = quest::RecommendationService::ShardPartial;
   std::vector<ShardPartial> partials;
-  // Round 1: probe the owner alone. Stateless sharders make ownership a
-  // pure function of the part id, so a trained part is fully answered by
-  // one shard — the common case costs one RPC, not a fan-out.
+  // Round 1: probe the owner alone. Every sharder makes ownership a pure
+  // function of the part id, so a trained part is fully answered by one
+  // shard — the common case costs one RPC, not a fan-out.
   const uint32_t owner = sharder_->ShardFor(part_id);
   params.Set("fallback", Json(false));
   Result<Response> probe = CallShard(owner, shard_method, params);

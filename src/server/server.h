@@ -82,18 +82,15 @@ class ServiceRequestHandler : public RequestHandler {
 /// Threading model: `threads` event loops, each owning a private epoll
 /// instance and the connections assigned to it — a connection is touched
 /// by exactly one thread for its whole life, so per-connection state needs
-/// no locks. Accept layout (DESIGN.md §12): with `reuse_port` (the
-/// default) every loop binds its own SO_REUSEPORT listening socket on the
-/// same port and accepts directly into itself — the kernel spreads
-/// connections across loops and no cross-thread handoff happens at all.
-/// When SO_REUSEPORT is unavailable (old kernels) or disabled, the server
-/// falls back to the legacy layout: loop 0 owns the single listener and
-/// deals accepted connections round-robin to all loops through a small
-/// mutex-guarded inbox + eventfd wakeup. Requests execute inline on the
-/// loop thread (the service's Recommend path is lock-free per thread),
-/// and all responses produced by one readable event are encoded into a
-/// loop-local scratch buffer and flushed with one write — request
-/// batching amortizes syscalls, wakeups, and allocations.
+/// no locks. Accept layout (DESIGN.md §12): every loop binds its own
+/// SO_REUSEPORT listening socket on the same port and accepts directly
+/// into itself — the kernel spreads connections across loops and no
+/// cross-thread handoff happens at all. Start fails if SO_REUSEPORT or any
+/// bind is refused; there is no other accept path. Requests execute
+/// inline on the loop thread (the service's Recommend path is lock-free
+/// per thread), and all responses produced by one readable event are
+/// encoded into a loop-local scratch buffer and flushed with one write —
+/// request batching amortizes syscalls, wakeups, and allocations.
 ///
 /// Backpressure contract:
 ///  * Reads are bounded by the frame cap: a connection buffering more
@@ -119,14 +116,12 @@ class Server {
  public:
   struct Options {
     std::string host = "127.0.0.1";
-    /// 0 picks an ephemeral port; read the choice back via port().
+    /// 0 picks an ephemeral port; read the choice back via port(). A
+    /// fixed port that another listener already holds fails Start with
+    /// "port in use" rather than sharing the port with that server.
     uint16_t port = 0;
-    /// Event-loop threads.
+    /// Event-loop threads, each with its own SO_REUSEPORT listener.
     size_t threads = 1;
-    /// Per-loop SO_REUSEPORT accept sockets (see class comment). On by
-    /// default; turned off — or unsupported by the kernel — the server
-    /// uses the legacy loop-0 listener with round-robin dealing.
-    bool reuse_port = true;
     /// Admission-control cap (see class comment).
     size_t max_in_flight = 1024;
     size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -166,6 +161,8 @@ class Server {
   /// returns OK, every loop's listener is bound and accepting (connections
   /// land in the kernel backlog at worst) and every event-loop thread is
   /// running — a port number published after Start is immediately usable.
+  /// On error no thread runs and the fds opened so far close with the
+  /// Server.
   Status Start();
 
   /// The bound port (valid after Start), host order.

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -20,6 +26,7 @@
 #include "core/classifier.h"
 #include "datagen/oem.h"
 #include "datagen/world.h"
+#include "hostile_text.h"
 #include "kb/data_bundle.h"
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
@@ -715,6 +722,127 @@ TEST_F(ClusterWireTest, CoordinatorSurvivesAShardRestart) {
     ExpectMatchesReference(static_cast<int64_t>(100 + i), "Recommend",
                            server::BundleToParams(corpus_->bundles[i]));
   }
+}
+
+/// Sends `payload`, which is larger than the frame cap, on a fresh
+/// connection to `port`. The server must answer with the oversized-frame
+/// error (id 0, kInvalid) and then close the connection.
+void ExpectOversizedFrameRefused(uint16_t port, std::string_view payload) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string frame;
+  server::AppendFrame(payload, &frame);
+  // The server answers from the length prefix alone and closes while the
+  // rest is still arriving, so the send may stop at EPIPE or ECONNRESET;
+  // MSG_NOSIGNAL keeps that from raising SIGPIPE.
+  size_t sent = 0;
+  while (sent < frame.size()) {
+    const ssize_t n =
+        ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;
+    }
+  }
+  std::string received;
+  server::FrameDecode decode;
+  for (;;) {
+    decode = server::DecodeFrame(received);
+    if (decode.state != server::FrameDecode::State::kNeedMore) break;
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    received.append(buf, static_cast<size_t>(n));
+  }
+  ASSERT_EQ(decode.state, server::FrameDecode::State::kFrame)
+      << "no answer to the oversized frame";
+  auto response = server::ParseResponse(decode.payload);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->id, 0);
+  EXPECT_EQ(response->code, StatusCode::kInvalid);
+  EXPECT_NE(response->message.find("exceeds the " +
+                                   std::to_string(server::kDefaultMaxFrameBytes) +
+                                   "-byte cap"),
+            std::string::npos)
+      << response->message;
+  // Nothing follows the answer: the next read sees the close.
+  char byte;
+  EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+}
+
+TEST_F(ClusterWireTest, HostileReportTextOverTheWire) {
+  // Every hostile document through RecommendForText, once to a single-node
+  // server and once through a 3-shard coordinator. A document whose
+  // request fits one frame is answered byte for byte like the in-process
+  // call; the 1 MiB report does not fit and gets the oversized-frame
+  // answer and a close, while the serving connection stays usable.
+  StartCluster(3);
+  server::Server single(reference_,
+                        server::Server::Options{.port = 0, .threads = 1});
+  ASSERT_TRUE(single.Start().ok());
+  const std::vector<std::string> docs =
+      hostile::HostileDocuments(world_->taxonomy());
+  const std::string known_part = corpus_->bundles[0].part_id;
+  const std::pair<const char*, server::Server*> endpoints[] = {
+      {"single node", &single}, {"3-shard coordinator", front_.get()}};
+  for (const auto& [name, endpoint] : endpoints) {
+    SCOPED_TRACE(name);
+    server::Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", endpoint->port()).ok());
+    size_t oversized = 0;
+    for (size_t i = 0; i < docs.size(); ++i) {
+      // Alternate a trained part with an unknown one, whose answer is the
+      // all-parts fallback (a scatter to every shard in the cluster).
+      const std::string part =
+          i % 2 == 0 ? known_part : "ZZ-UNKNOWN-HOSTILE";
+      Json params = Json::Object();
+      params.Set("part_id", Json(part));
+      params.Set("text", Json(docs[i]));
+      const int64_t id = static_cast<int64_t>(i) + 1;
+      const std::string payload =
+          server::EncodeRequest(id, "RecommendForText", params);
+      if (payload.size() > server::kDefaultMaxFrameBytes) {
+        ++oversized;
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectOversizedFrameRefused(endpoint->port(), payload))
+            << "document " << i << " (" << docs[i].size() << " bytes)";
+        continue;
+      }
+      auto want = reference_->RecommendForText(part, docs[i]);
+      const std::string expected = server::EncodeResponse(
+          id, want.status(),
+          want.ok() ? server::RecommendationToJson(*want) : Json());
+      std::string frame;
+      server::AppendFrame(payload, &frame);
+      ASSERT_TRUE(client.SendRaw(frame).ok());
+      auto got = client.ReceiveFrame();
+      ASSERT_TRUE(got.ok()) << "document " << i << ": " << got.status();
+      EXPECT_EQ(*got, expected)
+          << "document " << i << " (" << docs[i].size() << " bytes)";
+    }
+    EXPECT_EQ(oversized, 1u) << "the 1 MiB report must exceed the frame cap";
+    auto health = client.Call(0, "Health", Json::Object());
+    ASSERT_TRUE(health.ok()) << health.status();
+    EXPECT_TRUE(health->ok());
+    EXPECT_EQ(endpoint->stats().protocol_errors, 1u);
+  }
+  for (const auto& shard : shard_servers_) {
+    EXPECT_EQ(shard->stats().protocol_errors, 0u);
+  }
+  EXPECT_TRUE(single.Drain().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -396,16 +400,154 @@ TEST_F(ServerTest, ForcedDrainAccountsDroppedResponsesExactlyOnce) {
 }
 
 TEST_F(ServerTest, DrainRefusesNewConnections) {
-  Start();
-  server_->RequestDrain();
-  EXPECT_TRUE(server_->Wait().ok());
-  Client late;
-  Status connected = late.Connect("127.0.0.1", server_->port());
-  if (connected.ok()) {
-    // The TCP handshake may have raced the close; the socket must be
-    // dead either way.
-    EXPECT_FALSE(late.Call(1, "Health", Json::Object()).ok());
+  // Every loop closes its own listener on drain. At 4 loops the late
+  // connects are repeated 32 times: the kernel spreads them over the
+  // listeners still open, so one left open by any loop takes them.
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Server::Options options;
+    options.threads = threads;
+    Start(options);
+    server_->RequestDrain();
+    EXPECT_TRUE(server_->Wait().ok());
+    const int late_connects = threads == 1 ? 1 : 32;
+    int connected = 0;
+    for (int i = 0; i < late_connects; ++i) {
+      Client late;
+      if (!late.Connect("127.0.0.1", server_->port(), /*timeout_ms=*/500)
+               .ok()) {
+        continue;
+      }
+      // Only a TCP self-connect onto the freed ephemeral port gets here
+      // when every listener is closed; the socket must be dead either way.
+      ++connected;
+      EXPECT_FALSE(late.Call(1, "Health", Json::Object()).ok());
+    }
+    EXPECT_LE(connected, 1);
   }
+}
+
+/// Open file descriptors of this process, ascending.
+std::vector<int> OpenFds() {
+  std::vector<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  const int own = ::dirfd(dir);
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const int fd = std::atoi(entry->d_name);
+    if (fd != own) fds.push_back(fd);
+  }
+  ::closedir(dir);
+  std::sort(fds.begin(), fds.end());
+  return fds;
+}
+
+TEST_F(ServerTest, FixedPortIsRefusedWhileAnotherServerHoldsIt) {
+  // Every listener sets SO_REUSEPORT, so without the plain-bind check a
+  // second server would join the first one's port group and the kernel
+  // would split new connections between the two.
+  Start();
+  Server::Options options;
+  options.port = server_->port();
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    Server second(service_, options);
+    const Status started = second.Start();
+    EXPECT_TRUE(started.IsIOError()) << started;
+    EXPECT_NE(started.message().find("port in use"), std::string::npos)
+        << started;
+  }
+  // The first server keeps answering, on its old connection and new ones.
+  auto health = client_.Call(1, "Health", Json::Object());
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_TRUE(health->ok());
+  for (int i = 0; i < 8; ++i) {
+    Client other;
+    ASSERT_TRUE(other.Connect("127.0.0.1", server_->port()).ok());
+    auto answer = other.Call(i, "Health", Json::Object());
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_TRUE(answer->ok());
+  }
+  // Once the first server has drained, the port is free again: the
+  // drained server closed its connections first, and its side of each
+  // sits in TIME_WAIT on the port, which must not count as "in use".
+  ASSERT_TRUE(server_->Drain().ok());
+  client_.Close();
+  server_ = std::make_unique<Server>(service_, options);
+  const Status restarted = server_->Start();
+  ASSERT_TRUE(restarted.ok()) << restarted;
+  ASSERT_TRUE(client_.Connect("127.0.0.1", options.port).ok());
+  auto again = client_.Call(9, "Health", Json::Object());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->ok());
+}
+
+TEST_F(ServerTest, StartFailsOnAPortHeldWithoutReusePort) {
+  // A plain listener (no SO_REUSEPORT) owns the port; no listener of ours
+  // can share it, so Start must fail, and a Server that never started
+  // must destroy without hanging and without keeping an fd open.
+  const int holder = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 8), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::vector<int> fds_before = OpenFds();
+    {
+      Server::Options options;
+      options.port = ntohs(addr.sin_port);
+      options.threads = threads;
+      Server server(service_, options);
+      const Status started = server.Start();
+      EXPECT_TRUE(started.IsIOError()) << started;
+    }
+    EXPECT_EQ(OpenFds(), fds_before);
+  }
+  ::close(holder);
+}
+
+TEST_F(ServerTest, StartFailingAtALaterLoopClosesEveryFd) {
+  // Each loop opens a listener, an epoll instance and an eventfd. With
+  // room for exactly seven more descriptors, loops 0 and 1 set up fully
+  // and loop 2 fails right after its listener: Start fails with fds open
+  // on three loops, and destroying the Server must close all of them.
+  const std::vector<int> fds_before = OpenFds();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  // The smallest limit with exactly seven free descriptor numbers below it.
+  rlim_t limit = 0;
+  for (;; ++limit) {
+    const auto below = static_cast<rlim_t>(
+        std::lower_bound(fds_before.begin(), fds_before.end(),
+                         static_cast<int>(limit)) -
+        fds_before.begin());
+    if (limit - below == 7) break;
+  }
+  ASSERT_LE(limit, saved.rlim_cur);
+  rlimit tight = saved;
+  tight.rlim_cur = limit;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  Status started;
+  {
+    Server::Options options;  // Port 0: no port check, no extra fd.
+    options.threads = 4;
+    Server server(service_, options);
+    started = server.Start();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_TRUE(started.IsIOError()) << started;
+  EXPECT_EQ(OpenFds(), fds_before);
 }
 
 TEST_F(ServerTest, ConcurrentClientsAcrossTwoLoops) {
@@ -438,51 +580,6 @@ TEST_F(ServerTest, ConcurrentClientsAcrossTwoLoops) {
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(kClients * kPerClient));
   EXPECT_EQ(stats.responses_ok, static_cast<uint64_t>(kClients * kPerClient));
   EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kClients) + 1);
-}
-
-TEST_F(ServerTest, LegacyAcceptModeStillServesAcrossLoops) {
-  // reuse_port=false forces the loop-0 listener + inbox dealing path that
-  // remains the fallback for kernels without SO_REUSEPORT; it must stay
-  // fully functional and be visible in Health.
-  Server::Options options;
-  options.threads = 2;
-  options.reuse_port = false;
-  Start(options);
-  auto health = client_.Call(1, "Health", Json::Object());
-  ASSERT_TRUE(health.ok()) << health.status();
-  EXPECT_FALSE(health->result.GetBool("reuse_port", true));
-
-  constexpr int kClients = 3;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([this, c, &failures] {
-      Client client;
-      if (!client.Connect("127.0.0.1", server_->port()).ok()) {
-        failures.fetch_add(100);
-        return;
-      }
-      for (int i = 0; i < 10; ++i) {
-        const kb::DataBundle& bundle =
-            corpus_->bundles[(c * 10 + i) % corpus_->bundles.size()];
-        auto response = client.Call(i, "Recommend", BundleToParams(bundle));
-        if (!response.ok() || !response->ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : clients) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST_F(ServerTest, HealthReportsReusePortAcceptByDefault) {
-  Server::Options options;
-  options.threads = 2;
-  Start(options);
-  auto health = client_.Call(1, "Health", Json::Object());
-  ASSERT_TRUE(health.ok()) << health.status();
-  // Linux >= 3.9 everywhere we run; a kernel-level fallback would flip
-  // this to false without failing the test elsewhere.
-  EXPECT_TRUE(health->result.GetBool("reuse_port", false));
 }
 
 // ---------------------------------------------------------------------------
