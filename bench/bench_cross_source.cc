@@ -11,6 +11,7 @@
 // BoC retains most of its accuracy.
 
 #include <cstdio>
+#include <memory>
 
 #include "common/strutil.h"
 #include "core/classifier.h"
@@ -48,20 +49,23 @@ int main() {
 
   for (FeatureModel model :
        {FeatureModel::kBagOfWords, FeatureModel::kBagOfConcepts}) {
+    const std::shared_ptr<const qatk::tax::ConceptTrie> concepts =
+        qatk::kb::BuildConcepts(model, &world.taxonomy());
     qatk::kb::FeatureVocabulary vocabulary;
-    qatk::kb::FeatureExtractor extractor(model, &world.taxonomy(),
-                                         &vocabulary);
+    qatk::kb::FeatureExtractor train_extractor(model, concepts, &vocabulary);
     qatk::kb::KnowledgeBase knowledge;
     // Hold out every 5th bundle as the in-domain test set.
     for (size_t i = 0; i < learnable.size(); ++i) {
       if (i % 5 == 0) continue;
-      auto features = extractor.Extract(qatk::kb::ComposeDocument(
+      auto features = train_extractor.Extract(qatk::kb::ComposeDocument(
           *learnable[i], qatk::kb::kTrainSources, corpus));
       features.status().Abort();
       knowledge.AddInstance(learnable[i]->part_id, learnable[i]->error_code,
                             features.MoveValueUnsafe());
     }
-    extractor.set_frozen_vocabulary(true);
+    // The test phase looks words up and never interns.
+    const qatk::kb::FeatureVocabulary& frozen = vocabulary;
+    qatk::kb::FeatureExtractor extractor(model, concepts, &frozen);
     qatk::core::RankedKnnClassifier classifier;
 
     SourceAccuracy acc;

@@ -18,7 +18,9 @@
 #                           brute force. Writes BENCH_knn.json at the
 #                           repo root.
 #   4. serve              — Release build of the epoll serving stack:
-#                           bench_serving_load --quick in-process (wire
+#                           qatk_serve --port=abc and --port=70000 must
+#                           each exit 2 (refused before training starts),
+#                           then bench_serving_load --quick in-process (wire
 #                           responses must be bit-identical to direct
 #                           Recommend calls; shed/drain/fault gates), then
 #                           a real qatk_serve process with four event loops
@@ -141,6 +143,18 @@ for STAGE in "${STAGES[@]}"; do
     echo "=== serve smoke: bench_serving_load + qatk_serve drain (build: ${BUILD_DIR}) ==="
     cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_serving_load qatk_serve
+    # A malformed or out-of-range numeric flag is refused with exit 2
+    # before training or any event loop starts: not an uncaught exception
+    # (exit 134), and no port wrapped into 16 bits (70000 -> 4464).
+    for BAD_FLAG in --port=abc --port=70000; do
+      STATUS=0
+      timeout 60 "${BUILD_DIR}/src/server/qatk_serve" "${BAD_FLAG}" \
+        2>/dev/null || STATUS=$?
+      if [[ "${STATUS}" -ne 2 ]]; then
+        echo "qatk_serve ${BAD_FLAG} exited ${STATUS}, want 2" >&2
+        exit 1
+      fi
+    done
     # In-process gates: bit-identical wire responses over every held-out
     # bundle, deterministic shedding, zero-drop drain, fault schedules.
     "${BUILD_DIR}/bench/bench_serving_load" --quick --out=BENCH_serving.json

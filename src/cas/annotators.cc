@@ -20,32 +20,4 @@ Status TokenizerAnnotator::Process(Cas* cas) {
   return Status::OK();
 }
 
-Status LanguageAnnotator::Process(Cas* cas) {
-  text::Language lang = detector_.Detect(cas->document());
-  cas->SetMeta(types::kMetaLanguage, text::LanguageToString(lang));
-  return Status::OK();
-}
-
-Status StemmerAnnotator::Process(Cas* cas) {
-  text::Language lang = text::Language::kUnknown;
-  std::string_view code = cas->GetMeta(types::kMetaLanguage);
-  if (code == "de") lang = text::Language::kGerman;
-  else if (code == "en") lang = text::Language::kEnglish;
-  for (Annotation* token : cas->SelectMutable(types::kToken)) {
-    if (token->GetString(types::kFeatureKind) != "word") continue;
-    token->string_features[types::kFeatureStem] = stemmer_.Stem(
-        token->GetString(types::kFeatureNorm), lang);
-  }
-  return Status::OK();
-}
-
-Status StopwordAnnotator::Process(Cas* cas) {
-  for (Annotation* token : cas->SelectMutable(types::kToken)) {
-    if (token->GetString(types::kFeatureKind) != "word") continue;
-    bool stop = filter_.IsStopword(token->GetString(types::kFeatureNorm));
-    token->int_features[types::kFeatureStopword] = stop ? 1 : 0;
-  }
-  return Status::OK();
-}
-
 }  // namespace qatk::cas

@@ -1,13 +1,7 @@
 #ifndef QATK_CAS_ANNOTATORS_H_
 #define QATK_CAS_ANNOTATORS_H_
 
-#include <memory>
-#include <string>
-
-#include "cas/pipeline.h"
-#include "text/language.h"
-#include "text/stemmer.h"
-#include "text/stopwords.h"
+#include "cas/cas.h"
 #include "text/tokenizer.h"
 
 namespace qatk::cas {
@@ -19,54 +13,10 @@ class TokenizerAnnotator final : public Annotator {
  public:
   TokenizerAnnotator() = default;
 
-  std::string name() const override { return "Tokenizer"; }
   Status Process(Cas* cas) override;
 
  private:
   text::Tokenizer tokenizer_;
-};
-
-/// \brief Stage 2a of the paper's pipeline: language recognition. Sets the
-/// document metadata kMetaLanguage to "de", "en", or "unknown".
-class LanguageAnnotator final : public Annotator {
- public:
-  LanguageAnnotator() = default;
-
-  std::string name() const override { return "LanguageDetector"; }
-  Status Process(Cas* cas) override;
-
- private:
-  text::LanguageDetector detector_;
-};
-
-/// \brief Optional linguistic preprocessing (paper §5.2.2 / §6): flags word
-/// tokens whose folded form is a German or English stopword by setting the
-/// kFeatureStopword int feature to 1. Requires a prior TokenizerAnnotator.
-class StopwordAnnotator final : public Annotator {
- public:
-  StopwordAnnotator() = default;
-
-  std::string name() const override { return "StopwordFilter"; }
-  Status Process(Cas* cas) override;
-
- private:
-  text::StopwordFilter filter_;
-};
-
-/// \brief Language-specific stemming (paper §6 "more linguistic
-/// preprocessing" + §3.2 outlook on language-specific tools): writes the
-/// kFeatureStem string feature on every word token, using the document
-/// language set by a prior LanguageAnnotator (falls back to the unchanged
-/// folded form for unknown languages). Requires a prior TokenizerAnnotator.
-class StemmerAnnotator final : public Annotator {
- public:
-  StemmerAnnotator() = default;
-
-  std::string name() const override { return "Stemmer"; }
-  Status Process(Cas* cas) override;
-
- private:
-  text::Stemmer stemmer_;
 };
 
 }  // namespace qatk::cas

@@ -36,28 +36,6 @@ std::vector<const Annotation*> Cas::Select(const std::string& type) const {
   return out;
 }
 
-std::vector<Annotation*> Cas::SelectMutable(const std::string& type) {
-  std::vector<Annotation*> out;
-  auto it = annotations_.find(type);
-  if (it == annotations_.end()) return out;
-  out.reserve(it->second.size());
-  for (Annotation& a : it->second) out.push_back(&a);
-  return out;
-}
-
-std::vector<const Annotation*> Cas::SelectCovered(const std::string& type,
-                                                  size_t begin,
-                                                  size_t end) const {
-  std::vector<const Annotation*> out;
-  auto it = annotations_.find(type);
-  if (it == annotations_.end()) return out;
-  for (const Annotation& a : it->second) {
-    if (a.begin >= begin && a.end <= end) out.push_back(&a);
-    if (a.begin >= end) break;
-  }
-  return out;
-}
-
 size_t Cas::CountType(const std::string& type) const {
   auto it = annotations_.find(type);
   return it == annotations_.end() ? 0 : it->second.size();

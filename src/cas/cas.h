@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -37,74 +38,56 @@ inline constexpr char kToken[] = "Token";
 inline constexpr char kConcept[] = "Concept";
 inline constexpr char kFeatureKind[] = "kind";        // "word" | "punct"
 inline constexpr char kFeatureNorm[] = "norm";        // folded token text
-inline constexpr char kFeatureStopword[] = "stop";    // int 0/1
-inline constexpr char kFeatureStem[] = "stem";        // stemmed norm
 inline constexpr char kFeatureConceptId[] = "concept_id";  // int
 inline constexpr char kFeatureCategory[] = "category";     // taxonomy kind
-inline constexpr char kMetaLanguage[] = "language";        // "de"|"en"|...
 }  // namespace types
 
-/// \brief Common Analysis Structure: one document plus its annotations and
-/// document-level metadata, handed from one Analysis Engine to the next
-/// (paper §4.5.2 — one CAS holds one data bundle).
+/// \brief Common Analysis Structure: one document plus its annotations,
+/// handed from one Analysis Engine to the next (paper §4.5.2 — one CAS
+/// holds one data bundle).
+///
+/// Serving and training do not build a CAS (kb::FeatureExtractor runs the
+/// same calls in one direct pass). What remains is what the
+/// annotator-coverage experiment (E6, legacy vs trie annotator) and the
+/// loadbench trace use: the tokenizer and concept annotators writing
+/// annotations here.
 ///
 /// Annotations are stored per type and kept sorted by (begin, end) for
 /// deterministic iteration.
 class Cas {
  public:
-  Cas() = default;
   explicit Cas(std::string document) : document_(std::move(document)) {}
 
   const std::string& document() const { return document_; }
-  void set_document(std::string document) {
-    document_ = std::move(document);
-    Reset();
-  }
-
-  /// Removes all annotations and metadata (document text stays).
-  void Reset() {
-    annotations_.clear();
-    metadata_.clear();
-  }
 
   /// Adds an annotation; spans must lie within the document.
   Status Add(Annotation annotation);
 
   /// All annotations of `type`, ordered by (begin, end). The pointers stay
-  /// valid until the next Add/Reset of that type.
+  /// valid until the next Add of that type.
   std::vector<const Annotation*> Select(const std::string& type) const;
-
-  /// Mutable variant of Select for annotators that enrich existing
-  /// annotations with additional features (e.g. stopword flags). Callers
-  /// must not change begin/end (the store is ordered by span).
-  std::vector<Annotation*> SelectMutable(const std::string& type);
-
-  /// Annotations of `type` fully contained in [begin, end).
-  std::vector<const Annotation*> SelectCovered(const std::string& type,
-                                               size_t begin,
-                                               size_t end) const;
 
   size_t CountType(const std::string& type) const;
 
   /// The document substring an annotation covers.
   std::string_view CoveredText(const Annotation& annotation) const;
 
-  /// Document-level metadata (e.g. reference number, part id, language).
-  void SetMeta(const std::string& key, std::string value) {
-    metadata_[key] = std::move(value);
-  }
-  std::string_view GetMeta(const std::string& key) const {
-    auto it = metadata_.find(key);
-    return it == metadata_.end() ? std::string_view() : it->second;
-  }
-  bool HasMeta(const std::string& key) const {
-    return metadata_.count(key) > 0;
-  }
-
  private:
   std::string document_;
   std::map<std::string, std::vector<Annotation>> annotations_;
-  std::map<std::string, std::string> metadata_;
+};
+
+/// \brief One Analysis Engine: reads a CAS and adds annotations.
+///
+/// Mirrors UIMA's annotator contract: annotators are stateless with respect
+/// to individual documents and build on findings of earlier engines
+/// (paper §4.5.2).
+class Annotator {
+ public:
+  virtual ~Annotator() = default;
+
+  /// Processes one document.
+  virtual Status Process(Cas* cas) = 0;
 };
 
 }  // namespace qatk::cas

@@ -13,6 +13,10 @@
 //                [--serve-bin=PATH] [--shard-threads=1]
 //                [--drain-timeout-ms=10000]
 //
+// A numeric flag whose value is not a whole decimal number in range for
+// its field exits 2 ("invalid value for --<flag>"), as an unknown flag
+// does.
+//
 // --port-file works like qatk_serve's (tmp + rename once accepting).
 // --data-dir=DIR makes every shard durable under DIR/shard-I (mutations
 // fsynced before ack; kill -9 a shard, restart the cluster, and every
@@ -43,6 +47,7 @@
 
 #include "cluster/coordinator.h"
 #include "cluster/sharder.h"
+#include "server/flags.h"
 #include "server/server.h"
 
 namespace {
@@ -51,13 +56,6 @@ qatk::server::Server* g_server = nullptr;
 
 void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
 }
 
 std::string Dirname(const std::string& path) {
@@ -137,31 +135,37 @@ int main(int argc, char** argv) {
   std::string port_file;
   std::string data_dir;
   std::string serve_bin;
-  std::string shard_threads = "1";
+  size_t shard_threads = 1;
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--host", &value)) {
-      server_options.host = value;
-    } else if (ParseFlag(argv[i], "--port", &value)) {
-      server_options.port = static_cast<uint16_t>(std::stoi(value));
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      server_options.threads = static_cast<size_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      num_shards = static_cast<uint32_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--sharder", &value)) {
-      sharder_name = value;
-    } else if (ParseFlag(argv[i], "--port-file", &value)) {
-      port_file = value;
-    } else if (ParseFlag(argv[i], "--data-dir", &value)) {
-      data_dir = value;
-    } else if (ParseFlag(argv[i], "--serve-bin", &value)) {
-      serve_bin = value;
-    } else if (ParseFlag(argv[i], "--shard-threads", &value)) {
-      shard_threads = value;
-    } else if (ParseFlag(argv[i], "--drain-timeout-ms", &value)) {
-      server_options.drain_timeout_ms = std::stoi(value);
+    const qatk::server::Flag flag(argv[i]);
+    bool valid = true;
+    if (flag.Is("--host")) {
+      server_options.host = flag.value();
+    } else if (flag.Is("--port")) {
+      valid = flag.ParseNumber(&server_options.port);
+    } else if (flag.Is("--threads")) {
+      valid = flag.ParseNumber(&server_options.threads);
+    } else if (flag.Is("--shards")) {
+      valid = flag.ParseNumber(&num_shards);
+    } else if (flag.Is("--sharder")) {
+      sharder_name = flag.value();
+    } else if (flag.Is("--port-file")) {
+      port_file = flag.value();
+    } else if (flag.Is("--data-dir")) {
+      data_dir = flag.value();
+    } else if (flag.Is("--serve-bin")) {
+      serve_bin = flag.value();
+    } else if (flag.Is("--shard-threads")) {
+      valid = flag.ParseNumber(&shard_threads);
+    } else if (flag.Is("--drain-timeout-ms")) {
+      valid = flag.ParseNumber(&server_options.drain_timeout_ms);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 2;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n",
+                   flag.name().c_str(), flag.value().c_str());
       return 2;
     }
   }
@@ -201,7 +205,7 @@ int main(int argc, char** argv) {
         serve_bin,
         "--host=" + server_options.host,
         "--port=0",
-        "--threads=" + shard_threads,
+        "--threads=" + std::to_string(shard_threads),
         "--shard-index=" + std::to_string(i),
         "--shards=" + std::to_string(num_shards),
         "--sharder=" + sharder_name,

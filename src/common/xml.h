@@ -12,7 +12,7 @@ namespace qatk {
 
 /// \brief Minimal XML element tree (tags, attributes, text; entities
 /// &amp; &lt; &gt; &quot; &apos;). Enough for the repository's custom
-/// formats (taxonomy resource, CAS XMI dumps); not a general-purpose XML
+/// format (the taxonomy resource); not a general-purpose XML
 /// library (no namespaces, CDATA, or DTDs).
 struct XmlElement {
   std::string tag;

@@ -88,12 +88,10 @@ std::shared_ptr<const tax::ConceptTrie> BuildConcepts(
 
 FeatureExtractor::FeatureExtractor(
     FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
-    const FeatureVocabulary* vocabulary, FeatureVocabulary* mutable_vocabulary,
-    bool frozen_vocabulary)
+    const FeatureVocabulary* vocabulary, FeatureVocabulary* mutable_vocabulary)
     : model_(model),
       vocabulary_(vocabulary),
       mutable_vocabulary_(mutable_vocabulary),
-      frozen_vocabulary_(frozen_vocabulary),
       concepts_(model == FeatureModel::kBagOfConcepts ? std::move(concepts)
                                                       : nullptr) {
   QATK_CHECK(vocabulary_ != nullptr) << "vocabulary must be provided";
@@ -103,33 +101,23 @@ FeatureExtractor::FeatureExtractor(
 
 FeatureExtractor::FeatureExtractor(
     FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
-    FeatureVocabulary* vocabulary, bool frozen_vocabulary)
-    : FeatureExtractor(model, std::move(concepts), vocabulary, vocabulary,
-                       frozen_vocabulary) {}
+    FeatureVocabulary* vocabulary)
+    : FeatureExtractor(model, std::move(concepts), vocabulary, vocabulary) {}
 
 FeatureExtractor::FeatureExtractor(
     FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
     const FeatureVocabulary* vocabulary)
-    : FeatureExtractor(model, std::move(concepts), vocabulary, nullptr,
-                       /*frozen_vocabulary=*/true) {}
+    : FeatureExtractor(model, std::move(concepts), vocabulary, nullptr) {}
 
 FeatureExtractor::FeatureExtractor(FeatureModel model,
                                    const tax::Taxonomy* taxonomy,
-                                   FeatureVocabulary* vocabulary,
-                                   bool frozen_vocabulary)
-    : FeatureExtractor(model, BuildConcepts(model, taxonomy), vocabulary,
-                       frozen_vocabulary) {}
+                                   FeatureVocabulary* vocabulary)
+    : FeatureExtractor(model, BuildConcepts(model, taxonomy), vocabulary) {}
 
 FeatureExtractor::FeatureExtractor(FeatureModel model,
                                    const tax::Taxonomy* taxonomy,
                                    const FeatureVocabulary* vocabulary)
     : FeatureExtractor(model, BuildConcepts(model, taxonomy), vocabulary) {}
-
-void FeatureExtractor::set_frozen_vocabulary(bool frozen) {
-  QATK_CHECK(frozen || mutable_vocabulary_ != nullptr)
-      << "cannot unfreeze an extractor over a const vocabulary";
-  frozen_vocabulary_ = frozen;
-}
 
 Result<std::vector<int64_t>> FeatureExtractor::Extract(
     const std::string& document) {
@@ -161,8 +149,8 @@ Result<TermMentions> FeatureExtractor::ExtractTerms(
       break;
     case FeatureModel::kBagOfStems: {
       const text::Language language = detector_.DetectFolded(words);
-      // The filter reads the folded word, not its stem, as the
-      // StopwordAnnotator does; filtering first skips stemming stopwords.
+      // The filter reads the folded word, not its stem; filtering first
+      // skips stemming stopwords.
       for (std::string_view word : words) {
         if (Stopwords().IsStopword(word)) continue;
         mentions.words.push_back(stemmer_.Stem(word, language));
@@ -213,8 +201,7 @@ std::vector<int64_t> InternMentions(FeatureModel model,
 }
 
 std::vector<int64_t> FeatureExtractor::Resolve(const TermMentions& mentions) {
-  return ResolveImpl(model_, mentions, vocabulary_,
-                     frozen_vocabulary_ ? nullptr : mutable_vocabulary_,
+  return ResolveImpl(model_, mentions, vocabulary_, mutable_vocabulary_,
                      &last_mention_count_);
 }
 

@@ -98,10 +98,9 @@ struct TermMentions {
 ///    (ConceptTrie::FindMentions; "we use the concept mentions as
 ///    attributes without distinguishing between types of concepts").
 /// The word models then intern (or look up) the words in the vocabulary.
-/// This is the same work, call for call, that the CAS annotators
-/// (TokenizerAnnotator, TrieConceptAnnotator, StopwordAnnotator,
-/// LanguageAnnotator, StemmerAnnotator) do as a cas::Pipeline, without
-/// building a CAS; those remain the reference and analysis surface.
+/// Serving and training both run this one pass; no CAS is built. The tests
+/// pin it to an independent reference (tests/feature_reference.h) whose
+/// naive tokenizer and German fold share no code with text::Tokenizer.
 ///
 /// Thread-safety: an extractor keeps no per-stage timing state but does
 /// keep reusable scratch (the folded-word buffer), so one extractor serves
@@ -114,14 +113,14 @@ class FeatureExtractor {
   /// `concepts` is the compiled taxonomy the bag-of-concepts model
   /// annotates with (non-null for kBagOfConcepts, ignored otherwise; see
   /// BuildConcepts); it may be shared with other extractors on any thread.
-  /// `vocabulary` (non-null, caller-owned) is used by the word models.
-  /// `frozen_vocabulary` extracts with Lookup instead of Intern.
+  /// `vocabulary` (non-null, caller-owned) is used by the word models,
+  /// which intern every word they see into it.
   FeatureExtractor(FeatureModel model,
                    std::shared_ptr<const tax::ConceptTrie> concepts,
-                   FeatureVocabulary* vocabulary,
-                   bool frozen_vocabulary = false);
+                   FeatureVocabulary* vocabulary);
 
-  /// Read-only extractor over a frozen vocabulary (the serving path): can
+  /// Read-only extractor over a frozen vocabulary (the serving and test
+  /// phase): extracts with Lookup, so unseen words are dropped. It can
   /// never intern, so it is safe on concurrent reader threads as long as
   /// writers are excluded while Extract runs.
   FeatureExtractor(FeatureModel model,
@@ -131,8 +130,7 @@ class FeatureExtractor {
   /// As above, building a private trie from `taxonomy` for
   /// kBagOfConcepts (`taxonomy` must then be non-null; it is not retained).
   FeatureExtractor(FeatureModel model, const tax::Taxonomy* taxonomy,
-                   FeatureVocabulary* vocabulary,
-                   bool frozen_vocabulary = false);
+                   FeatureVocabulary* vocabulary);
   FeatureExtractor(FeatureModel model, const tax::Taxonomy* taxonomy,
                    const FeatureVocabulary* vocabulary);
 
@@ -160,23 +158,17 @@ class FeatureExtractor {
 
   FeatureModel model() const { return model_; }
 
-  /// Freezes/unfreezes the vocabulary (train vs. test phase). Unfreezing
-  /// an extractor constructed over a const vocabulary is a checked error.
-  void set_frozen_vocabulary(bool frozen);
-
  private:
   FeatureExtractor(FeatureModel model,
                    std::shared_ptr<const tax::ConceptTrie> concepts,
                    const FeatureVocabulary* vocabulary,
-                   FeatureVocabulary* mutable_vocabulary,
-                   bool frozen_vocabulary);
+                   FeatureVocabulary* mutable_vocabulary);
 
   FeatureModel model_;
   /// Read path; always set.
   const FeatureVocabulary* vocabulary_;
-  /// Write path; null for extractors built over a const vocabulary.
+  /// Write path; null exactly for extractors over a frozen vocabulary.
   FeatureVocabulary* mutable_vocabulary_;
-  bool frozen_vocabulary_;
   /// Non-null exactly for kBagOfConcepts.
   std::shared_ptr<const tax::ConceptTrie> concepts_;
   text::Tokenizer tokenizer_;

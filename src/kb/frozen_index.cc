@@ -109,27 +109,6 @@ FrozenIndex FrozenIndex::Build(const KnowledgeBase& knowledge) {
   return index;
 }
 
-FrozenIndex FrozenIndex::Build(
-    const KnowledgeBase& knowledge,
-    const std::function<bool(const std::string&)>& include_part,
-    std::vector<uint32_t>* kept_nodes) {
-  // Build the slice as a real KnowledgeBase so the plain Build above stays
-  // the single source of CSR layout. RestoreNode keeps instance counts and
-  // append order, so the slice's node order is the unrestricted order
-  // filtered down — tie-breaking inside the slice is unchanged.
-  KnowledgeBase slice;
-  if (kept_nodes != nullptr) kept_nodes->clear();
-  for (size_t i = 0; i < knowledge.num_nodes(); ++i) {
-    const KnowledgeNode& node = knowledge.node(i);
-    if (!include_part(node.part_id)) continue;
-    slice.RestoreNode(node);
-    if (kept_nodes != nullptr) {
-      kept_nodes->push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return Build(slice);
-}
-
 void FrozenIndex::RebuildPart(const KnowledgeBase& knowledge,
                               const std::string& part_id) {
   const KnowledgePart* part = knowledge.FindPart(part_id);

@@ -2,7 +2,6 @@
 #define QATK_KB_FROZEN_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -80,17 +79,6 @@ class FrozenIndex {
   /// order, which is what keeps tie-breaking identical to the brute-force
   /// path.
   static FrozenIndex Build(const KnowledgeBase& knowledge);
-
-  /// Partition-restricted freeze: snapshots only the nodes whose part id
-  /// satisfies `include_part`, preserving their relative order (so
-  /// tie-breaking inside the slice matches the unrestricted index). When
-  /// `kept_nodes` is non-null it receives, per local node index, the node's
-  /// index in the unrestricted Build — the global total order a
-  /// scatter-gather merge needs for exact cross-shard tie-breaking.
-  static FrozenIndex Build(
-      const KnowledgeBase& knowledge,
-      const std::function<bool(const std::string&)>& include_part,
-      std::vector<uint32_t>* kept_nodes = nullptr);
 
   /// Brings this index up to date with `knowledge` after instances were
   /// added to `part_id` only: interns the appended nodes and rebuilds that

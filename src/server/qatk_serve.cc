@@ -13,6 +13,10 @@
 //              [--metrics-interval-s=0] [--data-dir=DIR]
 //              [--shard-index=I --shards=N [--sharder=hash]]
 //
+// A numeric flag whose value is not a whole decimal number in range for
+// its field exits 2 ("invalid value for --<flag>"), as an unknown flag
+// does.
+//
 // --port=0 binds an ephemeral port; --port-file writes the bound port to
 // PATH once the server is accepting (how scripts/check.sh finds it).
 // --metrics-interval-s=N > 0 logs a one-line serving summary (requests,
@@ -46,7 +50,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,6 +62,7 @@
 #include "obs/metrics.h"
 #include "quest/recommendation_service.h"
 #include "server/demo_corpus.h"
+#include "server/flags.h"
 #include "server/server.h"
 
 namespace {
@@ -68,13 +72,6 @@ qatk::server::Server* g_server = nullptr;
 void HandleSignal(int) {
   // RequestDrain is async-signal-safe (atomic store + eventfd writes).
   if (g_server != nullptr) g_server->RequestDrain();
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
 }
 
 /// Periodic one-line serving summary, driven off the server counters and
@@ -143,34 +140,40 @@ int main(int argc, char** argv) {
   uint32_t num_shards = 1;
   std::string sharder_name = "hash";
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--host", &value)) {
-      options.host = value;
-    } else if (ParseFlag(argv[i], "--port", &value)) {
-      options.port = static_cast<uint16_t>(std::stoi(value));
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      options.threads = static_cast<size_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--max-in-flight", &value)) {
-      options.max_in_flight = static_cast<size_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--idle-timeout-ms", &value)) {
-      options.idle_timeout_ms = std::stoi(value);
-    } else if (ParseFlag(argv[i], "--drain-timeout-ms", &value)) {
-      options.drain_timeout_ms = std::stoi(value);
-    } else if (ParseFlag(argv[i], "--port-file", &value)) {
-      port_file = value;
-    } else if (ParseFlag(argv[i], "--data-dir", &value)) {
-      data_dir = value;
-    } else if (ParseFlag(argv[i], "--shard-index", &value)) {
-      shard_index = static_cast<uint32_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      num_shards = static_cast<uint32_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--sharder", &value)) {
-      sharder_name = value;
-    } else if (ParseFlag(argv[i], "--metrics-interval-s", &value) ||
-               ParseFlag(argv[i], "--metrics_interval_s", &value)) {
-      metrics_interval_s = std::stoi(value);
+    const qatk::server::Flag flag(argv[i]);
+    bool valid = true;
+    if (flag.Is("--host")) {
+      options.host = flag.value();
+    } else if (flag.Is("--port")) {
+      valid = flag.ParseNumber(&options.port);
+    } else if (flag.Is("--threads")) {
+      valid = flag.ParseNumber(&options.threads);
+    } else if (flag.Is("--max-in-flight")) {
+      valid = flag.ParseNumber(&options.max_in_flight);
+    } else if (flag.Is("--idle-timeout-ms")) {
+      valid = flag.ParseNumber(&options.idle_timeout_ms);
+    } else if (flag.Is("--drain-timeout-ms")) {
+      valid = flag.ParseNumber(&options.drain_timeout_ms);
+    } else if (flag.Is("--port-file")) {
+      port_file = flag.value();
+    } else if (flag.Is("--data-dir")) {
+      data_dir = flag.value();
+    } else if (flag.Is("--shard-index")) {
+      valid = flag.ParseNumber(&shard_index);
+    } else if (flag.Is("--shards")) {
+      valid = flag.ParseNumber(&num_shards);
+    } else if (flag.Is("--sharder")) {
+      sharder_name = flag.value();
+    } else if (flag.Is("--metrics-interval-s") ||
+               flag.Is("--metrics_interval_s")) {
+      valid = flag.ParseNumber(&metrics_interval_s);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 2;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n",
+                   flag.name().c_str(), flag.value().c_str());
       return 2;
     }
   }

@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cas/pipeline.h"
+#include "cas/cas.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/trie.h"
 
@@ -106,7 +106,6 @@ class TrieConceptAnnotator final : public cas::Annotator {
   /// Matches against an already built, possibly shared trie (non-null).
   explicit TrieConceptAnnotator(std::shared_ptr<const ConceptTrie> concepts);
 
-  std::string name() const override { return "TrieConceptAnnotator"; }
   Status Process(cas::Cas* cas) override;
 
   size_t trie_nodes() const { return concepts_->trie().node_count(); }
@@ -130,7 +129,6 @@ class LegacyConceptAnnotator final : public cas::Annotator {
  public:
   explicit LegacyConceptAnnotator(const Taxonomy& taxonomy);
 
-  std::string name() const override { return "LegacyConceptAnnotator"; }
   Status Process(cas::Cas* cas) override;
 
  private:

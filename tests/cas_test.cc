@@ -2,7 +2,6 @@
 
 #include "cas/annotators.h"
 #include "cas/cas.h"
-#include "cas/pipeline.h"
 
 namespace qatk::cas {
 namespace {
@@ -54,36 +53,6 @@ TEST(CasTest, SelectUnknownTypeIsEmpty) {
   EXPECT_EQ(cas.CountType("Nope"), 0u);
 }
 
-TEST(CasTest, SelectCovered) {
-  Cas cas("0123456789");
-  ASSERT_TRUE(cas.Add(Make("T", 0, 3)).ok());
-  ASSERT_TRUE(cas.Add(Make("T", 2, 5)).ok());
-  ASSERT_TRUE(cas.Add(Make("T", 5, 9)).ok());
-  auto covered = cas.SelectCovered("T", 0, 5);
-  ASSERT_EQ(covered.size(), 2u);
-  EXPECT_EQ(covered[0]->end, 3u);
-  EXPECT_EQ(covered[1]->end, 5u);
-}
-
-TEST(CasTest, Metadata) {
-  Cas cas("doc");
-  EXPECT_FALSE(cas.HasMeta("language"));
-  cas.SetMeta("language", "de");
-  EXPECT_TRUE(cas.HasMeta("language"));
-  EXPECT_EQ(cas.GetMeta("language"), "de");
-  EXPECT_EQ(cas.GetMeta("missing"), "");
-}
-
-TEST(CasTest, SetDocumentResetsState) {
-  Cas cas("first");
-  ASSERT_TRUE(cas.Add(Make("T", 0, 5)).ok());
-  cas.SetMeta("k", "v");
-  cas.set_document("second document");
-  EXPECT_EQ(cas.CountType("T"), 0u);
-  EXPECT_FALSE(cas.HasMeta("k"));
-  EXPECT_EQ(cas.document(), "second document");
-}
-
 TEST(CasTest, FeatureAccessors) {
   Annotation a = Make("T", 0, 0);
   a.string_features["s"] = "val";
@@ -95,71 +64,7 @@ TEST(CasTest, FeatureAccessors) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline
-// ---------------------------------------------------------------------------
-
-class CountingAnnotator : public Annotator {
- public:
-  CountingAnnotator(std::string name, int* counter, Status result = Status::OK())
-      : name_(std::move(name)), counter_(counter), result_(result) {}
-
-  std::string name() const override { return name_; }
-  Status Process(Cas*) override {
-    ++*counter_;
-    return result_;
-  }
-
- private:
-  std::string name_;
-  int* counter_;
-  Status result_;
-};
-
-TEST(PipelineTest, RunsStagesInOrder) {
-  int a = 0;
-  int b = 0;
-  Pipeline pipeline;
-  pipeline.Add(std::make_unique<CountingAnnotator>("A", &a))
-      .Add(std::make_unique<CountingAnnotator>("B", &b));
-  Cas cas("doc");
-  ASSERT_TRUE(pipeline.Process(&cas).ok());
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
-  EXPECT_EQ(pipeline.Describe(), "A -> B");
-}
-
-TEST(PipelineTest, StopsOnFirstFailure) {
-  int a = 0;
-  int b = 0;
-  Pipeline pipeline;
-  pipeline
-      .Add(std::make_unique<CountingAnnotator>("A", &a,
-                                               Status::Invalid("boom")))
-      .Add(std::make_unique<CountingAnnotator>("B", &b));
-  Cas cas("doc");
-  Status st = pipeline.Process(&cas);
-  EXPECT_TRUE(st.IsInvalid());
-  EXPECT_NE(st.message().find("'A'"), std::string::npos);
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 0);
-}
-
-TEST(PipelineTest, TimingsAccumulate) {
-  int a = 0;
-  Pipeline pipeline;
-  pipeline.Add(std::make_unique<CountingAnnotator>("A", &a));
-  Cas cas("doc");
-  ASSERT_TRUE(pipeline.Process(&cas).ok());
-  ASSERT_TRUE(pipeline.Process(&cas).ok());
-  ASSERT_EQ(pipeline.timings().size(), 1u);
-  EXPECT_EQ(pipeline.timings()[0].documents, 2u);
-  EXPECT_GE(pipeline.timings()[0].seconds, 0.0);
-  pipeline.ResetTimings();
-  EXPECT_EQ(pipeline.timings()[0].documents, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Standard annotators
+// Tokenizer annotator
 // ---------------------------------------------------------------------------
 
 TEST(TokenizerAnnotatorTest, EmitsTokenAnnotations) {
@@ -171,37 +76,6 @@ TEST(TokenizerAnnotatorTest, EmitsTokenAnnotations) {
   EXPECT_EQ(tokens[0]->GetString(types::kFeatureNorm), "luefter");
   EXPECT_EQ(tokens[0]->GetString(types::kFeatureKind), "word");
   EXPECT_EQ(tokens[2]->GetString(types::kFeatureKind), "punct");
-}
-
-TEST(LanguageAnnotatorTest, SetsLanguageMetadata) {
-  Cas cas("Der Schlauch ist undicht und die Pumpe funktioniert nicht mehr");
-  LanguageAnnotator annotator;
-  ASSERT_TRUE(annotator.Process(&cas).ok());
-  EXPECT_EQ(cas.GetMeta(types::kMetaLanguage), "de");
-}
-
-TEST(StopwordAnnotatorTest, FlagsStopwords) {
-  Cas cas("the radio turns off");
-  Pipeline pipeline;
-  pipeline.Add(std::make_unique<TokenizerAnnotator>())
-      .Add(std::make_unique<StopwordAnnotator>());
-  ASSERT_TRUE(pipeline.Process(&cas).ok());
-  auto tokens = cas.Select(types::kToken);
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[0]->GetInt(types::kFeatureStopword), 1);  // "the"
-  EXPECT_EQ(tokens[1]->GetInt(types::kFeatureStopword), 0);  // "radio"
-}
-
-TEST(FullPreprocessingPipelineTest, EndToEnd) {
-  Cas cas("Kleint says taht radio turns on and off by itself. "
-          "Electiral smell, crackling sound.");
-  Pipeline pipeline;
-  pipeline.Add(std::make_unique<TokenizerAnnotator>())
-      .Add(std::make_unique<LanguageAnnotator>())
-      .Add(std::make_unique<StopwordAnnotator>());
-  ASSERT_TRUE(pipeline.Process(&cas).ok());
-  EXPECT_GT(cas.CountType(types::kToken), 10u);
-  EXPECT_EQ(cas.GetMeta(types::kMetaLanguage), "en");
 }
 
 }  // namespace

@@ -353,16 +353,21 @@ TEST(ShardedIndexTest, SlicedPartialsMergeExactlyToFullIndex) {
   }
   kb::FrozenIndex full = kb::FrozenIndex::Build(knowledge);
 
+  // Each shard's slice is a knowledge base of the nodes it owns, restored
+  // in the unrestricted order (so tie-breaking inside the slice is
+  // unchanged); kept[s] maps a slice node to its index in `full`.
   HashSharder sharder(3);
-  std::vector<kb::FrozenIndex> slices;
+  std::vector<kb::KnowledgeBase> shard_knowledge(3);
   std::vector<std::vector<uint32_t>> kept(3);
-  for (uint32_t s = 0; s < 3; ++s) {
-    slices.push_back(kb::FrozenIndex::Build(
-        knowledge,
-        [&sharder, s](const std::string& part) {
-          return sharder.ShardFor(part) == s;
-        },
-        &kept[s]));
+  for (size_t i = 0; i < knowledge.num_nodes(); ++i) {
+    const kb::KnowledgeNode& node = knowledge.node(i);
+    const uint32_t s = sharder.ShardFor(node.part_id);
+    shard_knowledge[s].RestoreNode(node);
+    kept[s].push_back(static_cast<uint32_t>(i));
+  }
+  std::vector<kb::FrozenIndex> slices;
+  for (const kb::KnowledgeBase& slice : shard_knowledge) {
+    slices.push_back(kb::FrozenIndex::Build(slice));
   }
 
   core::RankedKnnClassifier classifier(

@@ -1,6 +1,9 @@
 // The reference kb::FeatureExtractor is checked against: each feature
-// model's preprocessing run as a cas::Pipeline of the CAS annotators, with
-// the mentions read back out of the CAS.
+// model's preprocessing rebuilt on the naive tokenizer and fold of
+// text_reference.h, so it shares no tokenizing or folding code with the
+// direct pass. Stopwords, language detection (on the raw text, where the
+// direct pass detects on its folded words), stemming and the concept trie
+// are called directly.
 
 #ifndef QATK_TESTS_FEATURE_REFERENCE_H_
 #define QATK_TESTS_FEATURE_REFERENCE_H_
@@ -10,79 +13,83 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "cas/annotators.h"
-#include "cas/cas.h"
-#include "cas/pipeline.h"
-#include "common/logging.h"
 #include "kb/features.h"
 #include "taxonomy/concept_annotator.h"
+#include "text/language.h"
+#include "text/stemmer.h"
+#include "text/stopwords.h"
+#include "text_reference.h"
 
 namespace qatk::kb::reference {
 
-/// \brief One model's preprocessing as a CAS pipeline:
-///  * bag-of-words: Tokenizer;
-///  * bag-of-words-nostop: Tokenizer -> StopwordFilter;
-///  * bag-of-stems: Tokenizer -> LanguageDetector -> Stemmer ->
-///    StopwordFilter;
-///  * bag-of-concepts: Tokenizer -> TrieConceptAnnotator.
-class CasReference {
+/// \brief One model's preprocessing over the naive words:
+///  * bag-of-words: the words;
+///  * bag-of-words-nostop: minus stopwords;
+///  * bag-of-stems: minus stopwords, each stemmed in the language
+///    LanguageDetector::Detect finds in the raw document;
+///  * bag-of-concepts: the concept ids of ConceptTrie::FindMentions.
+class TextReference {
  public:
-  CasReference(FeatureModel model,
-               std::shared_ptr<const tax::ConceptTrie> concepts)
-      : model_(model) {
-    pipeline_.Add(std::make_unique<cas::TokenizerAnnotator>());
-    switch (model) {
+  TextReference(FeatureModel model,
+                std::shared_ptr<const tax::ConceptTrie> concepts)
+      : model_(model), concepts_(std::move(concepts)) {}
+
+  /// Extracts `document`'s mentions; the concept matches stay readable via
+  /// matches() until the next call.
+  TermMentions ExtractTerms(const std::string& document) {
+    words_ = naive::FoldedWords(document);
+    matches_.clear();
+    TermMentions mentions;
+    switch (model_) {
       case FeatureModel::kBagOfWords:
+        mentions.words = words_;
         break;
       case FeatureModel::kBagOfWordsNoStop:
-        pipeline_.Add(std::make_unique<cas::StopwordAnnotator>());
+        for (const std::string& word : words_) {
+          if (!stopwords_.IsStopword(word)) mentions.words.push_back(word);
+        }
         break;
-      case FeatureModel::kBagOfStems:
-        pipeline_.Add(std::make_unique<cas::LanguageAnnotator>());
-        pipeline_.Add(std::make_unique<cas::StemmerAnnotator>());
-        pipeline_.Add(std::make_unique<cas::StopwordAnnotator>());
+      case FeatureModel::kBagOfStems: {
+        const text::Language language = detector_.Detect(document);
+        for (const std::string& word : words_) {
+          if (stopwords_.IsStopword(word)) continue;
+          mentions.words.push_back(stemmer_.Stem(word, language));
+        }
         break;
-      case FeatureModel::kBagOfConcepts:
-        pipeline_.Add(
-            std::make_unique<tax::TrieConceptAnnotator>(std::move(concepts)));
-        break;
-    }
-  }
-
-  /// Runs the pipeline on `document`; the CAS stays readable via cas().
-  TermMentions ExtractTerms(const std::string& document) {
-    cas_.set_document(document);
-    QATK_CHECK_OK(pipeline_.Process(&cas_));
-    TermMentions mentions;
-    if (model_ == FeatureModel::kBagOfConcepts) {
-      for (const cas::Annotation* a : cas_.Select(cas::types::kConcept)) {
-        mentions.concept_ids.push_back(
-            a->GetInt(cas::types::kFeatureConceptId));
       }
-      return mentions;
-    }
-    const bool filter_stop = model_ != FeatureModel::kBagOfWords;
-    const bool use_stem = model_ == FeatureModel::kBagOfStems;
-    for (const cas::Annotation* token : cas_.Select(cas::types::kToken)) {
-      if (token->GetString(cas::types::kFeatureKind) != "word") continue;
-      if (filter_stop && token->GetInt(cas::types::kFeatureStopword) == 1) {
-        continue;
+      case FeatureModel::kBagOfConcepts: {
+        const std::vector<std::string_view> views(words_.begin(),
+                                                  words_.end());
+        concepts_->FindMentions(views, &matches_);
+        for (const tax::ConceptTrie::Mention& match : matches_) {
+          mentions.concept_ids.insert(mentions.concept_ids.end(),
+                                      match.concepts.begin(),
+                                      match.concepts.end());
+        }
+        break;
       }
-      mentions.words.emplace_back(token->GetString(
-          use_stem ? cas::types::kFeatureStem : cas::types::kFeatureNorm));
     }
     return mentions;
   }
 
-  const cas::Cas& cas() const { return cas_; }
+  /// The concept matches and the word count of the last document.
+  const std::vector<tax::ConceptTrie::Mention>& matches() const {
+    return matches_;
+  }
+  size_t num_words() const { return words_.size(); }
 
  private:
   FeatureModel model_;
-  cas::Pipeline pipeline_;
-  cas::Cas cas_;
+  std::shared_ptr<const tax::ConceptTrie> concepts_;
+  text::StopwordFilter stopwords_;
+  text::LanguageDetector detector_;
+  text::Stemmer stemmer_;
+  std::vector<std::string> words_;
+  std::vector<tax::ConceptTrie::Mention> matches_;
 };
 
 /// Mention count of `mentions` (what last_mention_count reports when
@@ -111,16 +118,15 @@ inline std::vector<int64_t> LookupMentions(FeatureModel model,
 }
 
 /// The left-bounded longest match never emits a concept inside (or
-/// overlapping) another match: any two concept spans of `cas` are
-/// identical or disjoint.
-inline bool ConceptSpansDisjoint(const cas::Cas& cas) {
-  size_t begin = 0;
+/// overlapping) another match: every match covers at least one of the
+/// `num_words` words, and each starts after the previous one ends.
+inline bool MatchesDisjoint(
+    const std::vector<tax::ConceptTrie::Mention>& matches, size_t num_words) {
   size_t end = 0;
-  for (const cas::Annotation* a : cas.Select(cas::types::kConcept)) {
-    const bool same = a->begin == begin && a->end == end;
-    if (!same && a->begin < end) return false;
-    begin = a->begin;
-    end = a->end;
+  for (const tax::ConceptTrie::Mention& match : matches) {
+    if (match.length == 0 || match.first < end) return false;
+    end = match.first + match.length;
+    if (end > num_words) return false;
   }
   return true;
 }
@@ -131,7 +137,7 @@ inline bool ConceptSpansDisjoint(const cas::Cas& cas) {
 /// vocabulary: interned into when `direct` interns, looked up when it is
 /// frozen.
 inline void ExpectSameExtraction(FeatureExtractor* direct,
-                                 CasReference* reference,
+                                 TextReference* reference,
                                  FeatureVocabulary* reference_vocabulary,
                                  bool frozen, const std::string& document) {
   Result<TermMentions> terms = direct->ExtractTerms(document);
@@ -139,7 +145,7 @@ inline void ExpectSameExtraction(FeatureExtractor* direct,
   const TermMentions expected = reference->ExtractTerms(document);
   ASSERT_EQ(terms->words, expected.words);
   ASSERT_EQ(terms->concept_ids, expected.concept_ids);
-  ASSERT_TRUE(ConceptSpansDisjoint(reference->cas()));
+  ASSERT_TRUE(MatchesDisjoint(reference->matches(), reference->num_words()));
 
   Result<std::vector<int64_t>> ids = direct->Extract(document);
   ASSERT_TRUE(ids.ok()) << ids.status();

@@ -2,8 +2,8 @@
 // boundaries: SQL vs a reference evaluator, WAL crash-point truncation,
 // taxonomy XML round trips over generated worlds, tokenizer robustness
 // on arbitrary byte soup, and feature extraction of hostile report text
-// against its CAS-pipeline reference. All seeds fixed: failures reproduce
-// exactly.
+// against its independent text reference. All seeds fixed: failures
+// reproduce exactly.
 
 #include <gtest/gtest.h>
 
@@ -434,8 +434,9 @@ TEST(TokenizerFuzzTest, ArbitraryBytesNeverBreakInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// Hostile report text: the direct feature extraction equals the CAS
-// pipeline on every model and never crashes.
+// Hostile report text: the direct feature extraction equals the
+// independent text reference (feature_reference.h) on every model and
+// never crashes.
 // ---------------------------------------------------------------------------
 
 class HostileTextFuzzTest : public ::testing::TestWithParam<kb::FeatureModel> {
@@ -446,7 +447,7 @@ TEST_P(HostileTextFuzzTest, DirectExtractionEqualsCasPipeline) {
   const datagen::DomainWorld world(server::DemoWorldConfig());
   const std::shared_ptr<const tax::ConceptTrie> concepts =
       kb::BuildConcepts(model, &world.taxonomy());
-  kb::reference::CasReference reference(model, concepts);
+  kb::reference::TextReference reference(model, concepts);
   kb::FeatureVocabulary vocabulary;
   kb::FeatureVocabulary reference_vocabulary;
   kb::FeatureExtractor direct(model, concepts, &vocabulary);

@@ -1,7 +1,8 @@
 // Hostile report text shared by the extraction fuzz test and the wire
 // tests: fixed edge cases (invalid UTF-8, NULs, lone umlaut lead bytes,
-// mixed-language noise), synonym-prefix runs, seeded byte soup and one
-// 1 MiB report. Seeds are fixed, so every run sends the same documents.
+// mixed-language noise, every folded character in both cases),
+// synonym-prefix runs, seeded byte soup and one 1 MiB report. Seeds are
+// fixed, so every run sends the same documents.
 
 #ifndef QATK_TESTS_HOSTILE_TEXT_H_
 #define QATK_TESTS_HOSTILE_TEXT_H_
@@ -58,6 +59,13 @@ inline std::vector<std::string> HostileDocuments(
       "Kunde says L\xc3\xbc" "fter funktioniert NICHT, fan is broken. "
       "Die Bremse quietscht when braking; GER\xc3\x84USCH beim Bremsen, "
       "the hose ist undicht. Stra\xc3\x9f" "e / street, \xc3\x96l leak.",
+      // Every folded character, upper and lower case, at word starts,
+      // inside words and at word ends.
+      "\xc3\x84rger \xc3\xa4rger \xc3\x96L \xc3\xb6l \xc3\x9c" "BERHITZT "
+      "\xc3\xbc" "berhitzt SCHL\xc3\x84GE Schl\xc3\xa4ge GER\xc3\x96LL "
+      "Ger\xc3\xb6ll L\xc3\x9c" "FTER L\xc3\xbc" "fter GR\xc3\x9f" "E "
+      "Gr\xc3\xb6\xc3\x9f" "e FU\xc3\x9f fu\xc3\x9f K\xc3\x9c" "HL\xc3\x9c "
+      "k\xc3\xbchl\xc3\xbc \xc3\xa4\xc3\xb6\xc3\xbc\xc3\x84\xc3\x96\xc3\x9c\xc3\x9f",
   };
 
   // Long runs of a multiword synonym's first word, then the synonym

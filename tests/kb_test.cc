@@ -201,8 +201,8 @@ TEST(FeatureExtractorTest, FrozenVocabularyDropsUnseenWords) {
     FeatureExtractor train(FeatureModel::kBagOfWords, nullptr, &vocabulary);
     ASSERT_TRUE(train.Extract("fan broken").ok());
   }
-  FeatureExtractor test(FeatureModel::kBagOfWords, nullptr, &vocabulary,
-                        /*frozen_vocabulary=*/true);
+  const FeatureVocabulary& frozen = vocabulary;
+  FeatureExtractor test(FeatureModel::kBagOfWords, nullptr, &frozen);
   auto features = test.Extract("fan totally novel words");
   ASSERT_TRUE(features.ok());
   EXPECT_EQ(features->size(), 1u);  // Only "fan" is known.
@@ -474,11 +474,11 @@ TEST(FeatureExtractorTest, WordModelsBuildNoTrie) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct extraction == the CAS pipeline
+// Direct extraction == the independent text reference
 // ---------------------------------------------------------------------------
 
-using reference::CasReference;
 using reference::ExpectSameExtraction;
+using reference::TextReference;
 
 /// `base` plus, for every multiword synonym, a concept whose one synonym
 /// is that synonym's last word. Generated taxonomies never nest one
@@ -509,12 +509,14 @@ tax::Taxonomy WithNestedSynonyms(const tax::Taxonomy& base) {
   return nested;
 }
 
-// FeatureExtractor runs each model's preprocessing in one direct pass; the
-// CAS pipeline of the same annotators is its reference. Every demo train
+// FeatureExtractor runs each model's preprocessing in one direct pass; its
+// reference (feature_reference.h) rebuilds each model on the naive
+// tokenizer and fold of text_reference.h, which share no code with the
+// pass, and detects the language on the raw text. Every demo train
 // bundle goes through an interning extractor and every held-out bundle
 // through a frozen one, each under both document compositions: mentions
 // (in order), feature ids and mention counts must all agree, concept
-// spans must never overlap, and the vocabularies the two paths build must
+// matches must never overlap, and the vocabularies the two paths build must
 // be identical. Bag-of-concepts runs against the demo taxonomy and
 // against a copy with nested synonyms.
 class DirectExtractionTest : public ::testing::TestWithParam<FeatureModel> {
@@ -522,7 +524,7 @@ class DirectExtractionTest : public ::testing::TestWithParam<FeatureModel> {
   static void ExpectSameOnCorpus(
       FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
       const server::DemoSplit& demo) {
-    CasReference reference(model, concepts);
+    TextReference reference(model, concepts);
     FeatureVocabulary vocabulary;
     FeatureVocabulary reference_vocabulary;
     FeatureExtractor train(model, concepts, &vocabulary);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "cas/annotators.h"
-#include "cas/cas.h"
 #include "kb/features.h"
 #include "text/stemmer.h"
 
@@ -50,32 +48,6 @@ TEST(StemmerTest, StemIsIdempotentForTypicalWords) {
       // never go below the minimum stem length.
       EXPECT_GE(twice.size(), 4u) << word;
     }
-  }
-}
-
-TEST(StemmerAnnotatorTest, WritesStemFeaturePerLanguage) {
-  cas::Cas c("die Leitungen sind undicht");
-  cas::Pipeline pipeline;
-  pipeline.Add(std::make_unique<cas::TokenizerAnnotator>())
-      .Add(std::make_unique<cas::LanguageAnnotator>())
-      .Add(std::make_unique<cas::StemmerAnnotator>());
-  ASSERT_TRUE(pipeline.Process(&c).ok());
-  ASSERT_EQ(c.GetMeta(cas::types::kMetaLanguage), "de");
-  auto tokens = c.Select(cas::types::kToken);
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[1]->GetString(cas::types::kFeatureStem), "leit");
-}
-
-TEST(StemmerAnnotatorTest, UnknownLanguageKeepsNorm) {
-  cas::Cas c("zz9 qq7 leitungen");
-  cas::Pipeline pipeline;
-  pipeline.Add(std::make_unique<cas::TokenizerAnnotator>())
-      .Add(std::make_unique<cas::LanguageAnnotator>())
-      .Add(std::make_unique<cas::StemmerAnnotator>());
-  ASSERT_TRUE(pipeline.Process(&c).ok());
-  if (c.GetMeta(cas::types::kMetaLanguage) == "unknown") {
-    auto tokens = c.Select(cas::types::kToken);
-    EXPECT_EQ(tokens[2]->GetString(cas::types::kFeatureStem), "leitungen");
   }
 }
 
