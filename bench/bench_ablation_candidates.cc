@@ -2,19 +2,24 @@
 // neighbor candidates "via the indexes of the knowledge structure"
 // (Fig. 5) and keeps instances in a relational database with on-the-fly
 // access (§2.2, §4.3). This bench quantifies that design choice on QDB:
-//   (a) in-memory knowledge base with (part, feature) posting lists,
+//   (a) in-memory (part, feature) posting lists: the frozen index's
+//       per-part CSR segment,
 //   (b) QDB on-the-fly candidate selection via the (part_id, feature)
 //       B+-tree index,
 //   (c) no candidate filtering at all: score every same-part node
 //       (standard kNN's full pass).
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "core/classifier.h"
 #include "datagen/oem.h"
 #include "datagen/world.h"
 #include "kb/features.h"
+#include "kb/frozen_index.h"
 #include "kb/kb_store.h"
 #include "kb/knowledge_base.h"
 #include "storage/database.h"
@@ -61,13 +66,25 @@ int main() {
   qatk::core::RankedKnnClassifier classifier;
   using Clock = std::chrono::steady_clock;
 
-  // (a) In-memory posting lists.
+  // (a) In-memory posting lists: accumulate over the part's segment, then
+  // rank the touched nodes in knowledge-base order.
+  const qatk::kb::FrozenIndex index = qatk::kb::FrozenIndex::Build(knowledge);
+  qatk::kb::FrozenIndex::Scratch scratch;
+  std::vector<const qatk::kb::KnowledgeNode*> touched;
   auto a0 = Clock::now();
   size_t a_candidates = 0;
   for (const auto& [part, features] : probes) {
-    auto candidates = knowledge.SelectCandidates(part, features);
-    a_candidates += candidates.size();
-    (void)classifier.Rank(features, candidates);
+    if (index.AccumulateShared(part, features, &scratch)) {
+      std::sort(scratch.touched.begin(), scratch.touched.end());
+      touched.clear();
+      for (uint32_t node : scratch.touched) {
+        touched.push_back(&knowledge.node(node));
+      }
+    } else {
+      touched = knowledge.AllNodes();
+    }
+    a_candidates += touched.size();
+    (void)classifier.Rank(features, touched);
   }
   auto a1 = Clock::now();
 

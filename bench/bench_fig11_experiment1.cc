@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   std::printf("E1 / Figure 11 — Experiment 1: text-based error code "
               "prediction (all reports)\n\n");
   std::printf("%s\n", report->FormatTable(qatk::kb::kTestSources).c_str());
+  std::printf("%s\n", report->FormatTimings(qatk::kb::kTestSources).c_str());
 
   // Machine-readable series next to the human-readable table.
   if (argc > 1) {

@@ -177,6 +177,7 @@ inline int RunFigureBench(const char* title, unsigned probe_mask,
   report.status().Abort();
 
   std::printf("%s\n\n%s\n", title, report->FormatTable(probe_mask).c_str());
+  std::printf("%s\n", report->FormatTimings(probe_mask).c_str());
 
   if (csv_path != nullptr) {
     std::ofstream csv_file(csv_path);

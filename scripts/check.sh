@@ -54,8 +54,9 @@
 #                           then a real 3-shard qatk_cluster process tree
 #                           on ephemeral ports, the equivalence replay
 #                           against its front end over TCP, and a SIGTERM
-#                           cluster drain that must exit 0. Writes
-#                           BENCH_cluster.json at the repo root.
+#                           cluster drain that must exit 0. Both halves
+#                           always run; the stage fails if either does.
+#                           Writes BENCH_cluster.json at the repo root.
 #   8. scaling            — multi-core scaling gates: full (non-quick)
 #                           1->4 thread tables from bench_knn_throughput
 #                           (monotonically non-decreasing) and
@@ -192,11 +193,16 @@ for STAGE in "${STAGES[@]}"; do
       --target bench_cluster_scaling qatk_cluster qatk_serve
     # In-process gates: bit-identical responses at every shard count
     # (hash 1..4 + range cross-check, unknown-part fallbacks included);
-    # the shard-scaling table gates itself only on >= 4-core hosts.
-    "${BUILD_DIR}/bench/bench_cluster_scaling" --quick --out=BENCH_cluster.json
+    # the shard-scaling table gates itself only on >= 4-core hosts. Its
+    # status is kept, not fatal here, so the cross-process half below
+    # always runs too; the stage fails at the end if either half failed.
+    IN_PROCESS=0
+    "${BUILD_DIR}/bench/bench_cluster_scaling" --quick \
+      --out=BENCH_cluster.json || IN_PROCESS=$?
     # Cross-process: a real 3-shard cluster (launcher forks qatk_serve
     # workers, each training its own slice), the equivalence replay
     # against the front end, then a SIGTERM drain of the whole tree.
+    CROSS_PROCESS=0
     PORT_FILE="$(mktemp)"
     rm -f "${PORT_FILE}"
     "${BUILD_DIR}/src/cluster/qatk_cluster" --port=0 --shards=3 \
@@ -210,16 +216,28 @@ for STAGE in "${STAGES[@]}"; do
     if [[ ! -f "${PORT_FILE}" ]]; then
       echo "qatk_cluster never wrote its port file" >&2
       kill -9 "${CLUSTER_PID}" 2>/dev/null || true
+      CROSS_PROCESS=1
+    else
+      PORT="$(cat "${PORT_FILE}")"
+      rm -f "${PORT_FILE}"
+      "${BUILD_DIR}/bench/bench_cluster_scaling" --quick --connect="${PORT}" \
+        --out=/dev/null || CROSS_PROCESS=$?
+      kill -TERM "${CLUSTER_PID}"
+      # The cluster drain must finish in-flight work on the front end and
+      # every shard worker, reap all children, and exit 0.
+      wait "${CLUSTER_PID}" || CROSS_PROCESS=$?
+    fi
+    if [[ "${IN_PROCESS}" -ne 0 ]]; then
+      echo "in-process bench_cluster_scaling failed with exit" \
+        "${IN_PROCESS}" >&2
+    fi
+    if [[ "${CROSS_PROCESS}" -ne 0 ]]; then
+      echo "cross-process qatk_cluster replay or drain failed with exit" \
+        "${CROSS_PROCESS}" >&2
+    fi
+    if [[ "${IN_PROCESS}" -ne 0 || "${CROSS_PROCESS}" -ne 0 ]]; then
       exit 1
     fi
-    PORT="$(cat "${PORT_FILE}")"
-    rm -f "${PORT_FILE}"
-    "${BUILD_DIR}/bench/bench_cluster_scaling" --quick --connect="${PORT}" \
-      --out=/dev/null
-    kill -TERM "${CLUSTER_PID}"
-    # The cluster drain must finish in-flight work on the front end and
-    # every shard worker, reap all children, and exit 0.
-    wait "${CLUSTER_PID}"
     continue
   fi
   if [[ "${STAGE}" == "scaling" ]]; then

@@ -47,6 +47,16 @@ struct CurveKey {
 
 using Clock = std::chrono::steady_clock;
 
+/// Width of the curve-name column: the longest curve name, at least 38, so
+/// nothing truncates and the value columns stay aligned.
+size_t NameWidth(const std::vector<const CurveResult*>& rows) {
+  size_t name_width = 38;
+  for (const CurveResult* curve : rows) {
+    name_width = std::max(name_width, curve->name.size());
+  }
+  return name_width;
+}
+
 }  // namespace
 
 std::string VariantSpec::Name() const {
@@ -77,16 +87,11 @@ std::string EvalReport::FormatTable(unsigned probe_mask) const {
   out << "Experiment [" << MaskName(probe_mask) << "], " << learnable_bundles
       << " bundles, " << distinct_learnable_codes << " classes, ~"
       << static_cast<size_t>(mean_test_fold_size) << " test bundles/fold\n";
-  // Size the name column from the longest curve name so nothing truncates
-  // and the accuracy columns stay aligned.
   std::vector<const CurveResult*> rows = CurvesFor(probe_mask);
-  size_t name_width = 38;
-  for (const CurveResult* curve : rows) {
-    name_width = std::max(name_width, curve->name.size());
-  }
+  const size_t name_width = NameWidth(rows);
   out << "  " << std::string(name_width - 2, ' ');
   for (size_t k : ks) out << "  A@" << k << (k < 10 ? " " : "");
-  out << "  MRR     us/bundle  candidates\n";
+  out << "  MRR     candidates\n";
   for (const CurveResult* curve : rows) {
     std::string name = curve->name;
     name.resize(name_width, ' ');
@@ -95,8 +100,21 @@ std::string EvalReport::FormatTable(unsigned probe_mask) const {
       out << " " << FormatDouble(curve->accuracy_at[i], 3);
     }
     out << " " << FormatDouble(curve->mrr, 3);
-    out << "   " << FormatDouble(curve->micros_per_bundle, 1) << "      "
-        << FormatDouble(curve->mean_candidates, 1) << "\n";
+    out << "   " << FormatDouble(curve->mean_candidates, 1) << "\n";
+  }
+  return out.str();
+}
+
+std::string EvalReport::FormatTimings(unsigned probe_mask) const {
+  std::ostringstream out;
+  out << "Wall clock [" << MaskName(probe_mask) << "], varies run to run\n";
+  std::vector<const CurveResult*> rows = CurvesFor(probe_mask);
+  const size_t name_width = NameWidth(rows);
+  out << std::string(name_width, ' ') << "  us/bundle\n";
+  for (const CurveResult* curve : rows) {
+    std::string name = curve->name;
+    name.resize(name_width, ' ');
+    out << name << "   " << FormatDouble(curve->micros_per_bundle, 1) << "\n";
   }
   return out.str();
 }

@@ -85,8 +85,13 @@ struct EvalReport {
   Result<const CurveResult*> Find(const std::string& name,
                                   unsigned probe_mask) const;
 
-  /// Renders one experiment as the paper-style accuracy@k table.
+  /// Renders one experiment as the paper-style accuracy@k table. It holds
+  /// no wall-clock value, so two runs of one build print the same table.
   std::string FormatTable(unsigned probe_mask) const;
+
+  /// Renders the experiment's wall-clock column (us per classified bundle)
+  /// as a block of its own, printed after the result tables.
+  std::string FormatTimings(unsigned probe_mask) const;
 };
 
 /// \brief Runs the paper's cross-validated classification experiments:

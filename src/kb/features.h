@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "taxonomy/concept_annotator.h"
+#include "taxonomy/concept_trie.h"
 #include "taxonomy/taxonomy.h"
 #include "text/language.h"
 #include "text/stemmer.h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -55,24 +56,36 @@ std::shared_ptr<const FrozenIndex::Segment> FrozenIndex::BuildSegment(
   g_segment_builds.fetch_add(1, std::memory_order_relaxed);
   SegmentBuildCounter()->Add();
   auto segment = std::make_shared<Segment>();
-  // The part's posting lists already hold ascending global ids; only the
-  // feature order has to be imposed.
-  segment->feature_ids.reserve(part.postings.size());
-  size_t total = 0;
-  for (const auto& [feature, nodes] : part.postings) {
-    segment->feature_ids.push_back(feature);
-    total += nodes.size();
+  // Rows: the part's distinct features, ascending.
+  std::vector<int64_t> features;
+  for (const KnowledgeNode& node : part.nodes) {
+    features.insert(features.end(), node.features.begin(), node.features.end());
   }
-  std::sort(segment->feature_ids.begin(), segment->feature_ids.end());
-  segment->offsets.reserve(segment->feature_ids.size() + 1);
-  segment->postings.reserve(total);
-  for (int64_t feature : segment->feature_ids) {
-    segment->offsets.push_back(static_cast<uint32_t>(segment->postings.size()));
-    const std::vector<uint32_t>& nodes = part.postings.at(feature);
-    segment->postings.insert(segment->postings.end(), nodes.begin(),
-                             nodes.end());
+  std::sort(features.begin(), features.end());
+  segment->feature_ids.assign(
+      features.begin(), std::unique(features.begin(), features.end()));
+  const std::vector<int64_t>& rows = segment->feature_ids;
+  auto row_of = [&rows](int64_t feature) {
+    return static_cast<size_t>(
+        std::lower_bound(rows.begin(), rows.end(), feature) - rows.begin());
+  };
+  // Count each row's postings into offsets[row + 1], then prefix-sum the
+  // counts into row starts.
+  std::vector<uint32_t>& offsets = segment->offsets;
+  offsets.assign(rows.size() + 1, 0);
+  for (const KnowledgeNode& node : part.nodes) {
+    for (int64_t f : node.features) ++offsets[row_of(f) + 1];
   }
-  segment->offsets.push_back(static_cast<uint32_t>(segment->postings.size()));
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  // The part's nodes are in ascending global id, so filling each row in
+  // node order leaves it ascending.
+  segment->postings.resize(offsets.back());
+  std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+  for (size_t i = 0; i < part.nodes.size(); ++i) {
+    for (int64_t f : part.nodes[i].features) {
+      segment->postings[next[row_of(f)]++] = part.node_ids[i];
+    }
+  }
   return segment;
 }
 

@@ -14,18 +14,17 @@ namespace qatk::kb {
 /// \brief Frozen CSR snapshot of a KnowledgeBase, built after training and
 /// served read-only, made of immutable per-part segments.
 ///
-/// The live KnowledgeBase keeps its postings in hash maps (feature -> node
-/// list per part), which is ideal for incremental inserts but chases
-/// pointers on every probe and forces the classifier to re-merge each
-/// candidate's sorted feature vector per query. The frozen index lays the
-/// same data out flat:
+/// The live KnowledgeBase keeps no postings: its brute-force
+/// SelectCandidates merges each of the part's feature sets with the probe.
+/// The frozen index is the one (part, feature) posting layout:
 ///
-///   * one Segment per part (parts interned in node insertion order): the
-///     part's sorted feature ids, a parallel `offsets` array and one flat
-///     `postings` array of *global* node ids (classic CSR). Segments are
-///     immutable and held by `shared_ptr<const>`, so copies of the index
-///     share them; RebuildPart replaces one part's segment and leaves every
-///     other one pointer-equal to its predecessor's;
+///   * one Segment per part (parts interned in node insertion order),
+///     built from the part's nodes: the part's sorted feature ids, a
+///     parallel `offsets` array and one flat `postings` array of *global*
+///     node ids (classic CSR). Segments are immutable and held by
+///     `shared_ptr<const>`, so copies of the index share them;
+///     RebuildPart replaces one part's segment and leaves every other one
+///     pointer-equal to its predecessor's;
 ///   * per-node metadata over global node ids: feature-set size and
 ///     interned error code, so nothing on the scoring path allocates or
 ///     hashes strings.

@@ -26,6 +26,24 @@ std::string ConfigKey(const std::string& error_code,
   return key;
 }
 
+/// Whether two sorted feature sets have a common id; the merge stops at
+/// the first one.
+bool SharesFeature(const std::vector<int64_t>& a,
+                   const std::vector<int64_t>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 const KnowledgePart* KnowledgeBase::FindPart(const std::string& part_id) const {
@@ -50,9 +68,9 @@ void KnowledgeBase::Append(uint32_t slot, KnowledgePart* part,
       << "knowledge node ids are 32-bit";
   const uint32_t id = static_cast<uint32_t>(node_refs_.size());
   node_refs_.push_back({slot, static_cast<uint32_t>(part->nodes.size())});
-  // Ids grow monotonically, so every posting list stays sorted by node id;
-  // SelectCandidates' linear merge and the frozen segments rely on this.
-  for (int64_t f : node.features) part->postings[f].push_back(id);
+  // Ids grow monotonically, so a part's nodes stay in ascending id;
+  // SelectCandidates and the frozen segments' posting order rely on this.
+  part->node_ids.push_back(id);
   part->nodes.push_back(std::move(node));
 }
 
@@ -91,57 +109,11 @@ std::vector<const KnowledgeNode*> KnowledgeBase::SelectCandidates(
     // set" (§4.3).
     return AllNodes();
   }
-  // Posting lists are append-only with monotonically growing node ids
-  // (AddInstance), so each list is already sorted; deduplication is a
-  // linear k-way merge instead of a per-query sort + unique.
-  std::vector<const std::vector<uint32_t>*> lists;
-  lists.reserve(features.size());
-  size_t total = 0;
-  for (int64_t f : features) {
-    auto post_it = part->postings.find(f);
-    if (post_it == part->postings.end()) continue;
-    lists.push_back(&post_it->second);
-    total += post_it->second.size();
-  }
-  std::vector<uint32_t> hits;
-  hits.reserve(total);
-  if (lists.size() == 1) {
-    // A single list is already sorted and duplicate-free (a node's feature
-    // set is deduplicated, so it posts at most once per feature).
-    hits = *lists[0];
-  } else if (!lists.empty()) {
-    // Heap of (next value, list) cursors; pop ascending, skip repeats.
-    struct Cursor {
-      uint32_t value;
-      size_t list;
-      size_t pos;
-    };
-    auto later = [](const Cursor& a, const Cursor& b) {
-      return a.value > b.value;  // Min-heap on value.
-    };
-    std::vector<Cursor> heap;
-    heap.reserve(lists.size());
-    for (size_t l = 0; l < lists.size(); ++l) {
-      heap.push_back({(*lists[l])[0], l, 0});
-    }
-    std::make_heap(heap.begin(), heap.end(), later);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), later);
-      Cursor cursor = heap.back();
-      heap.pop_back();
-      if (hits.empty() || hits.back() != cursor.value) {
-        hits.push_back(cursor.value);
-      }
-      if (++cursor.pos < lists[cursor.list]->size()) {
-        cursor.value = (*lists[cursor.list])[cursor.pos];
-        heap.push_back(cursor);
-        std::push_heap(heap.begin(), heap.end(), later);
-      }
-    }
-  }
+  // The part's nodes are in ascending id, so the output is too.
   std::vector<const KnowledgeNode*> out;
-  out.reserve(hits.size());
-  for (uint32_t id : hits) out.push_back(&part->nodes[node_refs_[id].local]);
+  for (const KnowledgeNode& node : part->nodes) {
+    if (SharesFeature(node.features, features)) out.push_back(&node);
+  }
   return out;
 }
 

@@ -27,21 +27,22 @@ struct KnowledgeNode {
   size_t instance_count = 1;
 };
 
-/// \brief One part's slice of the knowledge base: its nodes, its
-/// (feature -> node) posting lists and its merge index. Node ids are
-/// *global* (knowledge-base insertion order across all parts).
+/// \brief One part's slice of the knowledge base: its nodes, their ids and
+/// its merge index. Node ids are *global* (knowledge-base insertion order
+/// across all parts).
 struct KnowledgePart {
   std::string part_id;
   /// The part's nodes in append order (so in ascending global id).
   std::vector<KnowledgeNode> nodes;
-  /// feature -> global node ids, each list ascending (append-only).
-  std::unordered_map<int64_t, std::vector<uint32_t>> postings;
+  /// Global id of each node, parallel to `nodes` (ascending).
+  std::vector<uint32_t> node_ids;
   /// Configuration key (error code + features) -> index into `nodes`.
   std::unordered_map<std::string, uint32_t> config_index;
 };
 
-/// \brief In-memory knowledge base with the candidate-selection indexes of
-/// Fig. 5: by part id, and by (part id, feature) posting lists.
+/// \brief In-memory knowledge base, indexed by part id (Fig. 5). It keeps
+/// no posting lists: FrozenIndex, built from it, holds the (part id,
+/// feature) postings, and SelectCandidates is its brute-force reference.
 ///
 /// The data lives in per-part copy-on-write slices (KnowledgePart). A copy
 /// of the knowledge base shares every slice; adding an instance clones
@@ -88,8 +89,8 @@ class KnowledgeBase {
   /// Candidate-set generation (paper Fig. 5): from all knowledge nodes (1),
   /// keep those with the same part id (2), then those sharing at least one
   /// feature with the probe (3). When the part id is unknown, every node
-  /// becomes a candidate. Returned pointers are stable until the next
-  /// AddInstance.
+  /// becomes a candidate. Candidates come in ascending node id. Returned
+  /// pointers are stable until the next AddInstance.
   std::vector<const KnowledgeNode*> SelectCandidates(
       const std::string& part_id,
       const std::vector<int64_t>& features) const;
@@ -112,7 +113,7 @@ class KnowledgeBase {
   uint32_t PartSlot(const std::string& part_id);
 
   /// Appends `node` to the (writable) slice `part` in slot `slot` under
-  /// the next global id, and posts its features.
+  /// the next global id.
   void Append(uint32_t slot, KnowledgePart* part, KnowledgeNode node);
 
   std::vector<CowPtr<KnowledgePart>> parts_;

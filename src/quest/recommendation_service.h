@@ -19,7 +19,7 @@
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
 #include "quest/service_log.h"
-#include "taxonomy/concept_annotator.h"
+#include "taxonomy/concept_trie.h"
 #include "taxonomy/taxonomy.h"
 
 namespace qatk::quest {

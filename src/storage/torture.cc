@@ -30,7 +30,9 @@ struct Op {
   };
   Kind kind = kInsert;
   int64_t id = 0;
-  std::string val;
+  /// Initialized like the other members, so `{Op::kCheckpoint}` sets every
+  /// field (-Wmissing-field-initializers).
+  std::string val = {};
 };
 
 /// Logical database contents the workload should have produced; compared

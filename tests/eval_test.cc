@@ -269,6 +269,12 @@ TEST_F(EvaluatorTest, FormatTableContainsVariants) {
   EXPECT_NE(table.find("bag-of-words + jaccard"), std::string::npos);
   EXPECT_NE(table.find("code-frequency baseline"), std::string::npos);
   EXPECT_NE(table.find("A@1"), std::string::npos);
+  // Wall clock stays out of the result table, in its own block.
+  EXPECT_EQ(table.find("us/bundle"), std::string::npos);
+  std::string timings = report->FormatTimings(kb::kTestSources);
+  EXPECT_NE(timings.find("us/bundle"), std::string::npos);
+  EXPECT_NE(timings.find("bag-of-words + jaccard"), std::string::npos);
+  EXPECT_EQ(timings.find("A@1"), std::string::npos);
 }
 
 TEST_F(EvaluatorTest, ParallelRunMatchesSequentialExactly) {
@@ -343,6 +349,15 @@ TEST(EvalReportTest, FormatTableSizesColumnFromLongestName) {
   std::getline(lines, row_short);
   std::getline(lines, row_long);
   EXPECT_EQ(row_short.find(" 0.500"), row_long.find(" 0.250"));
+  // The timing block pads its name column the same way.
+  report.curves[0].micros_per_bundle = 12.5;
+  report.curves[1].micros_per_bundle = 3.5;
+  std::istringstream timing_lines(report.FormatTimings(kb::kTestSources));
+  std::getline(timing_lines, line);  // Block header.
+  std::getline(timing_lines, line);  // Column header.
+  std::getline(timing_lines, row_short);
+  std::getline(timing_lines, row_long);
+  EXPECT_EQ(row_short.find("12.5"), row_long.find("3.5"));
 }
 
 TEST_F(EvaluatorTest, FindUnknownCurveIsKeyError) {

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "kb/features.h"
-#include "taxonomy/concept_annotator.h"
+#include "taxonomy/concept_trie.h"
 #include "text/language.h"
 #include "text/stemmer.h"
 #include "text/stopwords.h"

@@ -302,8 +302,8 @@ TEST(KnowledgeBaseTest, LengthPrefixedIdsWithDigitsStayDistinct) {
 }
 
 TEST(KnowledgeBaseTest, ManySharedFeaturesStillDeduplicateLinearly) {
-  // Exercises the k-way merge across several posting lists with heavy
-  // overlap: every node shares every probe feature.
+  // Heavy overlap: every node shares every probe feature, and each must
+  // still appear once.
   KnowledgeBase knowledge;
   for (int n = 0; n < 5; ++n) {
     knowledge.AddInstance("P1", "E" + std::to_string(n), {1, 2, 3, 4});
@@ -314,6 +314,55 @@ TEST(KnowledgeBaseTest, ManySharedFeaturesStillDeduplicateLinearly) {
     EXPECT_EQ(candidates[n]->error_code, "E" + std::to_string(n))
         << "candidates must stay in knowledge-base insertion order";
   }
+}
+
+TEST(KnowledgeBaseTest, NodeSharingOnlyItsLastFeatureIsACandidate) {
+  KnowledgeBase knowledge;
+  knowledge.AddInstance("P1", "E1", {1, 4, 9});
+  knowledge.AddInstance("P1", "E2", {1, 4, 8});
+  // 9 is the node's last feature and the probe's last id.
+  auto candidates = knowledge.SelectCandidates("P1", {2, 5, 9});
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0]->error_code, "E1");
+  // 9 is the node's last feature, with probe ids on both sides of it.
+  candidates = knowledge.SelectCandidates("P1", {0, 9, 12});
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0]->error_code, "E1");
+}
+
+TEST(KnowledgeBaseTest, ProbeAboveEveryNodeFeatureSelectsNothing) {
+  KnowledgeBase knowledge;
+  knowledge.AddInstance("P1", "E1", {1, 2, 3});
+  knowledge.AddInstance("P1", "E2", {4, 5});
+  knowledge.AddInstance("P2", "E3", {10, 11});
+  EXPECT_TRUE(knowledge.SelectCandidates("P1", {6, 10, 11}).empty());
+}
+
+TEST(KnowledgeBaseTest, NodeWithoutFeaturesIsNeverACandidate) {
+  KnowledgeBase knowledge;
+  knowledge.AddInstance("P1", "E1", {});
+  knowledge.AddInstance("P1", "E2", {3});
+  auto candidates = knowledge.SelectCandidates("P1", {1, 3});
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0]->error_code, "E2");
+  EXPECT_TRUE(knowledge.SelectCandidates("P1", {}).empty());
+}
+
+TEST(KnowledgeBaseTest, CandidatesComeInAscendingNodeOrder) {
+  // The part's nodes interleave with another part's, so their global ids
+  // are not contiguous.
+  KnowledgeBase knowledge;
+  knowledge.AddInstance("P1", "E0", {5});
+  knowledge.AddInstance("P2", "E1", {1});
+  knowledge.AddInstance("P1", "E2", {1, 7});
+  knowledge.AddInstance("P2", "E3", {5});
+  knowledge.AddInstance("P1", "E4", {1, 5});
+  knowledge.AddInstance("P1", "E5", {2});
+  auto candidates = knowledge.SelectCandidates("P1", {1, 5});
+  ASSERT_EQ(candidates.size(), 3u);
+  EXPECT_EQ(candidates[0], &knowledge.node(0));
+  EXPECT_EQ(candidates[1], &knowledge.node(2));
+  EXPECT_EQ(candidates[2], &knowledge.node(4));
 }
 
 TEST(KnowledgeBaseTest, NodesForPart) {
