@@ -116,7 +116,7 @@ bool RankedKnnClassifier::SelectTopNodes(const kb::FrozenIndex& index,
   obs::SampledTimer rank_span(RankStageHistogram());
 
   // An Item is (score, node). In Rank, candidates arrive in ascending
-  // node-index order on both paths (sorted hits / AllNodes), so its
+  // node-index order on both paths (part scan / AllNodes), so its
   // (score desc, arrival order asc) comparison is the total order
   // (score desc, node asc) — which makes the bounded-heap selection here
   // pick the exact same top max_nodes. The heap lives in the scratch so
