@@ -36,7 +36,9 @@
 #                           Release tree and one compiled with
 #                           -DQATK_NO_METRICS=ON: metrics-enabled
 #                           throughput must stay within 95% of the
-#                           compiled-out build.
+#                           compiled-out build. The compiled-out tree
+#                           also runs alloc_gate_test, the exact
+#                           allocations-per-request gate.
 #   6. durability         — crash-safety torture under ASan+UBSan: the
 #                           service_durability_test binary (torn tails,
 #                           CRC corruption, checkpoint-window crashes)
@@ -327,7 +329,11 @@ for STAGE in "${STAGES[@]}"; do
     cmake --build build-perf -j "${JOBS}" --target bench_knn_throughput
     cmake -B build-noobs -S . -DCMAKE_BUILD_TYPE=Release \
       -DQATK_NO_METRICS=ON >/dev/null
-    cmake --build build-noobs -j "${JOBS}" --target bench_knn_throughput
+    cmake --build build-noobs -j "${JOBS}" \
+      --target bench_knn_throughput alloc_gate_test
+    # The exact allocations-per-request gate holds with recording compiled
+    # out too (ctest runs it in the other trees).
+    build-noobs/tests/alloc_gate_test
     # Best-of-3 per build: single --quick runs jitter ~±10% on a shared
     # host, which would flake a 95% gate; the max over three runs is what
     # each build can actually do.

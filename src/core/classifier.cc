@@ -151,23 +151,33 @@ std::vector<ScoredCode> RankedKnnClassifier::Classify(
     const kb::FrozenIndex& index, const std::string& part_id,
     const std::vector<int64_t>& features, kb::FrozenIndex::Scratch* scratch,
     size_t* num_candidates) const {
-  SelectTopNodes(index, part_id, features, scratch, num_candidates);
-  const std::vector<std::pair<double, uint32_t>>& heap = scratch->heap;
-  using Item = std::pair<double, uint32_t>;
-
   std::vector<ScoredCode> ranked;
+  ClassifyInto(index, part_id, features, scratch, &ranked, num_candidates);
+  return ranked;
+}
+
+void RankedKnnClassifier::ClassifyInto(const kb::FrozenIndex& index,
+                                       const std::string& part_id,
+                                       const std::vector<int64_t>& features,
+                                       kb::FrozenIndex::Scratch* scratch,
+                                       std::vector<ScoredCode>* ranked,
+                                       size_t* num_candidates) const {
+  SelectTopNodes(index, part_id, features, scratch, num_candidates);
   // Distinct codes keep the score of their best node. At most max_nodes
   // (25) survivors, so a linear scan over seen code ids beats hashing.
   std::vector<uint32_t>& seen = scratch->seen_codes;
   seen.clear();
-  for (const Item& item : heap) {
+  size_t count = 0;
+  for (const Item& item : scratch->heap) {
     const uint32_t code = index.node_code_id(item.second);
-    if (std::find(seen.begin(), seen.end(), code) == seen.end()) {
-      seen.push_back(code);
-      ranked.push_back({index.node_error_code(item.second), item.first});
-    }
+    if (std::find(seen.begin(), seen.end(), code) != seen.end()) continue;
+    seen.push_back(code);
+    if (count == ranked->size()) ranked->emplace_back();
+    ScoredCode& scored = (*ranked)[count++];
+    scored.error_code.assign(index.node_error_code(item.second));
+    scored.score = item.first;
   }
-  return ranked;
+  ranked->resize(count);
 }
 
 size_t RankOf(const std::vector<ScoredCode>& ranked,

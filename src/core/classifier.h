@@ -75,6 +75,16 @@ class RankedKnnClassifier {
                                    kb::FrozenIndex::Scratch* scratch,
                                    size_t* num_candidates = nullptr) const;
 
+  /// The indexed Classify into `*ranked` (replacing its contents). The
+  /// ScoredCode entries already there are reassigned in place, so a
+  /// caller that reuses `ranked` keeps its capacity and its code strings'
+  /// buffers.
+  void ClassifyInto(const kb::FrozenIndex& index, const std::string& part_id,
+                    const std::vector<int64_t>& features,
+                    kb::FrozenIndex::Scratch* scratch,
+                    std::vector<ScoredCode>* ranked,
+                    size_t* num_candidates = nullptr) const;
+
   /// Node-level half of the indexed Classify: accumulation plus the
   /// bounded top-max_nodes heap, stopping *before* code dedup. On return
   /// `scratch->heap` holds the best max_nodes (score, node) pairs sorted

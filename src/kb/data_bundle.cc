@@ -63,39 +63,46 @@ DescriptionCatalog DescriptionCatalog::WithErrorDescription(
 
 namespace {
 
-std::string Compose(const DataBundle& bundle, unsigned sources,
-                    const DescriptionCatalog::Texts& part_descriptions,
-                    const DescriptionCatalog::Texts& error_descriptions) {
-  std::string doc;
-  if (sources & kMechanicReport) AppendSection(&doc, bundle.mechanic_report);
-  if (sources & kInitialReport) {
-    AppendSection(&doc, bundle.initial_oem_report);
-  }
-  if (sources & kSupplierReport) AppendSection(&doc, bundle.supplier_report);
-  if (sources & kFinalReport) AppendSection(&doc, bundle.final_oem_report);
+void Compose(const DataBundle& bundle, unsigned sources,
+             const DescriptionCatalog::Texts& part_descriptions,
+             const DescriptionCatalog::Texts& error_descriptions,
+             std::string* doc) {
+  doc->clear();
+  if (sources & kMechanicReport) AppendSection(doc, bundle.mechanic_report);
+  if (sources & kInitialReport) AppendSection(doc, bundle.initial_oem_report);
+  if (sources & kSupplierReport) AppendSection(doc, bundle.supplier_report);
+  if (sources & kFinalReport) AppendSection(doc, bundle.final_oem_report);
   if (sources & kPartDescription) {
     auto it = part_descriptions.find(bundle.part_id);
-    if (it != part_descriptions.end()) AppendSection(&doc, it->second);
+    if (it != part_descriptions.end()) AppendSection(doc, it->second);
   }
   if ((sources & kErrorDescription) && !bundle.error_code.empty()) {
     auto it = error_descriptions.find(bundle.error_code);
-    if (it != error_descriptions.end()) AppendSection(&doc, it->second);
+    if (it != error_descriptions.end()) AppendSection(doc, it->second);
   }
-  return doc;
 }
 
 }  // namespace
 
 std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
                             const Corpus& corpus) {
-  return Compose(bundle, sources, corpus.part_descriptions,
-                 corpus.error_descriptions);
+  std::string doc;
+  Compose(bundle, sources, corpus.part_descriptions, corpus.error_descriptions,
+          &doc);
+  return doc;
 }
 
 std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
                             const DescriptionCatalog& catalog) {
-  return Compose(bundle, sources, catalog.part_descriptions(),
-                 catalog.error_descriptions());
+  std::string doc;
+  ComposeDocumentInto(bundle, sources, catalog, &doc);
+  return doc;
+}
+
+void ComposeDocumentInto(const DataBundle& bundle, unsigned sources,
+                         const DescriptionCatalog& catalog, std::string* out) {
+  Compose(bundle, sources, catalog.part_descriptions(),
+          catalog.error_descriptions(), out);
 }
 
 }  // namespace qatk::kb

@@ -114,6 +114,11 @@ std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
 std::string ComposeDocument(const DataBundle& bundle, unsigned sources,
                             const DescriptionCatalog& catalog);
 
+/// ComposeDocument into `*out`, replacing its contents and reusing its
+/// capacity (the serving path composes into a per-thread buffer).
+void ComposeDocumentInto(const DataBundle& bundle, unsigned sources,
+                         const DescriptionCatalog& catalog, std::string* out);
+
 }  // namespace qatk::kb
 
 #endif  // QATK_KB_DATA_BUNDLE_H_

@@ -119,32 +119,80 @@ FeatureExtractor::FeatureExtractor(FeatureModel model,
                                    const FeatureVocabulary* vocabulary)
     : FeatureExtractor(model, BuildConcepts(model, taxonomy), vocabulary) {}
 
+namespace {
+
+/// `intern` null means frozen: unknown words are dropped via `lookup`.
+void ResolveInto(FeatureModel model, const TermMentions& mentions,
+                 const FeatureVocabulary* lookup, FeatureVocabulary* intern,
+                 std::vector<int64_t>* features, size_t* mention_count) {
+  size_t mentions_resolved = 0;
+  if (model == FeatureModel::kBagOfConcepts) {
+    features->assign(mentions.concept_ids.begin(),
+                     mentions.concept_ids.end());
+    mentions_resolved = features->size();
+  } else {
+    features->clear();
+    features->reserve(mentions.words.size());
+    for (const std::string& word : mentions.words) {
+      int64_t id = intern != nullptr ? intern->Intern(word)
+                                     : lookup->Lookup(word);
+      if (id >= 0) {
+        features->push_back(id);
+        ++mentions_resolved;
+      }
+    }
+  }
+  std::sort(features->begin(), features->end());
+  features->erase(std::unique(features->begin(), features->end()),
+                  features->end());
+  if (mention_count != nullptr) *mention_count = mentions_resolved;
+}
+
+}  // namespace
+
 Result<std::vector<int64_t>> FeatureExtractor::Extract(
     const std::string& document) {
-  QATK_ASSIGN_OR_RETURN(TermMentions mentions, ExtractTerms(document));
-  return Resolve(mentions);
+  std::vector<int64_t> features;
+  QATK_RETURN_NOT_OK(ExtractInto(document, &features));
+  return features;
+}
+
+Status FeatureExtractor::ExtractInto(const std::string& document,
+                                     std::vector<int64_t>* features) {
+  ExtractTermsInto(document, &mentions_);
+  ResolveInto(model_, mentions_, vocabulary_, mutable_vocabulary_, features,
+              &last_mention_count_);
+  return Status::OK();
 }
 
 Result<TermMentions> FeatureExtractor::ExtractTerms(
     const std::string& document) {
+  TermMentions mentions;
+  ExtractTermsInto(document, &mentions);
+  return mentions;
+}
+
+void FeatureExtractor::ExtractTermsInto(const std::string& document,
+                                        TermMentions* mentions) {
   tokenizer_.WordsNormalized(document, &words_);
   const std::vector<std::string_view>& words = words_.words();
-  TermMentions mentions;
+  mentions->words.clear();
+  mentions->concept_ids.clear();
   switch (model_) {
     case FeatureModel::kBagOfConcepts:
       concepts_->FindMentions(words, &matches_);
       for (const tax::ConceptTrie::Mention& match : matches_) {
-        mentions.concept_ids.insert(mentions.concept_ids.end(),
-                                    match.concepts.begin(),
-                                    match.concepts.end());
+        mentions->concept_ids.insert(mentions->concept_ids.end(),
+                                     match.concepts.begin(),
+                                     match.concepts.end());
       }
       break;
     case FeatureModel::kBagOfWords:
-      mentions.words.assign(words.begin(), words.end());
+      mentions->words.assign(words.begin(), words.end());
       break;
     case FeatureModel::kBagOfWordsNoStop:
       for (std::string_view word : words) {
-        if (!Stopwords().IsStopword(word)) mentions.words.emplace_back(word);
+        if (!Stopwords().IsStopword(word)) mentions->words.emplace_back(word);
       }
       break;
     case FeatureModel::kBagOfStems: {
@@ -153,56 +201,26 @@ Result<TermMentions> FeatureExtractor::ExtractTerms(
       // skips stemming stopwords.
       for (std::string_view word : words) {
         if (Stopwords().IsStopword(word)) continue;
-        mentions.words.push_back(stemmer_.Stem(word, language));
+        mentions->words.push_back(stemmer_.Stem(word, language));
       }
       break;
     }
   }
-  return mentions;
 }
-
-namespace {
-
-/// `intern` null means frozen: unknown words are dropped via `lookup`.
-std::vector<int64_t> ResolveImpl(FeatureModel model,
-                                 const TermMentions& mentions,
-                                 const FeatureVocabulary* lookup,
-                                 FeatureVocabulary* intern,
-                                 size_t* mention_count) {
-  std::vector<int64_t> features;
-  size_t mentions_resolved = 0;
-  if (model == FeatureModel::kBagOfConcepts) {
-    features = mentions.concept_ids;
-    mentions_resolved = features.size();
-  } else {
-    features.reserve(mentions.words.size());
-    for (const std::string& word : mentions.words) {
-      int64_t id = intern != nullptr ? intern->Intern(word)
-                                     : lookup->Lookup(word);
-      if (id >= 0) {
-        features.push_back(id);
-        ++mentions_resolved;
-      }
-    }
-  }
-  std::sort(features.begin(), features.end());
-  features.erase(std::unique(features.begin(), features.end()),
-                 features.end());
-  if (mention_count != nullptr) *mention_count = mentions_resolved;
-  return features;
-}
-
-}  // namespace
 
 std::vector<int64_t> InternMentions(FeatureModel model,
                                     const TermMentions& mentions,
                                     FeatureVocabulary* vocabulary) {
-  return ResolveImpl(model, mentions, vocabulary, vocabulary, nullptr);
+  std::vector<int64_t> features;
+  ResolveInto(model, mentions, vocabulary, vocabulary, &features, nullptr);
+  return features;
 }
 
 std::vector<int64_t> FeatureExtractor::Resolve(const TermMentions& mentions) {
-  return ResolveImpl(model_, mentions, vocabulary_, mutable_vocabulary_,
-                     &last_mention_count_);
+  std::vector<int64_t> features;
+  ResolveInto(model_, mentions, vocabulary_, mutable_vocabulary_, &features,
+              &last_mention_count_);
+  return features;
 }
 
 }  // namespace qatk::kb

@@ -140,6 +140,12 @@ class FeatureExtractor {
   /// Extracts the sorted unique feature ids of `document`.
   Result<std::vector<int64_t>> Extract(const std::string& document);
 
+  /// Extract into `*features` (replacing its contents). Its capacity and
+  /// the extractor's scratch are reused, so a warmed-up bag-of-concepts
+  /// extraction allocates nothing.
+  Status ExtractInto(const std::string& document,
+                     std::vector<int64_t>* features);
+
   /// Runs only the preprocessing: mentions in document order, no
   /// vocabulary access. Use Resolve (or Extract) to turn mentions into
   /// feature ids.
@@ -164,6 +170,9 @@ class FeatureExtractor {
                    const FeatureVocabulary* vocabulary,
                    FeatureVocabulary* mutable_vocabulary);
 
+  /// ExtractTerms into `*mentions` (replacing its contents).
+  void ExtractTermsInto(const std::string& document, TermMentions* mentions);
+
   FeatureModel model_;
   /// Read path; always set.
   const FeatureVocabulary* vocabulary_;
@@ -178,6 +187,7 @@ class FeatureExtractor {
   /// Scratch reused from one document to the next.
   text::FoldedWords words_;
   std::vector<tax::ConceptTrie::Mention> matches_;
+  TermMentions mentions_;
 };
 
 /// Interns `mentions` into `vocabulary` (word models) or passes concept

@@ -115,7 +115,8 @@ std::vector<core::ScoredCode> FullListFor(
 
 /// Per-thread reader state, pinned to one published snapshot: the frozen
 /// (read-only) extractor bound to that snapshot's vocabulary and concept
-/// trie, and the epoch-tagged scoring scratch. Owned by exactly one thread
+/// trie, the epoch-tagged scoring scratch, and the buffers a query
+/// composes its document and extracts its features into. Owned by exactly one thread
 /// through a thread_local cache, so everything here is mutated without
 /// locks; the shared_ptr keeps the snapshot alive for as long as the
 /// thread serves from it (the RCU grace period is "every reader refreshed
@@ -125,6 +126,8 @@ struct RecommendationService::ReaderState {
   std::shared_ptr<const TrainedState> state;
   std::unique_ptr<kb::FeatureExtractor> extractor;
   kb::FrozenIndex::Scratch scratch;
+  std::string document;
+  std::vector<int64_t> features;
 
   ReaderState() {
     g_live_reader_states.fetch_add(1, std::memory_order_relaxed);
@@ -161,14 +164,17 @@ struct RecommendationService::ReaderState {
     }
 
     /// Inserts a fresh entry at the MRU slot, evicting the LRU entry when
-    /// full — but keeping (handing off) the evictee's scratch, so a
-    /// retrain costs an extractor set-up, not a re-allocation of the
-    /// accumulator arrays (kb::FrozenIndex::Scratch re-sizes itself on
-    /// demand and its epoch tags make stale slots read as zero under any
-    /// index).
+    /// full — but keeping (handing off) the evictee's scratch and query
+    /// buffers, so a retrain costs an extractor set-up, not a
+    /// re-allocation of the accumulator arrays (kb::FrozenIndex::Scratch
+    /// re-sizes itself on demand and its epoch tags make stale slots read
+    /// as zero under any index).
     ReaderState* Insert(std::unique_ptr<ReaderState> entry) {
       if (entries_.size() >= kMaxEntries) {
-        entry->scratch = std::move(entries_.back()->scratch);
+        ReaderState& evictee = *entries_.back();
+        entry->scratch = std::move(evictee.scratch);
+        entry->document = std::move(evictee.document);
+        entry->features = std::move(evictee.features);
         entries_.pop_back();
       }
       entries_.insert(entries_.begin(), std::move(entry));
@@ -341,41 +347,47 @@ RecommendationService::ReaderState& RecommendationService::AcquireReader()
   return *cache.Insert(std::move(fresh));
 }
 
-Result<RecommendationService::Recommendation>
-RecommendationService::RecommendWithReader(ReaderState& reader,
-                                           const std::string& part_id,
-                                           const std::string& text) const {
-  const TrainedState& state = *reader.state;
-  std::vector<int64_t> features;
+Status RecommendationService::RecommendWithReader(ReaderState& reader,
+                                                 const std::string& part_id,
+                                                 const std::string& text,
+                                                 Recommendation* out) const {
   {
     obs::ScopedTimer extract_span(Metrics().extract_us);
-    QATK_ASSIGN_OR_RETURN(features, reader.extractor->Extract(text));
+    QATK_RETURN_NOT_OK(reader.extractor->ExtractInto(text, &reader.features));
   }
-  std::vector<core::ScoredCode> ranked =
-      classifier_.Classify(state.index, part_id, features, &reader.scratch);
-  Recommendation recommendation;
-  recommendation.truncated = ranked.size() > options_.top_n;
-  if (recommendation.truncated) ranked.resize(options_.top_n);
-  recommendation.top = std::move(ranked);
-  return recommendation;
+  classifier_.ClassifyInto(reader.state->index, part_id, reader.features,
+                           &reader.scratch, &out->top);
+  out->truncated = out->top.size() > options_.top_n;
+  if (out->truncated) out->top.resize(options_.top_n);
+  return Status::OK();
 }
 
 Result<RecommendationService::Recommendation>
 RecommendationService::Recommend(const kb::DataBundle& bundle) const {
+  Recommendation recommendation;
+  QATK_RETURN_NOT_OK(RecommendInto(bundle, &recommendation));
+  return recommendation;
+}
+
+Status RecommendationService::RecommendInto(const kb::DataBundle& bundle,
+                                            Recommendation* out) const {
   if (!trained()) return Status::Invalid("service not trained");
   ReaderState& reader = AcquireReader();
   // Compose the test-time document (no final report / error description)
   // against the snapshot's shared catalogs: no map copies, no locks.
-  std::string document = kb::ComposeDocument(bundle, kb::kTestSources,
-                                             reader.state->compose_context);
-  return RecommendWithReader(reader, bundle.part_id, document);
+  kb::ComposeDocumentInto(bundle, kb::kTestSources,
+                          reader.state->compose_context, &reader.document);
+  return RecommendWithReader(reader, bundle.part_id, reader.document, out);
 }
 
 Result<RecommendationService::Recommendation>
 RecommendationService::RecommendForText(const std::string& part_id,
                                         const std::string& text) const {
   if (!trained()) return Status::Invalid("service not trained");
-  return RecommendWithReader(AcquireReader(), part_id, text);
+  Recommendation recommendation;
+  QATK_RETURN_NOT_OK(
+      RecommendWithReader(AcquireReader(), part_id, text, &recommendation));
+  return recommendation;
 }
 
 Result<RecommendationService::ShardPartial>
@@ -393,12 +405,12 @@ RecommendationService::ShardTopKWithReader(ReaderState& reader,
     // scatter only when the *owner* reports the part unknown.
     return partial;
   }
-  std::vector<int64_t> features;
   {
     obs::ScopedTimer extract_span(Metrics().extract_us);
-    QATK_ASSIGN_OR_RETURN(features, reader.extractor->Extract(text));
+    QATK_RETURN_NOT_OK(reader.extractor->ExtractInto(text, &reader.features));
   }
-  classifier_.SelectTopNodes(state.index, part_id, features, &reader.scratch);
+  classifier_.SelectTopNodes(state.index, part_id, reader.features,
+                             &reader.scratch);
   partial.items.reserve(reader.scratch.heap.size());
   for (const auto& [score, node] : reader.scratch.heap) {
     const uint64_t ordinal = node < state.node_ordinals.size()
@@ -417,9 +429,10 @@ Result<RecommendationService::ShardPartial> RecommendationService::ShardTopK(
   // Same test-time document composition as Recommend — every shard keeps
   // the full description catalogs, so the composed text is identical on
   // all of them.
-  std::string document = kb::ComposeDocument(bundle, kb::kTestSources,
-                                             reader.state->compose_context);
-  return ShardTopKWithReader(reader, bundle.part_id, document, fallback);
+  kb::ComposeDocumentInto(bundle, kb::kTestSources,
+                          reader.state->compose_context, &reader.document);
+  return ShardTopKWithReader(reader, bundle.part_id, reader.document,
+                             fallback);
 }
 
 Result<RecommendationService::ShardPartial>

@@ -44,8 +44,9 @@ namespace qatk::quest {
 /// pointer, a frozen-vocabulary FeatureExtractor built against that
 /// snapshot, and the epoch-tagged scoring scratch — validated against the
 /// service's generation counter with a single atomic acquire load. While
-/// the generation is unchanged the hot path acquires ZERO locks and
-/// allocates nothing beyond the classification result; a generation
+/// the generation is unchanged the hot path acquires ZERO locks, and
+/// RecommendInto allocates nothing (document, features and scratch are
+/// the ReaderState's, the result the caller's); a generation
 /// change (retrain, confirm) sends the reader through a short
 /// mutex-guarded refresh that rebinds the snapshot and sets up a small
 /// extractor over the new vocabulary and the snapshot's shared concept
@@ -208,6 +209,14 @@ class RecommendationService {
   };
   Result<Recommendation> Recommend(const kb::DataBundle& bundle) const;
 
+  /// Recommend into `*out` (replacing its contents). The composed
+  /// document and the features live in the calling thread's reader state,
+  /// and `out`'s vector and code strings are reassigned in place, so a
+  /// caller that reuses `out` allocates nothing once warmed up. On error
+  /// `*out` is unspecified.
+  Status RecommendInto(const kb::DataBundle& bundle,
+                       Recommendation* out) const;
+
   /// One pre-dedup candidate node of a shard's local top-max_nodes, as
   /// served to the scatter-gather front-end.
   struct ShardPartialItem {
@@ -331,11 +340,11 @@ class RecommendationService {
   /// plus a tiny thread_local scan: no locks, no allocation.
   ReaderState& AcquireReader() const;
 
-  /// Classification body shared by Recommend / RecommendForText; operates
-  /// entirely on `reader`'s pinned snapshot.
-  Result<Recommendation> RecommendWithReader(ReaderState& reader,
-                                             const std::string& part_id,
-                                             const std::string& text) const;
+  /// Classification body shared by RecommendInto / RecommendForText;
+  /// operates entirely on `reader`'s pinned snapshot.
+  Status RecommendWithReader(ReaderState& reader, const std::string& part_id,
+                             const std::string& text,
+                             Recommendation* out) const;
 
   /// Shared body of ShardTopK / ShardTopKForText.
   Result<ShardPartial> ShardTopKWithReader(ReaderState& reader,

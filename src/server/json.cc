@@ -67,12 +67,289 @@ size_t PlainRunEnd(std::string_view text, size_t pos) {
 
 }  // namespace
 
-/// Recursive-descent parser over a string_view with an explicit cursor.
-/// Depth is capped so a frame of ten thousand '[' cannot blow the stack.
+Status JsonCursor::Error(const char* what) const {
+  return Status::Invalid("JSON parse error at byte " + std::to_string(pos_) +
+                         ": " + what);
+}
+
+void JsonCursor::SkipWhitespace() {
+  while (pos_ < text_.size()) {
+    char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+bool JsonCursor::Consume(char c) {
+  if (pos_ < text_.size() && text_[pos_] == c) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+Status JsonCursor::BeginValue(int depth) {
+  if (depth > kMaxDepth) return Error("nesting too deep");
+  SkipWhitespace();
+  if (pos_ >= text_.size()) return Error("unexpected end of input");
+  return Status::OK();
+}
+
+Status JsonCursor::Finish() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) {
+    return Error("trailing bytes after JSON document");
+  }
+  return Status::OK();
+}
+
+bool JsonCursor::EnterObject() {
+  ++pos_;  // '{'
+  SkipWhitespace();
+  return !Consume('}');
+}
+
+Status JsonCursor::ReadKey(std::string* key) {
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    return Error("expected object key");
+  }
+  QATK_RETURN_NOT_OK(ReadString(key));
+  SkipWhitespace();
+  if (!Consume(':')) return Error("expected ':' after object key");
+  return Status::OK();
+}
+
+Status JsonCursor::NextMember(bool* more) {
+  SkipWhitespace();
+  if (Consume(',')) {
+    *more = true;
+  } else if (Consume('}')) {
+    *more = false;
+  } else {
+    return Error("expected ',' or '}' in object");
+  }
+  return Status::OK();
+}
+
+bool JsonCursor::EnterArray() {
+  ++pos_;  // '['
+  SkipWhitespace();
+  return !Consume(']');
+}
+
+Status JsonCursor::NextItem(bool* more) {
+  SkipWhitespace();
+  if (Consume(',')) {
+    *more = true;
+  } else if (Consume(']')) {
+    *more = false;
+  } else {
+    return Error("expected ',' or ']' in array");
+  }
+  return Status::OK();
+}
+
+Status JsonCursor::SkipValue(int depth) {
+  QATK_RETURN_NOT_OK(BeginValue(depth));
+  switch (Peek()) {
+    case '{':
+      for (bool more = EnterObject(); more;) {
+        QATK_RETURN_NOT_OK(ReadKey(nullptr));
+        QATK_RETURN_NOT_OK(SkipValue(depth + 1));
+        QATK_RETURN_NOT_OK(NextMember(&more));
+      }
+      return Status::OK();
+    case '[':
+      for (bool more = EnterArray(); more;) {
+        QATK_RETURN_NOT_OK(SkipValue(depth + 1));
+        QATK_RETURN_NOT_OK(NextItem(&more));
+      }
+      return Status::OK();
+    case '"':
+      return ReadString(nullptr);
+    default:
+      return ReadScalar(nullptr);
+  }
+}
+
+Status JsonCursor::ParseHex4(uint32_t* out) {
+  if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
+  uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    char c = text_[pos_ + i];
+    value <<= 4;
+    if (c >= '0' && c <= '9') {
+      value |= static_cast<uint32_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      value |= static_cast<uint32_t>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      value |= static_cast<uint32_t>(c - 'A' + 10);
+    } else {
+      return Error("invalid \\u escape digit");
+    }
+  }
+  pos_ += 4;
+  *out = value;
+  return Status::OK();
+}
+
+namespace {
+
+void AppendUtf8(uint32_t cp, std::string* out) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+/// The byte an escape sequence `\<esc>` stands for, or 0 when `esc` is not
+/// a one-byte escape.
+char UnescapeByte(char esc) {
+  switch (esc) {
+    case '"': return '"';
+    case '\\': return '\\';
+    case '/': return '/';
+    case 'b': return '\b';
+    case 'f': return '\f';
+    case 'n': return '\n';
+    case 'r': return '\r';
+    case 't': return '\t';
+    default: return 0;
+  }
+}
+
+}  // namespace
+
+Status JsonCursor::ReadString(std::string* out) {
+  ++pos_;  // opening quote
+  if (out != nullptr) out->clear();
+  for (;;) {
+    const size_t run = pos_;
+    pos_ = PlainRunEnd(text_, pos_);
+    if (out != nullptr) out->append(text_.data() + run, pos_ - run);
+    if (pos_ >= text_.size()) return Error("unterminated string");
+    char c = text_[pos_++];
+    if (c == '"') return Status::OK();
+    if (c != '\\') return Error("raw control character in string");
+    if (pos_ >= text_.size()) return Error("truncated escape");
+    const char esc = text_[pos_++];
+    if (esc != 'u') {
+      const char byte = UnescapeByte(esc);
+      if (byte == 0) return Error("invalid escape character");
+      if (out != nullptr) out->push_back(byte);
+      continue;
+    }
+    uint32_t cp = 0;
+    QATK_RETURN_NOT_OK(ParseHex4(&cp));
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      // High surrogate: must be followed by \uDC00..\uDFFF.
+      if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+          text_[pos_ + 1] != 'u') {
+        return Error("lone high surrogate");
+      }
+      pos_ += 2;
+      uint32_t low = 0;
+      QATK_RETURN_NOT_OK(ParseHex4(&low));
+      if (low < 0xDC00 || low > 0xDFFF) {
+        return Error("invalid low surrogate");
+      }
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      return Error("lone low surrogate");
+    }
+    if (out != nullptr) AppendUtf8(cp, out);
+  }
+}
+
+Status JsonCursor::ReadScalar(Json* out) {
+  const std::string_view rest = text_.substr(pos_);
+  for (const std::string_view literal : {"true", "false", "null"}) {
+    if (rest.front() != literal.front()) continue;
+    if (rest.substr(0, literal.size()) != literal) {
+      return Error("invalid literal");
+    }
+    pos_ += literal.size();
+    if (out != nullptr) {
+      *out = literal == "null" ? Json() : Json(literal == "true");
+    }
+    return Status::OK();
+  }
+  const size_t start = pos_;
+  Consume('-');
+  if (pos_ >= text_.size() ||
+      !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
+    return Error("invalid number");
+  }
+  if (text_[pos_] == '0') {
+    ++pos_;  // JSON forbids leading zeros: "0" but never "01".
+    if (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      return Error("leading zero in number");
+    }
+  } else {
+    while (pos_ < text_.size() && text_[pos_] >= '0' &&
+           text_[pos_] <= '9') {
+      ++pos_;
+    }
+  }
+  if (Consume('.')) {
+    if (pos_ >= text_.size() ||
+        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
+      return Error("digits required after decimal point");
+    }
+    while (pos_ < text_.size() && text_[pos_] >= '0' &&
+           text_[pos_] <= '9') {
+      ++pos_;
+    }
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
+    if (pos_ < text_.size() &&
+        (text_[pos_] == '+' || text_[pos_] == '-')) {
+      ++pos_;
+    }
+    if (pos_ >= text_.size() ||
+        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
+      return Error("digits required in exponent");
+    }
+    while (pos_ < text_.size() && text_[pos_] >= '0' &&
+           text_[pos_] <= '9') {
+      ++pos_;
+    }
+  }
+  if (out == nullptr) return Status::OK();
+  // The slice is a valid JSON number by construction, which is also
+  // valid from_chars input (JSON has no leading '+').
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  double value = 0;
+  if (std::from_chars(first, last, value).ec ==
+      std::errc::result_out_of_range) {
+    // from_chars leaves `value` untouched when the literal overflows or
+    // underflows to zero; strtod gives the +-inf / signed zero the wire
+    // has always decoded. Rare, so the NUL-terminated copy is fine.
+    value = std::strtod(std::string(first, last).c_str(), nullptr);
+  }
+  *out = Json(value);
+  return Status::OK();
+}
+
+/// Builds the document tree over a JsonCursor, which owns the grammar.
 class Json::Parser {
  public:
   explicit Parser(std::string_view text)
-      : text_(text), stage_(ThreadParseStage()) {}
+      : cursor_(text), stage_(ThreadParseStage()) {}
 
   ~Parser() {
     // An error return leaves the open containers' entries staged.
@@ -87,75 +364,26 @@ class Json::Parser {
   }
 
   Result<Json> ParseDocument() {
-    SkipWhitespace();
     Json value;
     QATK_RETURN_NOT_OK(ParseValue(0, &value));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing bytes after JSON document");
-    }
+    QATK_RETURN_NOT_OK(cursor_.Finish());
     return value;
   }
 
  private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& what) const {
-    return Status::Invalid("JSON parse error at byte " +
-                           std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
   /// `out` is a fresh, null Json.
   Status ParseValue(int depth, Json* out) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    switch (text_[pos_]) {
+    QATK_RETURN_NOT_OK(cursor_.BeginValue(depth));
+    switch (cursor_.Peek()) {
       case '{':
         return ParseObject(depth, out);
       case '[':
         return ParseArray(depth, out);
       case '"':
         out->type_ = Type::kString;
-        return ParseString(&out->string_);
-      case 't':
-        if (text_.substr(pos_, 4) == "true") {
-          pos_ += 4;
-          *out = Json(true);
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'f':
-        if (text_.substr(pos_, 5) == "false") {
-          pos_ += 5;
-          *out = Json(false);
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'n':
-        if (text_.substr(pos_, 4) == "null") {
-          pos_ += 4;
-          return Status::OK();
-        }
-        return Error("invalid literal");
+        return cursor_.ReadString(&out->string_);
       default:
-        return ParseNumber(out);
+        return cursor_.ReadScalar(out);
     }
   }
 
@@ -171,217 +399,46 @@ class Json::Parser {
   }
 
   Status ParseObject(int depth, Json* out) {
-    ++pos_;  // '{'
     out->type_ = Type::kObject;
     std::vector<std::pair<std::string, Json>>& staged = stage_.members;
     const size_t base = staged.size();
-    SkipWhitespace();
-    if (!Consume('}')) {
-      for (;;) {
-        SkipWhitespace();
-        if (pos_ >= text_.size() || text_[pos_] != '"') {
-          return Error("expected object key");
+    for (bool more = cursor_.EnterObject(); more;) {
+      std::string key;
+      QATK_RETURN_NOT_OK(cursor_.ReadKey(&key));
+      Json value;
+      QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
+      // Same rule as Set: a repeated key keeps its first position and
+      // takes the last value.
+      bool repeated = false;
+      for (size_t i = base; i < staged.size(); ++i) {
+        if (staged[i].first == key) {
+          staged[i].second = std::move(value);
+          repeated = true;
+          break;
         }
-        std::string key;
-        QATK_RETURN_NOT_OK(ParseString(&key));
-        SkipWhitespace();
-        if (!Consume(':')) return Error("expected ':' after object key");
-        Json value;
-        QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
-        // Same rule as Set: a repeated key keeps its first position and
-        // takes the last value.
-        bool repeated = false;
-        for (size_t i = base; i < staged.size(); ++i) {
-          if (staged[i].first == key) {
-            staged[i].second = std::move(value);
-            repeated = true;
-            break;
-          }
-        }
-        if (!repeated) staged.emplace_back(std::move(key), std::move(value));
-        SkipWhitespace();
-        if (Consume(',')) continue;
-        if (Consume('}')) break;
-        return Error("expected ',' or '}' in object");
       }
+      if (!repeated) staged.emplace_back(std::move(key), std::move(value));
+      QATK_RETURN_NOT_OK(cursor_.NextMember(&more));
     }
     Unstage(base, &staged, &out->members_);
     return Status::OK();
   }
 
   Status ParseArray(int depth, Json* out) {
-    ++pos_;  // '['
     out->type_ = Type::kArray;
     std::vector<Json>& staged = stage_.items;
     const size_t base = staged.size();
-    SkipWhitespace();
-    if (!Consume(']')) {
-      for (;;) {
-        Json value;
-        QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
-        staged.push_back(std::move(value));
-        SkipWhitespace();
-        if (Consume(',')) continue;
-        if (Consume(']')) break;
-        return Error("expected ',' or ']' in array");
-      }
+    for (bool more = cursor_.EnterArray(); more;) {
+      Json value;
+      QATK_RETURN_NOT_OK(ParseValue(depth + 1, &value));
+      staged.push_back(std::move(value));
+      QATK_RETURN_NOT_OK(cursor_.NextItem(&more));
     }
     Unstage(base, &staged, &out->items_);
     return Status::OK();
   }
 
-  Status ParseHex4(uint32_t* out) {
-    if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_ + i];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return Error("invalid \\u escape digit");
-      }
-    }
-    pos_ += 4;
-    *out = value;
-    return Status::OK();
-  }
-
-  static void AppendUtf8(uint32_t cp, std::string* out) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
-    for (;;) {
-      const size_t run = pos_;
-      pos_ = PlainRunEnd(text_, pos_);
-      out->append(text_.data() + run, pos_ - run);
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') return Error("raw control character in string");
-      if (pos_ >= text_.size()) return Error("truncated escape");
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          uint32_t cp = 0;
-          QATK_RETURN_NOT_OK(ParseHex4(&cp));
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: must be followed by \uDC00..\uDFFF.
-            if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              return Error("lone high surrogate");
-            }
-            pos_ += 2;
-            uint32_t low = 0;
-            QATK_RETURN_NOT_OK(ParseHex4(&low));
-            if (low < 0xDC00 || low > 0xDFFF) {
-              return Error("invalid low surrogate");
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return Error("lone low surrogate");
-          }
-          AppendUtf8(cp, out);
-          break;
-        }
-        default:
-          return Error("invalid escape character");
-      }
-    }
-  }
-
-  Status ParseNumber(Json* out) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    if (pos_ >= text_.size() ||
-        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-      return Error("invalid number");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;  // JSON forbids leading zeros: "0" but never "01".
-      if (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        return Error("leading zero in number");
-      }
-    } else {
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (Consume('.')) {
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Error("digits required after decimal point");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() &&
-          (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Error("digits required in exponent");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' &&
-             text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    // The slice is a valid JSON number by construction, which is also
-    // valid from_chars input (JSON has no leading '+').
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    double value = 0;
-    if (std::from_chars(first, last, value).ec ==
-        std::errc::result_out_of_range) {
-      // from_chars leaves `value` untouched when the literal overflows or
-      // underflows to zero; strtod gives the +-inf / signed zero the wire
-      // has always decoded. Rare, so the NUL-terminated copy is fine.
-      value = std::strtod(std::string(first, last).c_str(), nullptr);
-    }
-    out->type_ = Type::kNumber;
-    out->number_ = value;
-    return Status::OK();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  JsonCursor cursor_;
   ParseStage& stage_;
 };
 
@@ -416,7 +473,10 @@ double Json::GetNumber(std::string_view key, double fallback) const {
 int64_t Json::GetInt(std::string_view key, int64_t fallback) const {
   const Json* member = Find(key);
   if (member == nullptr || !member->is_number()) return fallback;
-  const double value = member->number_value();
+  return JsonNumberToInt(member->number_value(), fallback);
+}
+
+int64_t JsonNumberToInt(double value, int64_t fallback) {
   // [-2^63, 2^63) is exactly the range the cast is defined on; NaN fails
   // both comparisons.
   if (!(value >= -9223372036854775808.0 && value < 9223372036854775808.0)) {

@@ -30,6 +30,7 @@ namespace qatk::server {
 ///    total underflow to a signed zero, exactly as strtod would.
 ///  * Parse enforces a nesting-depth cap and rejects trailing garbage, so
 ///    a hostile frame cannot stack-overflow the server or smuggle bytes.
+///    The grammar lives in JsonCursor (below); Parse only builds the tree.
 ///    Each object and array is sized once: its members are staged on a
 ///    per-thread stack while it is parsed and moved into place at its
 ///    closing bracket.
@@ -119,6 +120,78 @@ class Json {
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
 };
+
+/// \brief The JSON grammar, one token at a time: a cursor over one document
+/// that reads strings and scalars, walks objects and arrays, and validates
+/// whole values without building them.
+///
+/// Json::Parse builds its tree on these primitives, and decoders that fill
+/// their own structs (DecodeRequestInto) read through them directly, so
+/// there is one grammar: the same depth cap, escape and surrogate rules,
+/// number grammar and trailing-bytes check, and the same error text at the
+/// same byte offset. A decoder walks an object as
+///
+///   QATK_RETURN_NOT_OK(cursor.BeginValue(depth));   // then Peek() == '{'
+///   for (bool more = cursor.EnterObject(); more;) {
+///     QATK_RETURN_NOT_OK(cursor.ReadKey(&key));
+///     ... read or SkipValue(depth + 1) ...
+///     QATK_RETURN_NOT_OK(cursor.NextMember(&more));
+///   }
+///
+/// The readers reuse the capacity of the strings they fill, and a null
+/// target validates without storing, so a warmed-up decoder allocates
+/// nothing.
+class JsonCursor {
+ public:
+  /// Values nested deeper than this are rejected ("nesting too deep").
+  static constexpr int kMaxDepth = 64;
+
+  explicit JsonCursor(std::string_view text) : text_(text) {}
+
+  /// Start of a value at nesting `depth` (the document is depth 0): checks
+  /// the depth cap, skips whitespace and fails at the end of input. On OK,
+  /// Peek() is the value's first byte.
+  Status BeginValue(int depth);
+  char Peek() const { return text_[pos_]; }
+
+  /// At '"': reads the string into `*out` (replacing its contents), or only
+  /// validates it when `out` is null.
+  Status ReadString(std::string* out);
+  /// At a value that is not a string, object or array: reads true, false,
+  /// null or a number into `*out`, or only validates it when `out` is null.
+  Status ReadScalar(Json* out);
+  /// Validates one value of any type at `depth` without building it.
+  Status SkipValue(int depth);
+
+  /// At '{': consumes it; returns false when the object is empty (its '}'
+  /// consumed too).
+  bool EnterObject();
+  /// The next member's key and its ':' (`key` may be null).
+  Status ReadKey(std::string* key);
+  /// After a member's value: ',' sets `*more`, '}' clears it.
+  Status NextMember(bool* more);
+  /// At '[': consumes it; returns false when the array is empty.
+  bool EnterArray();
+  /// After an item: ',' sets `*more`, ']' clears it.
+  Status NextItem(bool* more);
+
+  /// After the document's value: only whitespace may follow.
+  Status Finish();
+
+ private:
+  Status Error(const char* what) const;
+  void SkipWhitespace();
+  bool Consume(char c);
+  Status ParseHex4(uint32_t* out);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+/// The int64 that Json::GetInt reads from a number: truncated toward zero,
+/// or `fallback` when the value is not finite or lies outside the int64
+/// range, where the cast would be undefined.
+int64_t JsonNumberToInt(double value, int64_t fallback);
 
 /// Appends `text` to `out` with JSON string escaping (quotes, backslash,
 /// control characters as \uXXXX). Shared by Json::Dump and any hand-rolled

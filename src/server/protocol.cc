@@ -67,6 +67,94 @@ constexpr MethodName kMethodNames[] = {
     {Method::kShardTopK, "ShardTopK"},
 };
 
+/// The bundle fields request params carry, in BundleToParams order.
+struct BundleField {
+  std::string_view name;
+  std::string kb::DataBundle::*member;
+};
+
+constexpr BundleField kBundleFields[] = {
+    {"reference_number", &kb::DataBundle::reference_number},
+    {"article_code", &kb::DataBundle::article_code},
+    {"part_id", &kb::DataBundle::part_id},
+    {"error_code", &kb::DataBundle::error_code},
+    {"responsibility_code", &kb::DataBundle::responsibility_code},
+    {"mechanic_report", &kb::DataBundle::mechanic_report},
+    {"initial_oem_report", &kb::DataBundle::initial_oem_report},
+    {"supplier_report", &kb::DataBundle::supplier_report},
+    {"final_oem_report", &kb::DataBundle::final_oem_report},
+};
+
+/// Reads the value at the cursor the way Json::GetInt reads a member:
+/// anything but a number in the int64 range reads as `fallback`.
+Status ReadInt(JsonCursor* cursor, int depth, int64_t fallback,
+               int64_t* out) {
+  QATK_RETURN_NOT_OK(cursor->BeginValue(depth));
+  const char first = cursor->Peek();
+  if (first == '{' || first == '[' || first == '"') {
+    *out = fallback;
+    return cursor->SkipValue(depth);
+  }
+  Json scalar;
+  QATK_RETURN_NOT_OK(cursor->ReadScalar(&scalar));
+  *out = scalar.is_number() ? JsonNumberToInt(scalar.number_value(), fallback)
+                            : fallback;
+  return Status::OK();
+}
+
+/// Empties every field, keeping the strings' capacity.
+void ClearBundle(kb::DataBundle* bundle) {
+  for (const BundleField& field : kBundleFields) {
+    (bundle->*field.member).clear();
+  }
+}
+
+/// Reads the params value at the cursor into `bundle` the way
+/// BundleFromParams reads a parsed params object: a repeated "params"
+/// replaces the earlier one whole. `key` is scratch.
+Status ReadBundle(JsonCursor* cursor, std::string* key,
+                  kb::DataBundle* bundle) {
+  ClearBundle(bundle);
+  QATK_RETURN_NOT_OK(cursor->BeginValue(1));
+  if (cursor->Peek() != '{') return cursor->SkipValue(1);
+  for (bool more = cursor->EnterObject(); more;) {
+    QATK_RETURN_NOT_OK(cursor->ReadKey(key));
+    std::string* target = nullptr;
+    for (const BundleField& field : kBundleFields) {
+      if (std::string_view(*key) == field.name) {
+        target = &(bundle->*field.member);
+        break;
+      }
+    }
+    if (target == nullptr) {
+      QATK_RETURN_NOT_OK(cursor->SkipValue(2));
+    } else {
+      // A value that is not a string reads as "" (GetString's fallback).
+      QATK_RETURN_NOT_OK(cursor->BeginValue(2));
+      if (cursor->Peek() == '"') {
+        QATK_RETURN_NOT_OK(cursor->ReadString(target));
+      } else {
+        target->clear();
+        QATK_RETURN_NOT_OK(cursor->SkipValue(2));
+      }
+    }
+    QATK_RETURN_NOT_OK(cursor->NextMember(&more));
+  }
+  return Status::OK();
+}
+
+/// The envelope of a response up to its result value:
+/// {"id":<id>,"code":"<code>","message":"<message>","result":
+void AppendResponseHead(int64_t id, const Status& status, std::string* out) {
+  out->append("{\"id\":");
+  AppendJsonNumber(static_cast<double>(id), out);
+  out->append(",\"code\":\"");
+  JsonEscape(StatusCodeToString(status.code()), out);
+  out->append("\",\"message\":\"");
+  JsonEscape(status.message(), out);
+  out->append("\",\"result\":");
+}
+
 Json ScoredCodesToJson(const std::vector<core::ScoredCode>& codes) {
   Json array = Json::Array();
   array.Reserve(codes.size());
@@ -118,6 +206,53 @@ Result<Request> ParseRequest(std::string_view payload) {
   return request;
 }
 
+Status DecodeRequestInto(std::string_view payload, Request* request,
+                         kb::DataBundle* bundle) {
+  // The checks and their order are ParseRequest's: the whole document
+  // must parse before "not an object" or "missing method" is reported.
+  JsonCursor cursor(payload);
+  QATK_RETURN_NOT_OK(cursor.BeginValue(0));
+  if (cursor.Peek() != '{') {
+    QATK_RETURN_NOT_OK(cursor.SkipValue(0));
+    QATK_RETURN_NOT_OK(cursor.Finish());
+    return Status::Invalid("request payload is not a JSON object");
+  }
+  // Member keys, read into one string per thread: bundle field names such
+  // as "responsibility_code" outgrow the small-string buffer, so a fresh
+  // string would allocate on every request.
+  thread_local std::string key;
+  request->id = 0;
+  request->deadline_ms = -1;
+  bool method_is_string = false;
+  ClearBundle(bundle);
+  for (bool more = cursor.EnterObject(); more;) {
+    QATK_RETURN_NOT_OK(cursor.ReadKey(&key));
+    const std::string_view name = key;
+    if (name == "id") {
+      QATK_RETURN_NOT_OK(ReadInt(&cursor, 1, 0, &request->id));
+    } else if (name == "deadline_ms") {
+      QATK_RETURN_NOT_OK(ReadInt(&cursor, 1, -1, &request->deadline_ms));
+    } else if (name == "method") {
+      QATK_RETURN_NOT_OK(cursor.BeginValue(1));
+      method_is_string = cursor.Peek() == '"';
+      QATK_RETURN_NOT_OK(method_is_string
+                             ? cursor.ReadString(&request->method_name)
+                             : cursor.SkipValue(1));
+    } else if (name == "params") {
+      QATK_RETURN_NOT_OK(ReadBundle(&cursor, &key, bundle));
+    } else {
+      QATK_RETURN_NOT_OK(cursor.SkipValue(1));
+    }
+    QATK_RETURN_NOT_OK(cursor.NextMember(&more));
+  }
+  QATK_RETURN_NOT_OK(cursor.Finish());
+  if (!method_is_string) {
+    return Status::Invalid("request is missing a string \"method\"");
+  }
+  request->method = MethodFromString(request->method_name);
+  return Status::OK();
+}
+
 // The envelope writers below print their fixed keys directly and dump the
 // caller's params/result in place. The bytes are exactly those of Dump()
 // on an object holding the same members in the same order; the golden
@@ -149,13 +284,7 @@ std::string EncodeResponse(int64_t id, const Status& status,
 
 void EncodeResponseTo(int64_t id, const Status& status, const Json& result,
                       std::string* out) {
-  out->append("{\"id\":");
-  AppendJsonNumber(static_cast<double>(id), out);
-  out->append(",\"code\":\"");
-  JsonEscape(StatusCodeToString(status.code()), out);
-  out->append("\",\"message\":\"");
-  JsonEscape(status.message(), out);
-  out->append("\",\"result\":");
+  AppendResponseHead(id, status, out);
   if (status.ok()) {
     result.DumpTo(out);
   } else {
@@ -187,29 +316,17 @@ Result<Response> ParseResponse(std::string_view payload) {
 
 kb::DataBundle BundleFromParams(const Json& params) {
   kb::DataBundle bundle;
-  bundle.reference_number = params.GetString("reference_number");
-  bundle.article_code = params.GetString("article_code");
-  bundle.part_id = params.GetString("part_id");
-  bundle.error_code = params.GetString("error_code");
-  bundle.responsibility_code = params.GetString("responsibility_code");
-  bundle.mechanic_report = params.GetString("mechanic_report");
-  bundle.initial_oem_report = params.GetString("initial_oem_report");
-  bundle.supplier_report = params.GetString("supplier_report");
-  bundle.final_oem_report = params.GetString("final_oem_report");
+  for (const BundleField& field : kBundleFields) {
+    bundle.*field.member = params.GetString(field.name);
+  }
   return bundle;
 }
 
 Json BundleToParams(const kb::DataBundle& bundle) {
   Json params = Json::Object();
-  params.Set("reference_number", Json(bundle.reference_number));
-  params.Set("article_code", Json(bundle.article_code));
-  params.Set("part_id", Json(bundle.part_id));
-  params.Set("error_code", Json(bundle.error_code));
-  params.Set("responsibility_code", Json(bundle.responsibility_code));
-  params.Set("mechanic_report", Json(bundle.mechanic_report));
-  params.Set("initial_oem_report", Json(bundle.initial_oem_report));
-  params.Set("supplier_report", Json(bundle.supplier_report));
-  params.Set("final_oem_report", Json(bundle.final_oem_report));
+  for (const BundleField& field : kBundleFields) {
+    params.Set(std::string(field.name), Json(bundle.*field.member));
+  }
   return params;
 }
 
@@ -220,6 +337,25 @@ Json RecommendationToJson(
   result.Set("top", ScoredCodesToJson(recommendation.top));
   result.Set("truncated", Json(recommendation.truncated));
   return result;
+}
+
+void EncodeRecommendResponseTo(
+    int64_t id,
+    const quest::RecommendationService::Recommendation& recommendation,
+    std::string* out) {
+  AppendResponseHead(id, Status::OK(), out);
+  out->append("{\"top\":[");
+  bool first = true;
+  for (const core::ScoredCode& scored : recommendation.top) {
+    out->append(first ? "{\"code\":\"" : ",{\"code\":\"");
+    first = false;
+    JsonEscape(scored.error_code, out);
+    out->append("\",\"score\":");
+    AppendJsonNumber(scored.score, out);
+    out->push_back('}');
+  }
+  out->append(recommendation.truncated ? "],\"truncated\":true}}"
+                                       : "],\"truncated\":false}}");
 }
 
 Json ShardPartialToJson(

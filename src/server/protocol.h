@@ -105,6 +105,19 @@ struct Request {
 /// non-finite or out-of-int64-range ones read as absent (Json::GetInt).
 Result<Request> ParseRequest(std::string_view payload);
 
+/// ParseRequest + BundleFromParams without the Json tree: reads the
+/// envelope into `*request` (every field but `params`, which is left as it
+/// is) and the params straight into `*bundle`, assigning into the strings
+/// they already own, so a warmed-up caller that reuses both allocates
+/// nothing. Built on JsonCursor, the grammar Json::Parse uses, it accepts
+/// exactly the payloads ParseRequest accepts, fails with the same error
+/// text, and yields the same id, method and deadline, with `*bundle` equal
+/// to BundleFromParams of the parsed params: a repeated key keeps its last
+/// value, a non-string bundle field reads as "", and params that are not
+/// an object give an empty bundle.
+Status DecodeRequestInto(std::string_view payload, Request* request,
+                         kb::DataBundle* bundle);
+
 /// Client-side encoder: one request payload (not yet framed). Writes the
 /// envelope keys directly and dumps `params` in place.
 std::string EncodeRequest(int64_t id, std::string_view method,
@@ -151,6 +164,14 @@ Json BundleToParams(const kb::DataBundle& bundle);
 /// JSON shape of one ranked recommendation list.
 Json RecommendationToJson(
     const quest::RecommendationService::Recommendation& recommendation);
+
+/// The OK response to a Recommend, written straight to `out` (appends):
+/// byte for byte EncodeResponseTo(id, Status::OK(),
+/// RecommendationToJson(recommendation), out), without the tree.
+void EncodeRecommendResponseTo(
+    int64_t id,
+    const quest::RecommendationService::Recommendation& recommendation,
+    std::string* out);
 
 /// JSON shape of one shard partial: {"known": b, "fallback": b, "items":
 /// [{"code", "score", "ordinal"}, ...]}. Scores print through the JSON

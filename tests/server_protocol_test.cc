@@ -821,6 +821,189 @@ TEST(GoldenFrameTest, RecordedResponseFramesParseBack) {
   }
 }
 
+TEST(GoldenFrameTest, DirectRecommendEncoderMatchesTreeEncoder) {
+  using Recommendation = quest::RecommendationService::Recommendation;
+  // The recorded OK frame, written by the direct encoder.
+  Recommendation golden;
+  golden.top.push_back({"E042", 0.25});
+  std::string payload;
+  EncodeRecommendResponseTo(2, golden, &payload);
+  EXPECT_EQ(Framed(payload), GoldenBytes(kGoldenOkResponse));
+
+  Recommendation empty;
+  Recommendation truncated;
+  truncated.truncated = true;
+  truncated.top.push_back({"E7", 1.0 / 3.0});
+  truncated.top.push_back({"E8", 0.0});
+  truncated.top.push_back({"E9", 1e-300});
+  Recommendation escaped;
+  escaped.top.push_back({"E\"1\\2\n\x01/\xc3\xa4", -0.0});
+  escaped.top.push_back({"", 1.0});
+  for (const Recommendation* recommendation :
+       {&golden, &empty, &truncated, &escaped}) {
+    for (const int64_t id : {int64_t{0}, int64_t{-7}, int64_t{1} << 53}) {
+      std::string direct = "prefix";
+      EncodeRecommendResponseTo(id, *recommendation, &direct);
+      std::string tree = "prefix";
+      EncodeResponseTo(id, Status::OK(), RecommendationToJson(*recommendation),
+                       &tree);
+      EXPECT_EQ(direct, tree);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The direct request decoder against ParseRequest + BundleFromParams
+
+/// Decodes `payload` both ways into the caller's reused `request` and
+/// `bundle`: the same id, method and deadline and the same bundle, or
+/// the same error text.
+void ExpectDecodersAgree(std::string_view payload, Request* request,
+                         kb::DataBundle* bundle) {
+  const Status status = DecodeRequestInto(payload, request, bundle);
+  const Result<Request> reference = ParseRequest(payload);
+  ASSERT_EQ(status.ok(), reference.ok())
+      << payload << "\n direct: " << status
+      << "\n tree: " << reference.status();
+  if (!status.ok()) {
+    EXPECT_EQ(status.ToString(), reference.status().ToString()) << payload;
+    return;
+  }
+  EXPECT_EQ(request->id, reference->id) << payload;
+  EXPECT_EQ(request->method, reference->method) << payload;
+  EXPECT_EQ(request->method_name, reference->method_name) << payload;
+  EXPECT_EQ(request->deadline_ms, reference->deadline_ms) << payload;
+  EXPECT_EQ(BundleToParams(*bundle).Dump(),
+            BundleToParams(BundleFromParams(reference->params)).Dump())
+      << payload;
+}
+
+TEST(DirectDecodeTest, GoldenRequestFramesDecodeAlike) {
+  Request request;
+  kb::DataBundle bundle;
+  for (const std::string_view frame :
+       {GoldenBytes(kGoldenUnknownRequest), GoldenBytes(kGoldenRecommendRequest),
+        GoldenBytes(kGoldenRecommendForTextRequest),
+        GoldenBytes(kGoldenFullListRequest), GoldenBytes(kGoldenDescribeRequest),
+        GoldenBytes(kGoldenConfirmRequest), GoldenBytes(kGoldenDefineRequest),
+        GoldenBytes(kGoldenHealthRequest), GoldenBytes(kGoldenStatsRequest),
+        GoldenBytes(kGoldenMetricsTextRequest),
+        GoldenBytes(kGoldenShardQueryRequest),
+        GoldenBytes(kGoldenShardTopKRequest)}) {
+    const FrameDecode decode = DecodeFrame(frame);
+    ASSERT_EQ(decode.state, FrameDecode::State::kFrame);
+    ExpectDecodersAgree(decode.payload, &request, &bundle);
+  }
+}
+
+TEST(DirectDecodeTest, HandCasesDecodeAlike) {
+  const std::string deep_ok =
+      std::string(R"({"method":"Recommend","params":{"x":)") +
+      std::string(63, '[') + std::string(63, ']') + "}}";
+  const std::string deep_cap =
+      std::string(R"({"method":"Recommend","params":{"x":)") +
+      std::string(65, '[') + std::string(65, ']') + "}}";
+  const std::vector<std::string> cases = {
+      // Duplicate keys: the last value wins, in params and in the envelope.
+      R"({"id":1,"method":"Recommend","params":{"part_id":"A","part_id":"B"}})",
+      R"({"id":1,"id":2,"method":"Recommend","params":{}})",
+      R"({"id":1,"method":"Recommend","id":"x","params":{}})",
+      R"({"method":"Health","method":"Recommend","params":{}})",
+      R"({"method":"Recommend","method":7,"params":{}})",
+      R"({"method":"Recommend","params":{"part_id":"A"},"params":{"mechanic_report":"m"}})",
+      R"({"method":"Recommend","params":{"part_id":"A"},"params":[1]})",
+      R"({"method":"Recommend","deadline_ms":5,"deadline_ms":null})",
+      // A non-string field value reads as "".
+      R"({"method":"Recommend","params":{"part_id":5,"mechanic_report":{"a":[1,"b"]}}})",
+      R"({"method":"Recommend","params":{"part_id":"A","part_id":null,"supplier_report":true}})",
+      // params before method, params not an object.
+      R"({"params":{"part_id":"P01","mechanic_report":"x"},"id":3,"method":"Recommend"})",
+      R"({"id":1,"method":"Recommend","params":[1,2]})",
+      R"({"id":1,"method":"Recommend","params":"P01"})",
+      R"({"id":1,"method":"Recommend","params":null})",
+      R"({"id":1,"method":"Recommend"})",
+      // Escapes and surrogate pairs, in keys, values and the method name.
+      R"({"id":1,"method":"Recommend","params":{"part_id":"Pä01","mechanic_report":"😀 \"q\" \\ \/ \b\f\n\r\t"}})",
+      R"({"id":1,"method":"Recommend","params":{"part_id":"\ud800"}})",
+      R"({"id":1,"method":"Recommend","params":{"part_id":"\udc00"}})",
+      R"({"id":1,"method":"Recommend","params":{"part_id":"\ud800A"}})",
+      R"({"id":1,"method":"Recommend","params":{"part_id":"\u12g4"}})",
+      R"({"id":1,"method":"Recommend","params":{"part_id":"\q"}})",
+      "{\"id\":1,\"method\":\"Recommend\",\"params\":{\"part_id\":\"a\x01\"}}",
+      // Nesting inside params, below and beyond the depth cap.
+      deep_ok,
+      deep_cap,
+      // Trailing bytes, whitespace, non-object documents, no method.
+      R"({"id":1,"method":"Recommend","params":{}} x)",
+      R"({"id":1,"method":"Recommend","params":{}}})",
+      " \t\r\n{ \"id\" : 1 , \"method\" : \"Recommend\" , \"params\" : { } } \n",
+      R"([1,2])", R"("Recommend")", "5", "", "   ", "nul", "{",
+      R"({"id":1})", R"({"id":1,"method":null})",
+      // Numbers: GetInt's truncation and range rules, and the grammar.
+      R"({"id":1e300,"method":"Recommend"})",
+      R"({"id":-1e300,"method":"Recommend"})",
+      R"({"id":1e400,"method":"Recommend","deadline_ms":-1e400})",
+      R"({"id":-2.9,"method":"Recommend","deadline_ms":7.9})",
+      R"({"id":9223372036854775807,"method":"Recommend"})",
+      R"({"id":-9223372036854775808,"method":"Recommend"})",
+      R"({"id":"5","method":"Recommend","deadline_ms":[1]})",
+      R"({"id":01,"method":"Recommend"})",
+      R"({"id":1.,"method":"Recommend"})",
+      R"({"id":1e,"method":"Recommend"})",
+      R"({"id":-,"method":"Recommend"})",
+      R"({"id":tru,"method":"Recommend"})",
+      R"({"id":1,"method":"Recommend",})",
+      R"({"id":1 "method":"Recommend"})",
+      R"({"id" 1,"method":"Recommend"})",
+      R"({id:1,"method":"Recommend"})",
+      R"({"id":1,"method":"Recommend","params":{"x":[1 2]}})",
+  };
+  Request request;
+  kb::DataBundle bundle;
+  for (const std::string& payload : cases) {
+    ExpectDecodersAgree(payload, &request, &bundle);
+  }
+}
+
+TEST(DirectDecodeTest, MutatedRecommendFramesDecodeAlike) {
+  // Seeded byte mutations of Recommend payloads, biased toward the bytes
+  // the grammar branches on.
+  kb::DataBundle seed_bundle;
+  seed_bundle.reference_number = "R-000123456789";
+  seed_bundle.article_code = "A17";
+  seed_bundle.part_id = "P01";
+  seed_bundle.mechanic_report = "Motor stottert \xc3\xa4 \"laut\"\n\tbei 1e3 U/min";
+  seed_bundle.initial_oem_report = "engine stalls at idle";
+  seed_bundle.supplier_report = "kein Fehler gefunden \\ NTF";
+  const std::vector<std::string> seeds = {
+      EncodeRequest(42, "Recommend", BundleToParams(seed_bundle), 250),
+      std::string(DecodeFrame(GoldenBytes(kGoldenRecommendRequest)).payload),
+      R"({"params":{"part_id":"P02","mechanic_report":"ä😀"},"id":-3.5,"method":"Recommend","extra":[{"a":null},true,false,1e-7]})",
+  };
+  static constexpr char kInteresting[] = "{}[]\":,\\u0123456789.eE+-tfn \x01";
+  std::mt19937_64 rng(20161);
+  Request request;
+  kb::DataBundle bundle;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string payload = seeds[rng() % seeds.size()];
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    for (int e = 0; e < edits && !payload.empty(); ++e) {
+      const size_t at = rng() % payload.size();
+      const char byte = rng() % 4 == 0
+                            ? static_cast<char>(rng() % 256)
+                            : kInteresting[rng() % (sizeof(kInteresting) - 1)];
+      switch (rng() % 4) {
+        case 0: payload[at] = byte; break;
+        case 1: payload.insert(payload.begin() + at, byte); break;
+        case 2: payload.erase(at, 1); break;
+        default: payload.resize(at); break;
+      }
+    }
+    ExpectDecodersAgree(payload, &request, &bundle);
+    if (HasFatalFailure()) return;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Prometheus text rendering
 

@@ -258,6 +258,30 @@ TEST_F(ServerTest, IdleConnectionsSweptAfterTimeout) {
   EXPECT_TRUE(response.status().IsIOError()) << response.status();
 }
 
+TEST_F(ServerTest, ActiveConnectionIsNeverSwept) {
+  Server::Options options;
+  options.idle_timeout_ms = 250;
+  Start(options);
+  // A request every 20 ms for five idle timeouts: every sweep that runs in
+  // this window must find the connection active.
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1250);
+  int64_t id = 0;
+  while (std::chrono::steady_clock::now() < end) {
+    auto response = client_.Call(id, "Recommend",
+                                 BundleToParams(corpus_->bundles[id % 100]));
+    ASSERT_TRUE(response.ok()) << "request " << id << ": "
+                               << response.status();
+    EXPECT_EQ(response->id, id);
+    ++id;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(server_->stats().closed, 0u);
+  // Once the client falls silent, the sweep closes it.
+  auto eof = client_.Receive();
+  EXPECT_FALSE(eof.ok());
+}
+
 TEST_F(ServerTest, GracefulDrainAnswersEverythingReceived) {
   Start();
   constexpr int kRequests = 16;
