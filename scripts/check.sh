@@ -70,8 +70,12 @@
 #                           runners stay green without masking a real
 #                           regression on serving-class hardware.
 #   9. loadbench          — open-loop QUEST serving smokes
-#                           (loadbench/run.py, seed 1, untraced; builds
-#                           into .bench_build/): 5 s of oem-steady, then
+#                           (loadbench/run.py, seed 1; builds into
+#                           .bench_build/): 5 s of oem-steady untraced,
+#                           5 s of oem-steady with --trace 1 (the
+#                           per-layer replay, which checks every answer
+#                           while it drives the tokenizer, the trie
+#                           annotator and the feature extractor), then
 #                           25 s of confirm-storm (the shortest run its
 #                           confirm count allows), which byte-compares the
 #                           end state after its served confirms with a
@@ -265,12 +269,12 @@ for STAGE in "${STAGES[@]}"; do
     continue
   fi
   if [[ "${STAGE}" == "loadbench" ]]; then
-    for RUN in "oem-steady 5" "confirm-storm 25"; do
-      read -r WORKLOAD SECONDS <<<"${RUN}"
-      echo "=== loadbench smoke: ${WORKLOAD}, seed 1, ${SECONDS} s (build: .bench_build/) ==="
+    for RUN in "oem-steady 5 0" "oem-steady 5 1" "confirm-storm 25 0"; do
+      read -r WORKLOAD SECONDS TRACE <<<"${RUN}"
+      echo "=== loadbench smoke: ${WORKLOAD}, seed 1, ${SECONDS} s, trace ${TRACE} (build: .bench_build/) ==="
       STATUS=0
       python3 loadbench/run.py --workload "${WORKLOAD}" --seed 1 \
-        --seconds "${SECONDS}" --trace 0 || STATUS=$?
+        --seconds "${SECONDS}" --trace "${TRACE}" || STATUS=$?
       if [[ "${STATUS}" -eq 3 ]]; then
         echo "NOTICE: loadbench refused the ${WORKLOAD} run for host noise" \
           "(exit 3); that says nothing about the code, so the stage passes" >&2

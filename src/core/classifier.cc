@@ -152,13 +152,16 @@ std::vector<ScoredCode> RankedKnnClassifier::Classify(
     const std::vector<int64_t>& features, kb::FrozenIndex::Scratch* scratch,
     size_t* num_candidates) const {
   std::vector<ScoredCode> ranked;
-  ClassifyInto(index, part_id, features, scratch, &ranked, num_candidates);
+  ranked.reserve(config_.max_nodes);
+  ClassifyInto(index, part_id, features, config_.max_nodes, scratch, &ranked,
+               num_candidates);
   return ranked;
 }
 
 void RankedKnnClassifier::ClassifyInto(const kb::FrozenIndex& index,
                                        const std::string& part_id,
                                        const std::vector<int64_t>& features,
+                                       size_t max_codes,
                                        kb::FrozenIndex::Scratch* scratch,
                                        std::vector<ScoredCode>* ranked,
                                        size_t* num_candidates) const {
@@ -169,6 +172,7 @@ void RankedKnnClassifier::ClassifyInto(const kb::FrozenIndex& index,
   seen.clear();
   size_t count = 0;
   for (const Item& item : scratch->heap) {
+    if (count == max_codes) break;
     const uint32_t code = index.node_code_id(item.second);
     if (std::find(seen.begin(), seen.end(), code) != seen.end()) continue;
     seen.push_back(code);

@@ -75,12 +75,13 @@ class RankedKnnClassifier {
                                    kb::FrozenIndex::Scratch* scratch,
                                    size_t* num_candidates = nullptr) const;
 
-  /// The indexed Classify into `*ranked` (replacing its contents). The
-  /// ScoredCode entries already there are reassigned in place, so a
-  /// caller that reuses `ranked` keeps its capacity and its code strings'
-  /// buffers.
+  /// The indexed Classify into `*ranked` (replacing its contents), cut
+  /// after the best `max_codes` distinct codes; Classify keeps max_nodes,
+  /// so every code. The ScoredCode entries already there are reassigned
+  /// in place, so a caller that reuses `ranked` keeps its capacity and its
+  /// code strings' buffers.
   void ClassifyInto(const kb::FrozenIndex& index, const std::string& part_id,
-                    const std::vector<int64_t>& features,
+                    const std::vector<int64_t>& features, size_t max_codes,
                     kb::FrozenIndex::Scratch* scratch,
                     std::vector<ScoredCode>* ranked,
                     size_t* num_candidates = nullptr) const;

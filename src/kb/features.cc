@@ -180,7 +180,7 @@ void FeatureExtractor::ExtractTermsInto(const std::string& document,
   mentions->concept_ids.clear();
   switch (model_) {
     case FeatureModel::kBagOfConcepts:
-      concepts_->FindMentions(words, &matches_);
+      concepts_->FindMentions(words, &token_ids_, &matches_);
       for (const tax::ConceptTrie::Mention& match : matches_) {
         mentions->concept_ids.insert(mentions->concept_ids.end(),
                                      match.concepts.begin(),

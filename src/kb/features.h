@@ -89,22 +89,25 @@ struct TermMentions {
 /// \brief Turns a composed document into a sorted, deduplicated feature-id
 /// set by running the QATK preprocessing (§4.4 step 2) in one direct pass.
 ///
-/// Every model first folds the document's words (Tokenizer). Then:
+/// Every model first folds the document's words in one table-driven pass
+/// (Tokenizer::WordsNormalized into a reused FoldedWords). Then:
 ///  * bag-of-words: the words as they are;
 ///  * bag-of-words-nostop: minus stopwords (StopwordFilter);
 ///  * bag-of-stems: the document language (LanguageDetector), then each
 ///    non-stopword stemmed in that language (Stemmer);
 ///  * bag-of-concepts: the concept ids of the trie matches
-///    (ConceptTrie::FindMentions; "we use the concept mentions as
-///    attributes without distinguishing between types of concepts").
+///    (ConceptTrie::FindMentions, which resolves each folded word to a
+///    token id once and matches on the ids; "we use the concept mentions
+///    as attributes without distinguishing between types of concepts").
 /// The word models then intern (or look up) the words in the vocabulary.
 /// Serving and training both run this one pass; no CAS is built. The tests
 /// pin it to an independent reference (tests/feature_reference.h) whose
-/// naive tokenizer and German fold share no code with text::Tokenizer.
+/// naive tokenizer, German fold and map-based concept matcher share no
+/// code with text::Tokenizer or the trie.
 ///
 /// Thread-safety: an extractor keeps no per-stage timing state but does
-/// keep reusable scratch (the folded-word buffer), so one extractor serves
-/// one thread. Any number of extractors may share one immutable
+/// keep reusable scratch (the folded words, their token ids and the
+/// matches), so one extractor serves one thread. Any number of extractors may share one immutable
 /// ConceptTrie. Several extractors may share the same vocabulary only if
 /// all of them are frozen (read-only lookups) or access is externally
 /// serialized.
@@ -186,6 +189,7 @@ class FeatureExtractor {
   size_t last_mention_count_ = 0;
   /// Scratch reused from one document to the next.
   text::FoldedWords words_;
+  std::vector<uint32_t> token_ids_;
   std::vector<tax::ConceptTrie::Mention> matches_;
   TermMentions mentions_;
 };

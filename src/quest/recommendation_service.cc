@@ -355,8 +355,9 @@ Status RecommendationService::RecommendWithReader(ReaderState& reader,
     obs::ScopedTimer extract_span(Metrics().extract_us);
     QATK_RETURN_NOT_OK(reader.extractor->ExtractInto(text, &reader.features));
   }
+  // One code past top_n is enough to tell whether the list was cut.
   classifier_.ClassifyInto(reader.state->index, part_id, reader.features,
-                           &reader.scratch, &out->top);
+                           options_.top_n + 1, &reader.scratch, &out->top);
   out->truncated = out->top.size() > options_.top_n;
   if (out->truncated) out->top.resize(options_.top_n);
   return Status::OK();
@@ -365,6 +366,7 @@ Status RecommendationService::RecommendWithReader(ReaderState& reader,
 Result<RecommendationService::Recommendation>
 RecommendationService::Recommend(const kb::DataBundle& bundle) const {
   Recommendation recommendation;
+  recommendation.top.reserve(options_.top_n + 1);
   QATK_RETURN_NOT_OK(RecommendInto(bundle, &recommendation));
   return recommendation;
 }
@@ -385,6 +387,7 @@ RecommendationService::RecommendForText(const std::string& part_id,
                                         const std::string& text) const {
   if (!trained()) return Status::Invalid("service not trained");
   Recommendation recommendation;
+  recommendation.top.reserve(options_.top_n + 1);
   QATK_RETURN_NOT_OK(
       RecommendWithReader(AcquireReader(), part_id, text, &recommendation));
   return recommendation;

@@ -41,8 +41,9 @@ Status TrieConceptAnnotator::Process(cas::Cas* cas) {
     word_tokens.push_back(token);
     words.push_back(token->GetString(kFeatureNorm));
   }
+  std::vector<uint32_t> token_ids;
   std::vector<ConceptTrie::Mention> mentions;
-  concepts_->FindMentions(words, &mentions);
+  concepts_->FindMentions(words, &token_ids, &mentions);
   for (const ConceptTrie::Mention& mention : mentions) {
     for (int64_t concept_id : mention.concepts) {
       cas::Annotation a;

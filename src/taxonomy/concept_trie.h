@@ -17,8 +17,11 @@ namespace qatk::tax {
 /// annotator of §4.5.3 matches against: the token trie of every synonym
 /// (all languages, FoldGerman-normalized) plus the concept -> category map.
 ///
-/// Immutable once built and shared through `shared_ptr<const ConceptTrie>`,
-/// so any number of annotators — on any number of threads — match against
+/// Build collects every synonym (and expansion variant) into a
+/// TokenTrie::Builder, whose flat, cache-resident layout the matches then
+/// read. Immutable once built and shared through
+/// `shared_ptr<const ConceptTrie>`, so any number of annotators — on any
+/// number of threads, each with its own token-id scratch — match against
 /// one build. The taxonomy is copied into normalized token sequences; a
 /// later taxonomy mutation (Add, AddSynonym) is not seen by an
 /// existing ConceptTrie, only by the next Build.
@@ -57,8 +60,12 @@ class ConceptTrie {
   /// The concept matches of a document's folded words, in order
   /// (replacing `*out`'s contents): left-bounded greedy longest match,
   /// resuming after the end of each match, so matches completely enclosed
-  /// by another are eliminated.
+  /// by another are eliminated. Each word is resolved to its token id once
+  /// (into `*token_ids`, the caller's scratch, replacing its contents);
+  /// the descents then run on the ids. Reused scratch and `*out` keep
+  /// their capacity, so a warm caller matches without allocating.
   void FindMentions(std::span<const std::string_view> words,
+                    std::vector<uint32_t>* token_ids,
                     std::vector<Mention>* out) const;
 
   /// Category of a concept of the built taxonomy, or nullptr.

@@ -68,9 +68,11 @@ class Tokenizer {
   /// word tokens of Tokenize, each passed through FoldGerman.
   std::vector<std::string> WordsNormalized(std::string_view input) const;
 
-  /// As above, folding each word run straight from `input` into `out`
-  /// (replacing its previous contents): no Token vector, no per-word
-  /// string.
+  /// As above, folded into `out` (replacing its previous contents) in one
+  /// pass over `input`: each byte is classified and lower-cased through a
+  /// 256-entry table, umlaut and ß pairs fold inline, and the words are
+  /// written into a buffer sized once to `input`. No Token vector, no
+  /// per-word string.
   void WordsNormalized(std::string_view input, FoldedWords* out) const;
 };
 

@@ -87,7 +87,7 @@ namespace {
 // frame of the seeded sets below costs. Lower them when the code gets
 // cheaper; never raise them.
 constexpr uint64_t kParseRequestCeiling = 9;
-constexpr uint64_t kDispatchCeiling = 21;
+constexpr uint64_t kDispatchCeiling = 16;
 constexpr uint64_t kEncodeResponseCeiling = 0;
 
 /// Allocations `fn` makes on the calling thread.

@@ -1,9 +1,9 @@
 // The reference kb::FeatureExtractor is checked against: each feature
 // model's preprocessing rebuilt on the naive tokenizer and fold of
-// text_reference.h, so it shares no tokenizing or folding code with the
-// direct pass. Stopwords, language detection (on the raw text, where the
-// direct pass detects on its folded words), stemming and the concept trie
-// are called directly.
+// text_reference.h and the naive concept matcher of concept_reference.h,
+// so it shares no tokenizing, folding or matching code with the direct
+// pass. Stopwords, language detection (on the raw text, where the direct
+// pass detects on its folded words) and stemming are called directly.
 
 #ifndef QATK_TESTS_FEATURE_REFERENCE_H_
 #define QATK_TESTS_FEATURE_REFERENCE_H_
@@ -17,8 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "concept_reference.h"
 #include "kb/features.h"
-#include "taxonomy/concept_trie.h"
+#include "taxonomy/taxonomy.h"
 #include "text/language.h"
 #include "text/stemmer.h"
 #include "text/stopwords.h"
@@ -31,12 +32,16 @@ namespace qatk::kb::reference {
 ///  * bag-of-words-nostop: minus stopwords;
 ///  * bag-of-stems: minus stopwords, each stemmed in the language
 ///    LanguageDetector::Detect finds in the raw document;
-///  * bag-of-concepts: the concept ids of ConceptTrie::FindMentions.
+///  * bag-of-concepts: the concept ids of naive::ConceptMatcher's matches
+///    over `taxonomy` (non-null for bag-of-concepts, else ignored).
 class TextReference {
  public:
-  TextReference(FeatureModel model,
-                std::shared_ptr<const tax::ConceptTrie> concepts)
-      : model_(model), concepts_(std::move(concepts)) {}
+  TextReference(FeatureModel model, const tax::Taxonomy* taxonomy)
+      : model_(model) {
+    if (model_ == FeatureModel::kBagOfConcepts) {
+      concepts_ = std::make_unique<naive::ConceptMatcher>(*taxonomy);
+    }
+  }
 
   /// Extracts `document`'s mentions; the concept matches stay readable via
   /// matches() until the next call.
@@ -61,35 +66,32 @@ class TextReference {
         }
         break;
       }
-      case FeatureModel::kBagOfConcepts: {
-        const std::vector<std::string_view> views(words_.begin(),
-                                                  words_.end());
-        concepts_->FindMentions(views, &matches_);
-        for (const tax::ConceptTrie::Mention& match : matches_) {
+      case FeatureModel::kBagOfConcepts:
+        matches_ = concepts_->Matches(words_);
+        for (const naive::ConceptMatcher::Match& match : matches_) {
           mentions.concept_ids.insert(mentions.concept_ids.end(),
                                       match.concepts.begin(),
                                       match.concepts.end());
         }
         break;
-      }
     }
     return mentions;
   }
 
   /// The concept matches and the word count of the last document.
-  const std::vector<tax::ConceptTrie::Mention>& matches() const {
+  const std::vector<naive::ConceptMatcher::Match>& matches() const {
     return matches_;
   }
   size_t num_words() const { return words_.size(); }
 
  private:
   FeatureModel model_;
-  std::shared_ptr<const tax::ConceptTrie> concepts_;
+  std::unique_ptr<naive::ConceptMatcher> concepts_;
   text::StopwordFilter stopwords_;
   text::LanguageDetector detector_;
   text::Stemmer stemmer_;
   std::vector<std::string> words_;
-  std::vector<tax::ConceptTrie::Mention> matches_;
+  std::vector<naive::ConceptMatcher::Match> matches_;
 };
 
 /// Mention count of `mentions` (what last_mention_count reports when
@@ -121,9 +123,10 @@ inline std::vector<int64_t> LookupMentions(FeatureModel model,
 /// overlapping) another match: every match covers at least one of the
 /// `num_words` words, and each starts after the previous one ends.
 inline bool MatchesDisjoint(
-    const std::vector<tax::ConceptTrie::Mention>& matches, size_t num_words) {
+    const std::vector<naive::ConceptMatcher::Match>& matches,
+    size_t num_words) {
   size_t end = 0;
-  for (const tax::ConceptTrie::Mention& match : matches) {
+  for (const naive::ConceptMatcher::Match& match : matches) {
     if (match.length == 0 || match.first < end) return false;
     end = match.first + match.length;
     if (end > num_words) return false;

@@ -447,7 +447,7 @@ TEST_P(HostileTextFuzzTest, DirectExtractionEqualsCasPipeline) {
   const datagen::DomainWorld world(server::DemoWorldConfig());
   const std::shared_ptr<const tax::ConceptTrie> concepts =
       kb::BuildConcepts(model, &world.taxonomy());
-  kb::reference::TextReference reference(model, concepts);
+  kb::reference::TextReference reference(model, &world.taxonomy());
   kb::FeatureVocabulary vocabulary;
   kb::FeatureVocabulary reference_vocabulary;
   kb::FeatureExtractor direct(model, concepts, &vocabulary);

@@ -530,9 +530,11 @@ using reference::ExpectSameExtraction;
 using reference::TextReference;
 
 /// `base` plus, for every multiword synonym, a concept whose one synonym
-/// is that synonym's last word. Generated taxonomies never nest one
-/// synonym inside another, so only this makes the corpus exercise the
-/// rule that the match scan resumes after the end of each match.
+/// is that synonym's first word and one whose one synonym is its last
+/// word. Generated taxonomies never nest one synonym inside another, so
+/// only this makes the corpus exercise the rules that the longest match
+/// at a position wins over a shorter one and that the match scan resumes
+/// after the end of each match.
 tax::Taxonomy WithNestedSynonyms(const tax::Taxonomy& base) {
   tax::Taxonomy nested = base;
   const std::vector<const tax::Concept*> all = base.All();
@@ -543,15 +545,16 @@ tax::Taxonomy WithNestedSynonyms(const tax::Taxonomy& base) {
       for (const std::string& surface : surfaces) {
         std::vector<std::string> words =
             text::Tokenizer().WordsNormalized(surface);
-        if (words.size() < 2 || !inner_words.insert(words.back()).second) {
-          continue;
+        if (words.size() < 2) continue;
+        for (const std::string& word : {words.front(), words.back()}) {
+          if (!inner_words.insert(word).second) continue;
+          tax::Concept inner;
+          inner.id = next_id++;
+          inner.category = outer->category;
+          inner.label = "Nested" + std::to_string(inner.id);
+          inner.synonyms[language] = {word};
+          QATK_CHECK_OK(nested.Add(std::move(inner)));
         }
-        tax::Concept inner;
-        inner.id = next_id++;
-        inner.category = outer->category;
-        inner.label = "Nested" + std::to_string(inner.id);
-        inner.synonyms[language] = {words.back()};
-        QATK_CHECK_OK(nested.Add(std::move(inner)));
       }
     }
   }
@@ -570,10 +573,12 @@ tax::Taxonomy WithNestedSynonyms(const tax::Taxonomy& base) {
 // against a copy with nested synonyms.
 class DirectExtractionTest : public ::testing::TestWithParam<FeatureModel> {
  protected:
-  static void ExpectSameOnCorpus(
-      FeatureModel model, std::shared_ptr<const tax::ConceptTrie> concepts,
-      const server::DemoSplit& demo) {
-    TextReference reference(model, concepts);
+  static void ExpectSameOnCorpus(FeatureModel model,
+                                 const tax::Taxonomy& taxonomy,
+                                 const server::DemoSplit& demo) {
+    const std::shared_ptr<const tax::ConceptTrie> concepts =
+        BuildConcepts(model, &taxonomy);
+    TextReference reference(model, &taxonomy);
     FeatureVocabulary vocabulary;
     FeatureVocabulary reference_vocabulary;
     FeatureExtractor train(model, concepts, &vocabulary);
@@ -608,13 +613,11 @@ TEST_P(DirectExtractionTest, MatchesCasPipelineOnDemoCorpus) {
   const FeatureModel model = GetParam();
   const datagen::DomainWorld world(server::DemoWorldConfig());
   const server::DemoSplit demo = server::GenerateDemoSplit(world);
-  ASSERT_NO_FATAL_FAILURE(ExpectSameOnCorpus(
-      model, BuildConcepts(model, &world.taxonomy()), demo));
+  ASSERT_NO_FATAL_FAILURE(ExpectSameOnCorpus(model, world.taxonomy(), demo));
   if (model == FeatureModel::kBagOfConcepts) {
     const tax::Taxonomy nested = WithNestedSynonyms(world.taxonomy());
     ASSERT_GT(nested.size(), world.taxonomy().size());
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectSameOnCorpus(model, BuildConcepts(model, &nested), demo));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameOnCorpus(model, nested, demo));
   }
 }
 
