@@ -110,8 +110,10 @@ int main() {
     auto added = extender.Apply(slice, &extended.ValueOrDie(), 50000, 2);
     added.status().Abort();
     EvalResult result = Evaluate(*extended, corpus, train, test);
-    std::printf("%-34s %8s %8s\n",
-                ("+" + std::to_string(*added) + " mined concepts").c_str(),
+    std::string label(1, '+');
+    label += std::to_string(*added);
+    label += " mined concepts";
+    std::printf("%-34s %8s %8s\n", label.c_str(),
                 qatk::FormatDouble(result.a1, 3).c_str(),
                 qatk::FormatDouble(result.a10, 3).c_str());
   }

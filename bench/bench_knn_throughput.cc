@@ -2,7 +2,7 @@
 // runtime-feasibility argument, taken to serving scale): classification
 // queries/sec and latency percentiles for the brute-force scorer
 // (candidate materialization + per-candidate sorted merges) vs the
-// frozen-index scorer (term-at-a-time accumulation + bounded top-k heap),
+// frozen-index scorer (term-at-a-time accumulation + top-k selection),
 // plus multi-thread scaling of the indexed path and the index's memory
 // footprint.
 //

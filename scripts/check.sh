@@ -9,8 +9,11 @@
 #   3. perf               — the indexed-vs-brute equivalence battery
 #                           (indexed_brute_test: adversarial corpora, all
 #                           measures x k in {1,3,5,10,25}, unknown-part
-#                           fallbacks, and seeded confirm sequences whose
-#                           per-part segment rebuilds must equal a
+#                           fallbacks, the node-level battery comparing
+#                           SelectTopNodes' (score bits, node) list with
+#                           a full sort of the candidates at k from 0
+#                           past num_nodes(), and seeded confirm sequences
+#                           whose per-part segment rebuilds must equal a
 #                           from-scratch Build) under ASan+UBSan, then a Release
 #                           build of bench_knn_throughput --quick; proves
 #                           brute == indexed rankings bit-for-bit and
@@ -84,6 +87,13 @@
 #                           about the code, so the stage prints a notice
 #                           and passes. Any other status (1: build failure
 #                           or a wrong answer) fails the stage.
+#  10. werror             — a Release tree configured with
+#                           -DCMAKE_CXX_FLAGS=-Werror (build-werror/,
+#                           Makefiles) builds every target under src/,
+#                           bench/ and examples/, so any compiler warning
+#                           there fails the stage. tests/ is not built:
+#                           it still carries GCC 12 -Wrestrict false
+#                           positives from std::string inlining.
 #
 # Each sanitizer pass gets its own build tree under build-san/ so the
 # sanitizer runtimes never mix; the perf and serve stages share
@@ -98,6 +108,7 @@
 #   scripts/check.sh cluster    # sharded scatter-gather serving end-to-end
 #   scripts/check.sh scaling    # 1->4 multi-core scaling gates
 #   scripts/check.sh loadbench  # open-loop serving smokes (oem-steady, confirm-storm)
+#   scripts/check.sh werror     # warning-free Release build of src/, bench/, examples/
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,7 +122,7 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:+${UBSAN_OPTIONS}:}halt_on_error=1:print_s
 
 STAGES=("${1:-address,undefined}")
 if [[ $# -eq 0 ]]; then
-  STAGES=("address,undefined" "thread" "perf" "serve" "obs" "durability" "cluster" "scaling" "loadbench")
+  STAGES=("address,undefined" "thread" "perf" "serve" "obs" "durability" "cluster" "scaling" "loadbench" "werror")
 fi
 
 # Pulls the first indexed-path qps out of a (pretty-printed) BENCH_knn
@@ -283,6 +294,19 @@ for STAGE in "${STAGES[@]}"; do
           "failure or a wrong answer)" >&2
         exit 1
       fi
+    done
+    continue
+  fi
+  if [[ "${STAGE}" == "werror" ]]; then
+    BUILD_DIR="build-werror"
+    echo "=== warning-free build of src/, bench/, examples/ (build: ${BUILD_DIR}) ==="
+    # The Makefile generator gives every source directory its own "all"
+    # target, which builds that directory's targets (and what they link)
+    # without the test binaries.
+    cmake -B "${BUILD_DIR}" -S . -G "Unix Makefiles" \
+      -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+    for DIR in src bench examples; do
+      make -C "${BUILD_DIR}/${DIR}" -j "${JOBS}" --no-print-directory
     done
     continue
   fi

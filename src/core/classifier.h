@@ -63,8 +63,8 @@ class RankedKnnClassifier {
                                    const std::vector<int64_t>& features) const;
 
   /// Indexed path: term-at-a-time accumulation over the frozen CSR index
-  /// plus a bounded top-max_nodes heap — O(postings touched) instead of
-  /// O(candidates × merge). Bit-identical to the brute-force Classify:
+  /// plus a top-max_nodes selection over the scored candidates —
+  /// O(postings touched) instead of O(candidates × merge). Bit-identical to the brute-force Classify:
   /// same scores, same arrival-order tie-breaking, same unknown-part
   /// all-nodes fallback. `scratch` is the caller's (typically per-thread)
   /// accumulator; when `num_candidates` is non-null it receives the
@@ -86,11 +86,14 @@ class RankedKnnClassifier {
                     std::vector<ScoredCode>* ranked,
                     size_t* num_candidates = nullptr) const;
 
-  /// Node-level half of the indexed Classify: accumulation plus the
-  /// bounded top-max_nodes heap, stopping *before* code dedup. On return
-  /// `scratch->heap` holds the best max_nodes (score, node) pairs sorted
-  /// best-first under the exact (score desc, node asc) order; the return
-  /// value says whether the part was known. Shard workers serve this raw
+  /// Node-level half of the indexed Classify, stopping *before* code
+  /// dedup: accumulation, then every candidate scored into
+  /// `scratch->scored`, a quickselect with a branch-free partition that
+  /// moves the best max_nodes to its front, and a counting-rank sort of
+  /// those. On return `scratch->top` holds the best max_nodes
+  /// (score, node) pairs sorted best-first under the exact
+  /// (score desc, node asc) order; the return value says whether the
+  /// part was known. Shard workers serve this raw
   /// per-node list so a scatter-gather front-end can merge partials and
   /// dedup codes globally with unchanged tie-breaking.
   bool SelectTopNodes(const kb::FrozenIndex& index, const std::string& part_id,

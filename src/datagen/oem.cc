@@ -286,7 +286,8 @@ kb::Corpus OemCorpusGenerator::Generate() {
           part.article_codes[rng.NextZipf(part.article_codes.size(), 0.7)];
     }
     bundle.error_code = spec.code;
-    bundle.responsibility_code = "R" + std::to_string(1 + rng.NextBounded(5));
+    bundle.responsibility_code.assign(1, 'R');
+    bundle.responsibility_code += std::to_string(1 + rng.NextBounded(5));
     bundle.mechanic_report = MechanicReport(spec, &rng);
     if (rng.NextBernoulli(config_.initial_report_prob)) {
       bundle.initial_oem_report = InitialReport(spec, &rng);

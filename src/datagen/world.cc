@@ -222,9 +222,9 @@ void DomainWorld::BuildParts(Rng* rng) {
 
   for (size_t p = 0; p < n; ++p) {
     PartSpec part;
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "P%02zu", p + 1);
-    part.part_id = buf;
+    // "P" and the 1-based number, zero-padded to two digits.
+    part.part_id.assign(p + 1 < 10 ? "P0" : "P");
+    part.part_id += std::to_string(p + 1);
 
     for (size_t c = 0; c < config_.components_per_part; ++c) {
       part.components.push_back(p * config_.components_per_part + c);

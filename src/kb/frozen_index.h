@@ -56,9 +56,16 @@ class FrozenIndex {
     std::vector<uint32_t> touched;
     uint64_t current = 0;
     /// Reusable top-k selection buffers for the indexed classifier
-    /// (RankedKnnClassifier): the bounded (score, node) heap and the
-    /// seen-code-id list, kept here so a query allocates nothing.
-    std::vector<std::pair<double, uint32_t>> heap;
+    /// (RankedKnnClassifier::SelectTopNodes), kept here so a query
+    /// allocates nothing once they have grown: `keys` holds one sort key
+    /// per candidate, (score bits << 32) | ~node, in scoring order until
+    /// the selection moves the best max_nodes to its front; `partition`
+    /// is the selection's output buffer, at least as long as `keys`; `top`
+    /// holds the best max_nodes (score, node) pairs sorted best-first
+    /// under (score desc, node asc); `seen_codes` is the code dedup's list.
+    std::vector<unsigned __int128> keys;
+    std::vector<unsigned __int128> partition;
+    std::vector<std::pair<double, uint32_t>> top;
     std::vector<uint32_t> seen_codes;
   };
 

@@ -414,8 +414,8 @@ RecommendationService::ShardTopKWithReader(ReaderState& reader,
   }
   classifier_.SelectTopNodes(state.index, part_id, reader.features,
                              &reader.scratch);
-  partial.items.reserve(reader.scratch.heap.size());
-  for (const auto& [score, node] : reader.scratch.heap) {
+  partial.items.reserve(reader.scratch.top.size());
+  for (const auto& [score, node] : reader.scratch.top) {
     const uint64_t ordinal = node < state.node_ordinals.size()
                                  ? state.node_ordinals[node]
                                  : static_cast<uint64_t>(node);

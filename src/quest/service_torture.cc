@@ -40,13 +40,21 @@ std::string WordPool(Rng* rng, int count) {
   std::string out;
   for (int i = 0; i < count; ++i) {
     if (i > 0) out.push_back(' ');
-    out += "w" + std::to_string(rng->NextBounded(40));
+    out.push_back('w');
+    out += std::to_string(rng->NextBounded(40));
   }
   return out;
 }
 
-std::string PartName(uint64_t i) { return "P" + std::to_string(i); }
-std::string CodeName(uint64_t i) { return "E" + std::to_string(i); }
+/// `prefix` followed by the decimal digits of `i`.
+std::string Name(char prefix, uint64_t i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
+std::string PartName(uint64_t i) { return Name('P', i); }
+std::string CodeName(uint64_t i) { return Name('E', i); }
 
 kb::DataBundle RandomBundle(Rng* rng, const std::string& part_id,
                             const std::string& error_code) {

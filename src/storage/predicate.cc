@@ -105,7 +105,9 @@ std::string Predicate::ToString() const {
     out += CompareOpToString(terms_[i].op);
     out += ' ';
     if (terms_[i].value.type() == TypeId::kString) {
-      out += "'" + terms_[i].value.ToString() + "'";
+      out += '\'';
+      out += terms_[i].value.ToString();
+      out += '\'';
     } else {
       out += terms_[i].value.ToString();
     }

@@ -53,7 +53,8 @@ template <typename Fn>
 void ForEachTrigram(const std::vector<std::string_view>& words, Fn&& fn) {
   std::string padded;
   for (std::string_view word : words) {
-    padded.assign("_");
+    padded.clear();
+    padded.push_back('_');
     padded.append(word);
     padded.push_back('_');
     const std::string_view view = padded;

@@ -374,14 +374,14 @@ TEST(ShardedIndexTest, SlicedPartialsMergeExactlyToFullIndex) {
       {core::SimilarityMeasure::kJaccard, 25});
   kb::FrozenIndex::Scratch scratch;
 
-  // Turns the scratch heap into a ShardPartial, mapping local node indices
+  // Turns the scratch top list into a ShardPartial, mapping local node indices
   // to global ordinals (identity for the unrestricted index).
   auto to_partial = [](const kb::FrozenIndex& index, bool known,
                        const std::vector<uint32_t>* ordinals,
                        const kb::FrozenIndex::Scratch& s) {
     RecommendationService::ShardPartial partial;
     partial.known_part = known;
-    for (const auto& item : s.heap) {
+    for (const auto& item : s.top) {
       partial.items.push_back(
           {index.node_error_code(item.second), item.first,
            ordinals == nullptr ? item.second : (*ordinals)[item.second]});

@@ -1,14 +1,18 @@
 // Adversarial equivalence battery for the indexed top-k scoring path: the
-// frozen-index accumulate-and-heap scorer must be bit-identical to the
+// frozen-index accumulate-and-select scorer must be bit-identical to the
 // brute-force classifier — same codes, same (score desc, node asc) order,
 // same score doubles, same candidate count — over corpora built to stress
 // every way a top-k selection can go wrong: tie-heavy score distributions,
 // scores landing exactly on the k-th best, singleton/empty postings and
 // feature sets, posting runs spanning hundreds of nodes, and unknown-part
-// fallbacks whose zero-score tail is filled in node-id order.
+// fallbacks whose zero-score tail is filled in node-id order. A node-level
+// half compares SelectTopNodes' (score, node) list itself with a full sort
+// of every candidate, so a wrong node with a kept node's code and score
+// cannot hide behind the code dedup.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <string>
@@ -139,7 +143,7 @@ TEST(IndexedBruteEquivalenceTest, AdversarialRandomizedCorpora) {
 }
 
 /// Scores landing exactly on the k-th best: more equal-score nodes than
-/// the heap holds, so only the node-id tie-break decides who is kept.
+/// the top list holds, so only the node-id tie-break decides who is kept.
 TEST(IndexedBruteEquivalenceTest, ScoresExactlyOnTieKeepIdTieBreak) {
   kb::KnowledgeBase knowledge;
   // 150 nodes with identical feature sets (distinct codes, so nothing
@@ -227,10 +231,10 @@ TEST(IndexedBruteEquivalenceTest, UnknownPartFillsZeroTailInNodeOrder) {
   core::RankedKnnClassifier classifier({core::SimilarityMeasure::kJaccard, 5});
   ASSERT_FALSE(classifier.SelectTopNodes(index, "GHOST", {5}, &scratch));
   std::vector<uint32_t> nodes;
-  for (const auto& item : scratch.heap) nodes.push_back(item.second);
+  for (const auto& item : scratch.top) nodes.push_back(item.second);
   EXPECT_EQ(nodes, (std::vector<uint32_t>{3, 8, 0, 1, 2}));
-  EXPECT_GT(scratch.heap[1].first, 0.0);
-  EXPECT_EQ(scratch.heap[2].first, 0.0);
+  EXPECT_GT(scratch.top[1].first, 0.0);
+  EXPECT_EQ(scratch.top[2].first, 0.0);
 
   // k past num_nodes: every node is ranked, the featureless one included.
   core::RankedKnnClassifier everything(
@@ -238,8 +242,150 @@ TEST(IndexedBruteEquivalenceTest, UnknownPartFillsZeroTailInNodeOrder) {
   size_t num_candidates = 0;
   everything.SelectTopNodes(index, "GHOST", {5}, &scratch, &num_candidates);
   EXPECT_EQ(num_candidates, 13u);
-  ASSERT_EQ(scratch.heap.size(), 13u);
-  EXPECT_EQ(scratch.heap.back().second, 12u);
+  ASSERT_EQ(scratch.top.size(), 13u);
+  EXPECT_EQ(scratch.top.back().second, 12u);
+}
+
+/// One (score, node) entry of a node-level top list.
+using NodeItem = std::pair<double, uint32_t>;
+
+/// The node-level oracle: every candidate of the probe, found and scored
+/// without the index (a part's nodes sharing >= 1 feature for a known
+/// part, every node for an unknown one), fully sorted by
+/// (score desc, node asc). `*touched` receives the number of candidates
+/// sharing >= 1 feature.
+std::vector<NodeItem> SortedCandidates(const kb::KnowledgeBase& knowledge,
+                                       core::SimilarityMeasure measure,
+                                       const std::string& part_id,
+                                       const std::vector<int64_t>& features,
+                                       size_t* touched) {
+  const bool known = knowledge.HasPart(part_id);
+  std::vector<NodeItem> all;
+  *touched = 0;
+  for (size_t i = 0; i < knowledge.num_nodes(); ++i) {
+    const kb::KnowledgeNode& node = knowledge.node(i);
+    const bool shares =
+        core::IntersectionSize(features, node.features) > 0;
+    *touched += shares;
+    if (known && (node.part_id != part_id || !shares)) continue;
+    all.emplace_back(core::Similarity(measure, features, node.features),
+                     static_cast<uint32_t>(i));
+  }
+  std::sort(all.begin(), all.end(), [](const NodeItem& a, const NodeItem& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  return all;
+}
+
+/// SelectTopNodes against the oracle for one probe under every measure,
+/// at k in {0, 1, touched - 1, touched, touched + 1, 25, 100,
+/// num_nodes() + 1}: the same known-part answer and candidate count, and
+/// the oracle's first k entries with the same score bits and node ids.
+void ExpectTopNodesMatchFullSort(const kb::KnowledgeBase& knowledge,
+                                 const kb::FrozenIndex& index,
+                                 kb::FrozenIndex::Scratch* scratch,
+                                 const std::string& part_id,
+                                 const std::vector<int64_t>& features) {
+  for (core::SimilarityMeasure measure : kAllMeasures) {
+    size_t touched = 0;
+    const std::vector<NodeItem> sorted =
+        SortedCandidates(knowledge, measure, part_id, features, &touched);
+    std::vector<size_t> ks = {0,   1,   touched, touched + 1,
+                              25,  100, index.num_nodes() + 1};
+    if (touched > 0) ks.push_back(touched - 1);
+    for (size_t k : ks) {
+      core::RankedKnnClassifier classifier({measure, k});
+      size_t num_candidates = 0;
+      ASSERT_EQ(knowledge.HasPart(part_id),
+                classifier.SelectTopNodes(index, part_id, features, scratch,
+                                          &num_candidates));
+      ASSERT_EQ(sorted.size(), num_candidates) << "part=" << part_id;
+      const std::vector<NodeItem>& top = scratch->top;
+      ASSERT_EQ(std::min(k, sorted.size()), top.size())
+          << "measure=" << core::SimilarityMeasureToString(measure)
+          << " k=" << k << " part=" << part_id;
+      for (size_t i = 0; i < top.size(); ++i) {
+        ASSERT_EQ(sorted[i].second, top[i].second)
+            << "node mismatch at rank " << i
+            << ", measure=" << core::SimilarityMeasureToString(measure)
+            << " k=" << k << " part=" << part_id;
+        ASSERT_EQ(0, std::memcmp(&sorted[i].first, &top[i].first,
+                                 sizeof(double)))
+            << "score bits mismatch at rank " << i
+            << ", measure=" << core::SimilarityMeasureToString(measure)
+            << " k=" << k << ", expected=" << sorted[i].first
+            << ", actual=" << top[i].first;
+      }
+    }
+  }
+}
+
+/// The node-level list, not just the deduped codes: a selection that kept
+/// a wrong node with the same code and score would pass the code-level
+/// battery above. Tie-heavy corpora as in AdversarialRandomizedCorpora,
+/// with few codes, so most rival nodes share a code with a kept one.
+TEST(IndexedBruteEquivalenceTest, TopNodesMatchFullSortOnTieHeavyCorpora) {
+  Rng rng(0x70B40DE5ULL);
+  kb::FrozenIndex::Scratch scratch;  // Deliberately shared across corpora.
+  const size_t kCorpora = 80;
+  for (size_t c = 0; c < kCorpora; ++c) {
+    const size_t num_parts = 1 + rng.NextBounded(3);
+    const size_t num_codes = 1 + rng.NextBounded(4);
+    const int64_t feature_domain =
+        2 + static_cast<int64_t>(rng.NextBounded(11));
+    const size_t num_instances = 40 + rng.NextBounded(201);
+    kb::KnowledgeBase knowledge;
+    for (size_t i = 0; i < num_instances; ++i) {
+      knowledge.AddInstance(
+          "P" + std::to_string(rng.NextBounded(num_parts)),
+          "E" + std::to_string(rng.NextBounded(num_codes)),
+          RandomFeatureSet(&rng, 8, feature_domain));
+    }
+    kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+
+    for (size_t p = 0; p < 8; ++p) {
+      const std::string part_id =
+          p % 4 == 3 ? "GHOST"
+                     : "P" + std::to_string(rng.NextBounded(num_parts));
+      const std::vector<int64_t> features =
+          p % 5 == 0 ? std::vector<int64_t>{}
+                     : RandomFeatureSet(&rng, 6, feature_domain);
+      ExpectTopNodesMatchFullSort(knowledge, index, &scratch, part_id,
+                                  features);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "corpus " << c << " probe " << p << " diverged";
+      }
+    }
+  }
+}
+
+/// Every candidate scores the same, so only node ids decide, and the
+/// nodes are touched out of id order: node i holds the single feature
+/// i % 7, so the probe {0..6} touches 0, 7, 14, ..., then 1, 8, ....
+TEST(IndexedBruteEquivalenceTest, AllScoresEqualOnlyNodeIdsDecide) {
+  kb::KnowledgeBase knowledge;
+  for (int i = 0; i < 140; ++i) {
+    knowledge.AddInstance("P0", "E" + std::to_string(i % 3), {i % 7});
+  }
+  kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
+  kb::FrozenIndex::Scratch scratch;
+  const std::vector<int64_t> probe = {0, 1, 2, 3, 4, 5, 6};
+  ExpectTopNodesMatchFullSort(knowledge, index, &scratch, "P0", probe);
+  ExpectTopNodesMatchFullSort(knowledge, index, &scratch, "P0", {3});
+  // Unknown part: every node scores 0, the zero fill alone decides.
+  ExpectTopNodesMatchFullSort(knowledge, index, &scratch, "GHOST", {});
+  ExpectTopNodesMatchFullSort(knowledge, index, &scratch, "GHOST", {99});
+  // Touched nodes tie above the zero-score rest.
+  ExpectTopNodesMatchFullSort(knowledge, index, &scratch, "GHOST", {5});
+
+  // Spelled out at k = 4: the four lowest ids among the equal scores,
+  // though the probe touched node 7 before node 1.
+  core::RankedKnnClassifier classifier({core::SimilarityMeasure::kJaccard, 4});
+  ASSERT_TRUE(classifier.SelectTopNodes(index, "P0", probe, &scratch));
+  std::vector<uint32_t> nodes;
+  for (const NodeItem& item : scratch.top) nodes.push_back(item.second);
+  EXPECT_EQ(nodes, (std::vector<uint32_t>{0, 1, 2, 3}));
 }
 
 /// One published model in a confirm sequence: the knowledge base and the
