@@ -18,8 +18,9 @@
 #                           build of bench_knn_throughput --quick; proves
 #                           brute == indexed rankings bit-for-bit and
 #                           fails if the frozen index is slower than
-#                           brute force. Writes BENCH_knn.json at the
-#                           repo root.
+#                           brute force. Writes its --quick result to
+#                           build-perf/BENCH_knn.json; the committed
+#                           BENCH_knn.json is the scaling stage's.
 #   4. serve              — Release build of the epoll serving stack:
 #                           qatk_serve --port=abc and --port=70000 must
 #                           each exit 2 (refused before training starts),
@@ -30,7 +31,8 @@
 #                           (four SO_REUSEPORT listeners) on an ephemeral
 #                           port, the bench replayed against it over TCP,
 #                           and a SIGTERM drain that must exit 0. Writes
-#                           BENCH_serving.json at the repo root.
+#                           its --quick result to
+#                           build-perf/BENCH_serving.json.
 #   5. obs                — observability hardening: the obs / fuzz /
 #                           golden-frame test binaries rerun under both
 #                           ASan+UBSan and TSan (reusing the build-san/
@@ -61,12 +63,18 @@
 #                           against its front end over TCP, and a SIGTERM
 #                           cluster drain that must exit 0. Both halves
 #                           always run; the stage fails if either does.
-#                           Writes BENCH_cluster.json at the repo root.
+#                           Writes its --quick result to
+#                           build-perf/BENCH_cluster.json.
 #   8. scaling            — multi-core scaling gates: full (non-quick)
 #                           1->4 thread tables from bench_knn_throughput
 #                           (monotonically non-decreasing) and
 #                           bench_serving_load (>= 2.4x 1->4, i.e. 0.6x
-#                           of linear). Both benches enforce their gates
+#                           of linear), written to the committed
+#                           BENCH_knn.json and BENCH_serving.json at the
+#                           repo root: the only --quick-free runs, and so
+#                           the only stage that refreshes files there
+#                           besides durability's full BENCH_crash.json
+#                           sweep. Both benches enforce their gates
 #                           internally when the host has >= 4 cores; on
 #                           smaller machines the stage prints a SKIPPED
 #                           notice and succeeds, so laptops and small CI
@@ -90,10 +98,8 @@
 #  10. werror             — a Release tree configured with
 #                           -DCMAKE_CXX_FLAGS=-Werror (build-werror/,
 #                           Makefiles) builds every target under src/,
-#                           bench/ and examples/, so any compiler warning
-#                           there fails the stage. tests/ is not built:
-#                           it still carries GCC 12 -Wrestrict false
-#                           positives from std::string inlining.
+#                           bench/, examples/ and tests/, so any compiler
+#                           warning there fails the stage.
 #
 # Each sanitizer pass gets its own build tree under build-san/ so the
 # sanitizer runtimes never mix; the perf and serve stages share
@@ -108,7 +114,7 @@
 #   scripts/check.sh cluster    # sharded scatter-gather serving end-to-end
 #   scripts/check.sh scaling    # 1->4 multi-core scaling gates
 #   scripts/check.sh loadbench  # open-loop serving smokes (oem-steady, confirm-storm)
-#   scripts/check.sh werror     # warning-free Release build of src/, bench/, examples/
+#   scripts/check.sh werror     # warning-free Release build of src/, bench/, examples/, tests/
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -153,7 +159,8 @@ for STAGE in "${STAGES[@]}"; do
     cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_knn_throughput
     # Exits 2 if any brute vs indexed ranking diverges, 1 if the indexed
     # path is slower than brute; either fails the check via errexit.
-    "${BUILD_DIR}/bench/bench_knn_throughput" --quick --out=BENCH_knn.json
+    "${BUILD_DIR}/bench/bench_knn_throughput" --quick \
+      --out="${BUILD_DIR}/BENCH_knn.json"
     continue
   fi
   if [[ "${STAGE}" == "serve" ]]; then
@@ -175,7 +182,8 @@ for STAGE in "${STAGES[@]}"; do
     done
     # In-process gates: bit-identical wire responses over every held-out
     # bundle, deterministic shedding, zero-drop drain, fault schedules.
-    "${BUILD_DIR}/bench/bench_serving_load" --quick --out=BENCH_serving.json
+    "${BUILD_DIR}/bench/bench_serving_load" --quick \
+      --out="${BUILD_DIR}/BENCH_serving.json"
     # Cross-process: a real qatk_serve (independent training of the same
     # deterministic corpus), the bench replayed over TCP, SIGTERM drain.
     # Four loops, so the replay and the drain run against four listeners.
@@ -215,7 +223,7 @@ for STAGE in "${STAGES[@]}"; do
     # always runs too; the stage fails at the end if either half failed.
     IN_PROCESS=0
     "${BUILD_DIR}/bench/bench_cluster_scaling" --quick \
-      --out=BENCH_cluster.json || IN_PROCESS=$?
+      --out="${BUILD_DIR}/BENCH_cluster.json" || IN_PROCESS=$?
     # Cross-process: a real 3-shard cluster (launcher forks qatk_serve
     # workers, each training its own slice), the equivalence replay
     # against the front end, then a SIGTERM drain of the whole tree.
@@ -299,13 +307,12 @@ for STAGE in "${STAGES[@]}"; do
   fi
   if [[ "${STAGE}" == "werror" ]]; then
     BUILD_DIR="build-werror"
-    echo "=== warning-free build of src/, bench/, examples/ (build: ${BUILD_DIR}) ==="
+    echo "=== warning-free build of src/, bench/, examples/, tests/ (build: ${BUILD_DIR}) ==="
     # The Makefile generator gives every source directory its own "all"
-    # target, which builds that directory's targets (and what they link)
-    # without the test binaries.
+    # target, which builds that directory's targets (and what they link).
     cmake -B "${BUILD_DIR}" -S . -G "Unix Makefiles" \
       -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-    for DIR in src bench examples; do
+    for DIR in src bench examples tests; do
       make -C "${BUILD_DIR}/${DIR}" -j "${JOBS}" --no-print-directory
     done
     continue
@@ -369,12 +376,13 @@ for STAGE in "${STAGES[@]}"; do
     QPS_NOOBS=0
     for _ in 1 2 3; do
       build-noobs/bench/bench_knn_throughput --quick \
-        --out=BENCH_knn_noobs.json
-      Q="$(knn_qps BENCH_knn_noobs.json)"
+        --out=build-noobs/BENCH_knn.json
+      Q="$(knn_qps build-noobs/BENCH_knn.json)"
       QPS_NOOBS="$(awk -v a="${Q}" -v b="${QPS_NOOBS}" \
         'BEGIN { print (a + 0 > b + 0) ? a : b }')"
-      build-perf/bench/bench_knn_throughput --quick --out=BENCH_knn_obs.json
-      Q="$(knn_qps BENCH_knn_obs.json)"
+      build-perf/bench/bench_knn_throughput --quick \
+        --out=build-perf/BENCH_knn.json
+      Q="$(knn_qps build-perf/BENCH_knn.json)"
       QPS_OBS="$(awk -v a="${Q}" -v b="${QPS_OBS}" \
         'BEGIN { print (a + 0 > b + 0) ? a : b }')"
     done

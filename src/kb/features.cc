@@ -18,10 +18,6 @@ const char* FeatureModelToString(FeatureModel model) {
   return "?";
 }
 
-bool ModelUsesVocabulary(FeatureModel model) {
-  return model != FeatureModel::kBagOfConcepts;
-}
-
 int64_t FeatureVocabulary::Intern(const std::string& word) {
   auto it = word_to_id_.find(word);
   if (it != word_to_id_.end()) return it->second;
@@ -213,13 +209,6 @@ std::vector<int64_t> InternMentions(FeatureModel model,
                                     FeatureVocabulary* vocabulary) {
   std::vector<int64_t> features;
   ResolveInto(model, mentions, vocabulary, vocabulary, &features, nullptr);
-  return features;
-}
-
-std::vector<int64_t> FeatureExtractor::Resolve(const TermMentions& mentions) {
-  std::vector<int64_t> features;
-  ResolveInto(model_, mentions, vocabulary_, mutable_vocabulary_, &features,
-              &last_mention_count_);
   return features;
 }
 

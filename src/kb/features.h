@@ -29,14 +29,6 @@ enum class FeatureModel {
 
 const char* FeatureModelToString(FeatureModel model);
 
-/// True when the model's feature ids depend on the training-time
-/// FeatureVocabulary (word ids are interned first-seen, so two extractors
-/// agree only if they saw the same corpus in the same order). Concept
-/// features come from fixed taxonomy ids and are vocabulary-independent.
-/// Shard-scoped training uses this to decide whether non-owned bundles
-/// must still be run through extraction to reproduce the vocabulary.
-bool ModelUsesVocabulary(FeatureModel model);
-
 /// \brief Bidirectional word <-> id interning for bag-of-words features.
 ///
 /// Word features are interned to int64 ids so both feature models share
@@ -150,16 +142,9 @@ class FeatureExtractor {
                      std::vector<int64_t>* features);
 
   /// Runs only the preprocessing: mentions in document order, no
-  /// vocabulary access. Use Resolve (or Extract) to turn mentions into
-  /// feature ids.
+  /// vocabulary access. Use InternMentions (or Extract) to turn mentions
+  /// into feature ids.
   Result<TermMentions> ExtractTerms(const std::string& document);
-
-  /// Interns (or, when frozen, looks up) `mentions` against the
-  /// extractor's vocabulary and returns sorted unique feature ids.
-  /// Interning follows document order, so resolving mentions in corpus
-  /// order reproduces the exact vocabulary a sequential Extract pass
-  /// would have built.
-  std::vector<int64_t> Resolve(const TermMentions& mentions);
 
   /// Number of feature mentions (pre-dedup) in the last Extract call; the
   /// paper reports ~70 word vs ~26 concept mentions per text (§4.3).

@@ -113,10 +113,10 @@ std::vector<core::ScoredCode> FullListFor(
 
 }  // namespace
 
-/// Per-thread reader state, pinned to one published snapshot: the frozen
-/// (read-only) extractor bound to that snapshot's vocabulary and concept
-/// trie, the epoch-tagged scoring scratch, and the buffers a query
-/// composes its document and extracts its features into. Owned by exactly one thread
+/// Per-thread reader state, pinned to one published snapshot: the
+/// extractor bound to that snapshot's concept trie, the epoch-tagged
+/// scoring scratch, and the buffers a query composes its document and
+/// extracts its features into. Owned by exactly one thread
 /// through a thread_local cache, so everything here is mutated without
 /// locks; the shared_ptr keeps the snapshot alive for as long as the
 /// thread serves from it (the RCU grace period is "every reader refreshed
@@ -251,28 +251,24 @@ Status RecommendationService::TrainInternal(const kb::Corpus& corpus,
   auto next = std::make_shared<TrainedState>();
   // The one trie build of this model: every later confirm and reader
   // refresh of it shares the pointer.
-  next->concepts = kb::BuildConcepts(options_.model, taxonomy_);
-  kb::FeatureExtractor extractor(options_.model, next->concepts,
-                                 &next->vocabulary);
+  next->concepts = kb::BuildConcepts(Options::model, taxonomy_);
+  kb::FeatureExtractor extractor(Options::model, next->concepts,
+                                 &TrainedState::vocabulary);
   // Shard scoping: a scoped shard keeps only the nodes of the parts it
-  // owns, but still walks the whole corpus in order. `seq` numbers every
+  // owns, but still counts the whole corpus in order. `seq` numbers every
   // coded bundle globally; a node's merge ordinal is the seq at first
   // sight of its configuration, which is monotone with the node index the
   // unrestricted build would have assigned — the invariant the
-  // scatter-gather (score desc, ordinal asc) merge rests on. Word-model
-  // features additionally need extraction of *non-owned* bundles (interned
-  // word ids depend on corpus order); concept ids are taxonomy-fixed, so
-  // the bag-of-concepts model skips that work.
+  // scatter-gather (score desc, ordinal asc) merge rests on. Concept ids
+  // are taxonomy-fixed, so a non-owned bundle needs no extraction.
   const Options::ShardScope& scope = options_.shard;
-  const bool vocab_needs_all = kb::ModelUsesVocabulary(options_.model);
   uint64_t seq = 0;
   for (const kb::DataBundle& bundle : corpus.bundles) {
     if (options_.fault != nullptr) {
       QATK_RETURN_NOT_OK(options_.fault->OnOp("train.bundle").status);
     }
     if (bundle.error_code.empty()) continue;  // Not yet coded: no label.
-    const bool owned = !scope.active() || scope.owns_part(bundle.part_id);
-    if (!owned && !vocab_needs_all) {
+    if (scope.active() && !scope.owns_part(bundle.part_id)) {
       ++seq;
       continue;
     }
@@ -280,13 +276,11 @@ Status RecommendationService::TrainInternal(const kb::Corpus& corpus,
         std::vector<int64_t> features,
         extractor.Extract(
             kb::ComposeDocument(bundle, kb::kTrainSources, corpus)));
-    if (owned) {
-      if (next->knowledge.AddInstance(bundle.part_id, bundle.error_code,
-                                      std::move(features))) {
-        next->node_ordinals.push_back(seq);
-      }
-      next->frequency.AddObservation(bundle.part_id, bundle.error_code);
+    if (next->knowledge.AddInstance(bundle.part_id, bundle.error_code,
+                                    std::move(features))) {
+      next->node_ordinals.push_back(seq);
     }
+    next->frequency.AddObservation(bundle.part_id, bundle.error_code);
     ++seq;
   }
   next->ordinal_high = seq;
@@ -325,9 +319,9 @@ RecommendationService::ReaderState& RecommendationService::AcquireReader()
   ReaderState::Cache& cache = ReaderState::ThreadCache();
   if (ReaderState* hit = cache.Find(generation)) return *hit;  // Lock-free.
   // Slow path (first query on this thread, or the generation moved): pin
-  // the current snapshot and bind a fresh extractor to its vocabulary and
-  // its concept trie (shared, not rebuilt), so a retrained feature space
-  // can never be probed with stale feature ids.
+  // the current snapshot and bind a fresh extractor to its concept trie
+  // (shared, not rebuilt), so a retrained model can never be probed with
+  // another model's trie.
   std::shared_ptr<const TrainedState> snap;
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
@@ -336,11 +330,8 @@ RecommendationService::ReaderState& RecommendationService::AcquireReader()
   if (ReaderState* hit = cache.Find(snap->generation)) return *hit;
   auto fresh = std::make_unique<ReaderState>();
   fresh->generation = snap->generation;
-  // Frozen (const-vocabulary) extractor: can never intern, and the
-  // vocabulary it reads is immutable once published.
-  const kb::FeatureVocabulary* vocabulary = &snap->vocabulary;
   fresh->extractor = std::make_unique<kb::FeatureExtractor>(
-      options_.model, snap->concepts, vocabulary);
+      Options::model, snap->concepts, &TrainedState::vocabulary);
   fresh->state = std::move(snap);
   g_reader_refreshes.fetch_add(1, std::memory_order_relaxed);
   Metrics().reader_refreshes->Add();
@@ -461,14 +452,13 @@ Status RecommendationService::ConfirmAssignment(const kb::DataBundle& bundle,
   obs::ScopedTimer confirm_span(Metrics().confirm_us);
   std::lock_guard<std::mutex> writer_lock(writer_mutex_);
   // Copy-on-write: the successor state starts as a copy that shares every
-  // knowledge-base part, index segment, frequency table and catalog with
-  // the published one (readers keep serving it untouched). It absorbs the
-  // confirmed instance — cloning only that part's slices and interning
-  // any new words into its own vocabulary copy — and rebuilds only that
-  // part's index segment, so (index, vocabulary) stay paired.
+  // knowledge-base part, index segment, frequency table, catalog and the
+  // concept trie with the published one (readers keep serving it
+  // untouched). It absorbs the confirmed instance — cloning only that
+  // part's slices — and rebuilds only that part's index segment.
   auto next = std::make_shared<TrainedState>(*state_);
-  kb::FeatureExtractor extractor(options_.model, next->concepts,
-                                 &next->vocabulary);
+  kb::FeatureExtractor extractor(Options::model, next->concepts,
+                                 &TrainedState::vocabulary);
   kb::DataBundle coded = bundle;
   coded.error_code = error_code;
   QATK_ASSIGN_OR_RETURN(
@@ -603,9 +593,6 @@ Status RecommendationService::Recover(const std::string& data_dir) {
   if (snapshot_or.ok()) {
     ServiceSnapshot& snapshot = *snapshot_or;
     auto next = std::make_shared<TrainedState>();
-    for (const auto& [word, id] : snapshot.vocabulary) {
-      QATK_RETURN_NOT_OK(next->vocabulary.Restore(word, id));
-    }
     for (kb::KnowledgeNode& node : snapshot.nodes) {
       next->knowledge.RestoreNode(std::move(node));
     }
@@ -624,7 +611,7 @@ Status RecommendationService::Recover(const std::string& data_dir) {
     // An untrained snapshot serves nothing; the train record replayed on
     // top of it builds the trie.
     if (snapshot.trained) {
-      next->concepts = kb::BuildConcepts(options_.model, taxonomy_);
+      next->concepts = kb::BuildConcepts(Options::model, taxonomy_);
     }
     next->generation = NextGeneration();
     if (snapshot.trained) RecordIndexStats(next->index);
@@ -683,7 +670,6 @@ ServiceSnapshot RecommendationService::BuildSnapshot() const {
   snapshot.last_lsn = last_lsn_.load(std::memory_order_relaxed);
   snapshot.trained = trained_.load(std::memory_order_relaxed);
   const TrainedState& state = *state_;
-  snapshot.vocabulary = state.vocabulary.Entries();
   snapshot.nodes.reserve(state.knowledge.num_nodes());
   for (size_t i = 0; i < state.knowledge.num_nodes(); ++i) {
     snapshot.nodes.push_back(state.knowledge.node(i));

@@ -41,26 +41,25 @@ namespace qatk::quest {
 /// replacement state aside, and publish it with a pointer swap plus a
 /// release store of its generation number. Readers (Recommend /
 /// RecommendForText) keep a `thread_local` ReaderState — the snapshot
-/// pointer, a frozen-vocabulary FeatureExtractor built against that
-/// snapshot, and the epoch-tagged scoring scratch — validated against the
-/// service's generation counter with a single atomic acquire load. While
-/// the generation is unchanged the hot path acquires ZERO locks, and
+/// pointer, a FeatureExtractor over that snapshot's concept trie, and the
+/// epoch-tagged scoring scratch — validated against the service's
+/// generation counter with a single atomic acquire load. While the
+/// generation is unchanged the hot path acquires ZERO locks, and
 /// RecommendInto allocates nothing (document, features and scratch are
-/// the ReaderState's, the result the caller's); a generation
-/// change (retrain, confirm) sends the reader through a short
-/// mutex-guarded refresh that rebinds the snapshot and sets up a small
-/// extractor over the new vocabulary and the snapshot's shared concept
-/// trie — the trie itself is never rebuilt by a refresh or a
-/// confirm, only by Train / Retrain / Open. Per-thread state retires
-/// deterministically with its thread (thread_local destruction), so
-/// neither terminated threads nor reused thread ids can leak or alias
-/// reader state.
+/// the ReaderState's, the result the caller's); a generation change
+/// (retrain, confirm) sends the reader through a short mutex-guarded
+/// refresh that rebinds the snapshot and sets up a small extractor over
+/// the snapshot's shared concept trie — the trie itself is never rebuilt
+/// by a refresh or a confirm, only by Train / Retrain / Open. Per-thread
+/// state retires deterministically with its thread (thread_local
+/// destruction), so neither terminated threads nor reused thread ids can
+/// leak or alias reader state.
 class RecommendationService {
  public:
   struct Options {
-    /// Feature model for the deployed service; the paper concludes the
-    /// domain-specific model is the industrially feasible one (§5.2.2).
-    kb::FeatureModel model = kb::FeatureModel::kBagOfConcepts;
+    /// The one feature model served: bag-of-concepts, the model the paper
+    /// concludes is industrially feasible (§5.2.2).
+    static constexpr kb::FeatureModel model = kb::FeatureModel::kBagOfConcepts;
     core::SimilarityMeasure similarity = core::SimilarityMeasure::kJaccard;
     size_t max_nodes = 25;
     size_t top_n = 10;
@@ -71,9 +70,9 @@ class RecommendationService {
 
     /// Cluster shard scoping. When active, Train keeps only the knowledge
     /// nodes whose part id this shard owns (per `owns_part`), while still
-    /// walking the *whole* corpus in order so vocabulary interning and
-    /// merge ordinals come out identical on every shard. The scope is a
-    /// plain predicate so quest/ stays independent of src/cluster/.
+    /// counting the *whole* corpus in order so merge ordinals come out
+    /// identical on every shard. The scope is a plain predicate so quest/
+    /// stays independent of src/cluster/.
     struct ShardScope {
       uint32_t shard_index = 0;
       uint32_t num_shards = 1;
@@ -87,11 +86,11 @@ class RecommendationService {
   };
 
   /// One immutable, internally consistent trained model: the knowledge
-  /// base, the vocabulary the features were interned against, the frozen
-  /// CSR index built from exactly that knowledge base, and every catalog
+  /// base, the frozen CSR index built from exactly that knowledge base,
+  /// the concept trie its features were annotated with, and every catalog
   /// the read paths consult. Published as `shared_ptr<const TrainedState>`
   /// and never mutated afterwards, so any reader holding the pointer sees
-  /// a coherent (index, vocabulary) pairing for as long as it keeps it.
+  /// a coherent (index, trie) pairing for as long as it keeps it.
   /// A copy shares the bulky parts by pointer — knowledge-base parts,
   /// index segments, frequency tables, catalogs, concept trie — and
   /// copies only flat per-node arrays, so a confirm successor costs one
@@ -100,14 +99,16 @@ class RecommendationService {
     /// Globally unique publish id (monotone across all service
     /// instances); 0 is reserved for the untrained empty state.
     uint64_t generation = 0;
+    /// Always empty and shared by every state: concept features intern no
+    /// word. Only the service's extractors read it.
+    static inline const kb::FeatureVocabulary vocabulary{};
     kb::KnowledgeBase knowledge;
-    kb::FeatureVocabulary vocabulary;
     kb::FrozenIndex index;
     core::CodeFrequencyBaseline frequency;
-    /// The taxonomy compiled for bag-of-concepts annotation (null for the
-    /// word models). Built once by Train / Retrain / Open from the
-    /// taxonomy as it was then, and shared by pointer with every confirm
-    /// successor and reader extractor of this model.
+    /// The taxonomy compiled for annotation (null while untrained). Built
+    /// once by Train / Retrain / Open from the taxonomy as it was then,
+    /// and shared by pointer with every confirm successor and reader
+    /// extractor of this model.
     std::shared_ptr<const tax::ConceptTrie> concepts;
     /// Part and error-code description catalogs, read by every
     /// ComposeDocument of this model and shared by pointer with its
@@ -128,11 +129,11 @@ class RecommendationService {
     uint64_t ordinal_high = 0;
   };
 
-  /// `taxonomy` must outlive the service. It is read only at Train,
-  /// Retrain and Open, which compile it into the snapshot's concept trie;
-  /// confirms and reads keep annotating with that trie, so a taxonomy
-  /// mutation (e.g. Taxonomy::AddSynonym) takes effect at the next
-  /// Retrain, never half-way through a trained model. A service
+  /// `taxonomy` (non-null) must outlive the service. It is read only at
+  /// Train, Retrain and Open, which compile it into the snapshot's concept
+  /// trie; confirms and reads keep annotating with that trie, so a
+  /// taxonomy mutation (e.g. Taxonomy::AddSynonym) takes effect at the
+  /// next Retrain, never half-way through a trained model. A service
   /// constructed this way is *ephemeral*: mutations live only in memory.
   /// Use Open for a durable, crash-recoverable service.
   RecommendationService(const tax::Taxonomy* taxonomy, Options options);
@@ -335,9 +336,9 @@ class RecommendationService {
   /// Returns this thread's ReaderState for the current generation,
   /// refreshing only when the generation moved since the thread's last
   /// query. A refresh rebinds the snapshot under the mutex and sets up an
-  /// extractor over the snapshot's vocabulary and shared concept trie; it
-  /// never rebuilds the trie. The fast path is one atomic acquire load
-  /// plus a tiny thread_local scan: no locks, no allocation.
+  /// extractor over the snapshot's shared concept trie; it never rebuilds
+  /// the trie. The fast path is one atomic acquire load plus a tiny
+  /// thread_local scan: no locks, no allocation.
   ReaderState& AcquireReader() const;
 
   /// Classification body shared by RecommendInto / RecommendForText;

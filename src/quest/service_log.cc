@@ -305,11 +305,7 @@ std::string SerializeSnapshot(const ServiceSnapshot& snapshot) {
   std::string payload;
   AppendU64(&payload, snapshot.last_lsn);
   payload.push_back(snapshot.trained ? 1 : 0);
-  AppendU32(&payload, static_cast<uint32_t>(snapshot.vocabulary.size()));
-  for (const auto& [word, id] : snapshot.vocabulary) {
-    AppendStr(&payload, word);
-    AppendU64(&payload, static_cast<uint64_t>(id));
-  }
+  AppendU32(&payload, 0);  // Vocabulary entries: none (see ServiceSnapshot).
   AppendU32(&payload, static_cast<uint32_t>(snapshot.nodes.size()));
   for (const kb::KnowledgeNode& node : snapshot.nodes) {
     AppendStr(&payload, node.part_id);
@@ -350,12 +346,13 @@ Result<ServiceSnapshot> DeserializeSnapshot(std::string_view payload) {
   ServiceSnapshot snapshot;
   snapshot.last_lsn = in.ReadU64();
   snapshot.trained = in.ReadU8() != 0;
-  uint32_t vocab_count = in.ReadU32();
-  snapshot.vocabulary.reserve(in.ok() ? vocab_count : 0);
-  for (uint32_t i = 0; i < vocab_count && in.ok(); ++i) {
-    std::string word = in.ReadStr();
-    int64_t id = static_cast<int64_t>(in.ReadU64());
-    snapshot.vocabulary.emplace_back(std::move(word), id);
+  const uint32_t vocab_count = in.ReadU32();
+  if (vocab_count != 0) {
+    return Status::Invalid(
+        "snapshot holds a word-model vocabulary of " +
+        std::to_string(vocab_count) +
+        " entries; the service serves bag-of-concepts only and cannot "
+        "restore it");
   }
   uint32_t node_count = in.ReadU32();
   snapshot.nodes.reserve(in.ok() ? node_count : 0);

@@ -110,10 +110,13 @@ class ServiceLog {
 
 /// \brief Snapshot of one trained service state, serialized at checkpoint
 /// time. Everything needed to rebuild a bit-identical TrainedState:
-/// vocabulary entries in id order, knowledge nodes in append order (the
-/// frozen index is a pure function of the knowledge base and is rebuilt at
-/// load), the frequency table, both description catalogs, and the manually
-/// defined codes.
+/// knowledge nodes in append order (the frozen index is a pure function of
+/// the knowledge base, and the concept trie of the taxonomy; both are
+/// rebuilt at load), the frequency table, both description catalogs, and
+/// the manually defined codes.
+/// The payload keeps a u32 vocabulary count after `trained`, always written
+/// as 0: bag-of-concepts interns no word. A non-zero count marks a
+/// word-model snapshot, which ReadSnapshot refuses.
 struct ServiceSnapshot {
   /// Last log sequence number folded into this snapshot; replay skips
   /// records at or below it.
@@ -121,7 +124,6 @@ struct ServiceSnapshot {
   /// Whether the service had been trained (DefineErrorCode mutations can
   /// exist before training, so an untrained snapshot is meaningful).
   bool trained = false;
-  std::vector<std::pair<std::string, int64_t>> vocabulary;
   std::vector<kb::KnowledgeNode> nodes;
   std::map<std::string, std::map<std::string, uint64_t>> frequency;
   std::map<std::string, std::string> part_descriptions;
@@ -145,7 +147,7 @@ Status WriteSnapshot(const std::string& path, const ServiceSnapshot& snapshot,
 
 /// Reads and verifies a snapshot. KeyError when no snapshot exists (a
 /// fresh data dir); DataLoss when the file exists but fails its checksum
-/// or does not decode.
+/// or does not decode; Invalid when it holds a word-model vocabulary.
 Result<ServiceSnapshot> ReadSnapshot(const std::string& path);
 
 /// Canonical file layout of a service data dir.

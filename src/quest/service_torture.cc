@@ -9,9 +9,11 @@
 
 #include "common/crc32.h"
 #include "common/fault.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "quest/recommendation_service.h"
 #include "quest/service_log.h"
+#include "taxonomy/taxonomy.h"
 
 namespace qatk::quest {
 
@@ -36,12 +38,15 @@ struct Op {
   std::string description; // kDefine
 };
 
+/// The scripts' texts draw from the pool words "w0" .. "w39".
+constexpr uint64_t kPoolWords = 40;
+
 std::string WordPool(Rng* rng, int count) {
   std::string out;
   for (int i = 0; i < count; ++i) {
     if (i > 0) out.push_back(' ');
     out.push_back('w');
-    out += std::to_string(rng->NextBounded(40));
+    out += std::to_string(rng->NextBounded(kPoolWords));
   }
   return out;
 }
@@ -51,6 +56,33 @@ std::string Name(char prefix, uint64_t i) {
   std::string name(1, prefix);
   name += std::to_string(i);
   return name;
+}
+
+/// The services' taxonomy: one concept per pool word, plus a few
+/// multiword concepts whose matches swallow the single-word ones, so every
+/// text annotates to concept ids and a trie build stays at the µs scale.
+const tax::Taxonomy& TortureTaxonomy() {
+  static const tax::Taxonomy taxonomy = [] {
+    tax::Taxonomy built;
+    int64_t id = 1;
+    for (uint64_t w = 0; w < kPoolWords; ++w) {
+      tax::Concept word;
+      word.id = id++;
+      word.label = Name('w', w);
+      word.synonyms[text::Language::kEnglish] = {word.label};
+      QATK_CHECK_OK(built.Add(std::move(word)));
+    }
+    for (const char* surface : {"w1 w2", "w3 w17", "w5 w6 w7", "w23 w1"}) {
+      tax::Concept phrase;
+      phrase.id = id++;
+      phrase.category = tax::Category::kSymptom;
+      phrase.label = surface;
+      phrase.synonyms[text::Language::kEnglish] = {surface};
+      QATK_CHECK_OK(built.Add(std::move(phrase)));
+    }
+    return built;
+  }();
+  return taxonomy;
 }
 
 std::string PartName(uint64_t i) { return Name('P', i); }
@@ -151,9 +183,6 @@ void RemoveDataDir(const std::string& data_dir) {
 
 RecommendationService::Options TortureServiceOptions(FaultInjector* fault) {
   RecommendationService::Options options;
-  // Bag-of-words needs no taxonomy; the durability machinery under test is
-  // feature-model agnostic.
-  options.model = kb::FeatureModel::kBagOfWords;
   options.fault = fault;
   return options;
 }
@@ -175,10 +204,6 @@ std::string Fingerprint(const RecommendationService& service) {
       service.Snapshot();
   std::string fp;
   fp += service.trained() ? "trained\n" : "untrained\n";
-  fp += "vocab:\n";
-  for (const auto& [word, id] : state->vocabulary.Entries()) {
-    fp += word + "=" + std::to_string(id) + "\n";
-  }
   fp += "nodes:\n";
   for (const kb::KnowledgeNode* node : state->knowledge.AllNodes()) {
     fp += node->part_id + "|" + node->error_code + "|";
@@ -269,7 +294,7 @@ RunResult RunScript(const std::vector<Op>& script,
   RunResult out;
   RemoveDataDir(options.data_dir);
   Result<std::unique_ptr<RecommendationService>> service =
-      RecommendationService::Open(/*taxonomy=*/nullptr,
+      RecommendationService::Open(&TortureTaxonomy(),
                                   TortureServiceOptions(fault),
                                   options.data_dir);
   if (!service.ok()) {
@@ -307,7 +332,7 @@ RunResult RunScript(const std::vector<Op>& script,
 Result<std::unique_ptr<RecommendationService>> BuildReference(
     const std::vector<Op>& script, const std::vector<size_t>& ops) {
   auto reference = std::make_unique<RecommendationService>(
-      /*taxonomy=*/nullptr, TortureServiceOptions(nullptr));
+      &TortureTaxonomy(), TortureServiceOptions(nullptr));
   for (size_t k : ops) {
     if (script[k].kind == Op::kCheckpoint) continue;  // Durability-only.
     Status st = ExecuteOp(reference.get(), script[k]);
@@ -384,7 +409,7 @@ ServiceTortureReport RunServiceCrashSchedule(
 
   // Clean recovery of the crashed (or cleanly closed) data dir.
   Result<std::unique_ptr<RecommendationService>> recovered =
-      RecommendationService::Open(/*taxonomy=*/nullptr,
+      RecommendationService::Open(&TortureTaxonomy(),
                                   TortureServiceOptions(nullptr),
                                   options.data_dir);
   if (!recovered.ok()) {

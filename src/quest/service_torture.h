@@ -55,9 +55,11 @@ struct ServiceTortureReport {
 /// those plus the in-flight one. Recovery must reproduce one of the two
 /// bit-identically: an acknowledged mutation can never be lost, an
 /// unacknowledged one can never surface (the in-flight mutation is atomic
-/// or absent), and the fingerprint covers the vocabulary, knowledge
-/// nodes, frequency table, catalogs, full lists, and live recommendation
-/// scores, so "identical" means identical serving behaviour.
+/// or absent), and the fingerprint covers the knowledge nodes (their
+/// concept features included), frequency table, catalogs, full lists,
+/// and live recommendation scores, so "identical" means identical serving
+/// behaviour. The services annotate with a small fixed taxonomy: one
+/// concept per script word plus a few multiword concepts.
 ///
 /// Shared by tests/service_durability_test.cc and bench/bench_crash_recovery.
 ServiceTortureReport RunServiceCrashSchedule(

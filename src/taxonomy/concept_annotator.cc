@@ -22,10 +22,6 @@ using cas::types::kToken;
 TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy)
     : TrieConceptAnnotator(ConceptTrie::Build(taxonomy)) {}
 
-TrieConceptAnnotator::TrieConceptAnnotator(const Taxonomy& taxonomy,
-                                           Options options)
-    : TrieConceptAnnotator(ConceptTrie::Build(taxonomy, options)) {}
-
 TrieConceptAnnotator::TrieConceptAnnotator(
     std::shared_ptr<const ConceptTrie> concepts)
     : concepts_(std::move(concepts)) {

@@ -31,12 +31,9 @@ namespace qatk::tax {
 /// Requires a prior TokenizerAnnotator.
 class TrieConceptAnnotator final : public cas::Annotator {
  public:
-  using Options = ConceptTrie::Options;
-
   /// Builds a private trie from `taxonomy` (all languages). The taxonomy
   /// may be destroyed after construction.
   explicit TrieConceptAnnotator(const Taxonomy& taxonomy);
-  TrieConceptAnnotator(const Taxonomy& taxonomy, Options options);
 
   /// Matches against an already built, possibly shared trie (non-null).
   explicit TrieConceptAnnotator(std::shared_ptr<const ConceptTrie> concepts);

@@ -29,11 +29,6 @@ std::atomic<uint64_t> g_trie_builds{0};
 
 std::shared_ptr<const ConceptTrie> ConceptTrie::Build(
     const Taxonomy& taxonomy) {
-  return Build(taxonomy, Options());
-}
-
-std::shared_ptr<const ConceptTrie> ConceptTrie::Build(
-    const Taxonomy& taxonomy, Options options) {
   g_trie_builds.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter* const builds =
       obs::Registry::Global().GetCounter("qatk_taxonomy_trie_builds_total");
@@ -58,25 +53,23 @@ std::shared_ptr<const ConceptTrie> ConceptTrie::Build(
   // substitute every other one inside a multiword synonym. Only words of
   // multiword synonyms are ever looked up, so only they get a group.
   std::map<std::string, std::vector<std::string>> word_synonym_groups;
-  if (options.expand_synonyms) {
-    std::set<std::string_view> substitutable;
-    for (const auto& synonyms : normalized) {
-      for (const std::vector<std::string>& tokens : synonyms) {
-        if (tokens.size() < 2) continue;
-        substitutable.insert(tokens.begin(), tokens.end());
-      }
+  std::set<std::string_view> substitutable;
+  for (const auto& synonyms : normalized) {
+    for (const std::vector<std::string>& tokens : synonyms) {
+      if (tokens.size() < 2) continue;
+      substitutable.insert(tokens.begin(), tokens.end());
     }
-    for (const auto& synonyms : normalized) {
-      std::vector<std::string_view> words;
-      for (const std::vector<std::string>& tokens : synonyms) {
-        if (tokens.size() == 1) words.push_back(tokens[0]);
-      }
-      for (std::string_view word : words) {
-        if (substitutable.count(word) == 0) continue;
-        for (std::string_view other : words) {
-          if (word != other) {
-            word_synonym_groups[std::string(word)].emplace_back(other);
-          }
+  }
+  for (const auto& synonyms : normalized) {
+    std::vector<std::string_view> words;
+    for (const std::vector<std::string>& tokens : synonyms) {
+      if (tokens.size() == 1) words.push_back(tokens[0]);
+    }
+    for (std::string_view word : words) {
+      if (substitutable.count(word) == 0) continue;
+      for (std::string_view other : words) {
+        if (word != other) {
+          word_synonym_groups[std::string(word)].emplace_back(other);
         }
       }
     }
@@ -88,17 +81,16 @@ std::shared_ptr<const ConceptTrie> ConceptTrie::Build(
     built->categories_[cpt->id] = cpt->category;
     for (const std::vector<std::string>& tokens : normalized[c]) {
       trie.Add(tokens, cpt->id);
-      if (!options.expand_synonyms || tokens.size() < 2) continue;
+      if (tokens.size() < 2) continue;
       // Expansion: substitute one position at a time by the synonyms of
       // that word, bounded per original synonym.
       size_t generated = 0;
       for (size_t i = 0;
-           i < tokens.size() && generated < options.max_variants_per_synonym;
-           ++i) {
+           i < tokens.size() && generated < kMaxVariantsPerSynonym; ++i) {
         auto it = word_synonym_groups.find(tokens[i]);
         if (it == word_synonym_groups.end()) continue;
         for (const std::string& replacement : it->second) {
-          if (generated >= options.max_variants_per_synonym) break;
+          if (generated >= kMaxVariantsPerSynonym) break;
           std::vector<std::string> variant = tokens;
           variant[i] = replacement;
           trie.Add(variant, cpt->id);

@@ -33,19 +33,13 @@ namespace qatk::tax {
 /// bounded to keep the trie small.
 class ConceptTrie {
  public:
-  struct Options {
-    /// Enable the substring-synonym expansion described above.
-    bool expand_synonyms = true;
-    /// Cap on generated variants per original synonym (expansion blow-up
-    /// guard).
-    size_t max_variants_per_synonym = 8;
-  };
+  /// Cap on the variants generated per original synonym (expansion
+  /// blow-up guard).
+  static constexpr size_t kMaxVariantsPerSynonym = 8;
 
-  /// Builds the trie from `taxonomy` (default options). Every build counts
-  /// once in `qatk_taxonomy_trie_builds_total` and in BuildsForTest().
+  /// Builds the trie from `taxonomy`. Every build counts once in
+  /// `qatk_taxonomy_trie_builds_total` and in BuildsForTest().
   static std::shared_ptr<const ConceptTrie> Build(const Taxonomy& taxonomy);
-  static std::shared_ptr<const ConceptTrie> Build(const Taxonomy& taxonomy,
-                                                  Options options);
 
   const TokenTrie& trie() const { return trie_; }
 

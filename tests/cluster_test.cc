@@ -30,6 +30,7 @@
 #include "kb/data_bundle.h"
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
+#include "numbered.h"
 #include "quest/recommendation_service.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -48,7 +49,7 @@ TEST(SharderTest, HashIsDeterministicAndInRange) {
   HashSharder a(4);
   HashSharder b(4);
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "P" + std::to_string(i * 37);
+    const std::string key = Numbered("P", i * 37);
     const uint32_t shard = a.ShardFor(key);
     EXPECT_LT(shard, 4u);
     EXPECT_EQ(shard, b.ShardFor(key)) << key;
@@ -60,7 +61,7 @@ TEST(SharderTest, HashSpreadsKeysAcrossAllShards) {
   HashSharder sharder(4);
   std::set<uint32_t> hit;
   for (int i = 0; i < 64; ++i) {
-    hit.insert(sharder.ShardFor("PART-" + std::to_string(i)));
+    hit.insert(sharder.ShardFor(Numbered("PART-", i)));
   }
   EXPECT_EQ(hit.size(), 4u);
 }
@@ -134,7 +135,7 @@ TEST(MergeTest, DedupsCodesKeepingTheBestOccurrence) {
 TEST(MergeTest, TruncatesToTopNAndSetsTheFlag) {
   std::vector<RecommendationService::ShardPartialItem> items;
   for (int i = 0; i < 8; ++i) {
-    items.push_back({"E" + std::to_string(i), 1.0 - i * 0.1,
+    items.push_back({Numbered("E", i), 1.0 - i * 0.1,
                      static_cast<uint64_t>(i)});
   }
   auto merged = MergePartials({MakePartial(true, items)}, /*max_nodes=*/25,
@@ -297,7 +298,7 @@ class ClusterEquivalenceTest : public ::testing::Test {
     // Unknown part ids exercise the fallback scatter (all-nodes sweep).
     for (int i = 0; i < 8; ++i) {
       kb::DataBundle probe = corpus_->bundles[i * 37 % corpus_->bundles.size()];
-      probe.part_id = "ZZ-UNKNOWN-" + std::to_string(i);
+      probe.part_id = Numbered("ZZ-UNKNOWN-", i);
       auto want = reference_->Recommend(probe);
       ASSERT_TRUE(want.ok()) << want.status();
       auto got = ClusterRecommend(shards, *sharder, probe);
@@ -344,10 +345,10 @@ TEST(ShardedIndexTest, SlicedPartialsMergeExactlyToFullIndex) {
     // break. Codes must be distinct — AddInstance merges identical
     // (part, code, features) triples into one node.
     for (int i = 0; i < 30; ++i) {
-      knowledge.AddInstance(part, "H" + std::to_string(i), heavy);
+      knowledge.AddInstance(part, Numbered("H", i), heavy);
     }
     for (int i = 0; i < 300; ++i) {
-      knowledge.AddInstance(part, "L" + std::to_string(i % 11),
+      knowledge.AddInstance(part, Numbered("L", i % 11),
                             {0, 100 + i});
     }
   }
@@ -480,8 +481,8 @@ TEST_F(ClusterEquivalenceTest, ConfirmWithGlobalOrdinalKeepsEquivalence) {
   uint64_t next = base;
   for (int i = 0; i < 3; ++i) {
     kb::DataBundle confirm = corpus_->bundles[50 + i * 31];
-    confirm.reference_number = "CONFIRM-" + std::to_string(i);
-    confirm.mechanic_report += " confirmed follow-up " + std::to_string(i);
+    confirm.reference_number = Numbered("CONFIRM-", i);
+    confirm.mechanic_report += Numbered(" confirmed follow-up ", i);
     const std::string code = corpus_->bundles[200 + i].error_code;
     ASSERT_TRUE(local.ConfirmAssignment(confirm, code).ok());
     const uint32_t owner = sharder->ShardFor(confirm.part_id);

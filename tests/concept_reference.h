@@ -12,8 +12,8 @@
 //    each other one. For a multiword synonym, positions are tried left to
 //    right and each position's substitutes in that order (concepts in
 //    taxonomy order, then languages, then surfaces), one position at a
-//    time, until max_variants_per_synonym variants were generated; every
-//    variant names the concept too;
+//    time, until ConceptTrie::kMaxVariantsPerSynonym variants were
+//    generated; every variant names the concept too;
 //  * matching is left-bounded greedy: at each position the longest word
 //    sequence that names a concept wins, its concepts ascending, and the
 //    scan resumes after it; a position where none matches is skipped.
@@ -46,23 +46,20 @@ class ConceptMatcher {
     std::vector<int64_t> concepts;  ///< Ascending.
   };
 
-  explicit ConceptMatcher(
-      const tax::Taxonomy& taxonomy,
-      tax::ConceptTrie::Options options = tax::ConceptTrie::Options()) {
+  explicit ConceptMatcher(const tax::Taxonomy& taxonomy) {
+    constexpr size_t kCap = tax::ConceptTrie::kMaxVariantsPerSynonym;
     std::map<std::string, std::vector<std::string>> substitutes;
-    if (options.expand_synonyms) {
-      for (const tax::Concept* cpt : taxonomy.All()) {
-        std::vector<std::string> singles;
-        for (const auto& [language, surfaces] : cpt->synonyms) {
-          for (const std::string& surface : surfaces) {
-            const std::vector<std::string> words = FoldedWords(surface);
-            if (words.size() == 1) singles.push_back(words[0]);
-          }
+    for (const tax::Concept* cpt : taxonomy.All()) {
+      std::vector<std::string> singles;
+      for (const auto& [language, surfaces] : cpt->synonyms) {
+        for (const std::string& surface : surfaces) {
+          const std::vector<std::string> words = FoldedWords(surface);
+          if (words.size() == 1) singles.push_back(words[0]);
         }
-        for (const std::string& word : singles) {
-          for (const std::string& other : singles) {
-            if (word != other) substitutes[word].push_back(other);
-          }
+      }
+      for (const std::string& word : singles) {
+        for (const std::string& other : singles) {
+          if (word != other) substitutes[word].push_back(other);
         }
       }
     }
@@ -72,19 +69,25 @@ class ConceptMatcher {
           const std::vector<std::string> words = FoldedWords(surface);
           if (words.empty()) continue;
           Add(words, cpt->id);
-          if (!options.expand_synonyms || words.size() < 2) continue;
+          if (words.size() < 2) continue;
           size_t generated = 0;
+          bool capped = false;
           for (size_t i = 0; i < words.size(); ++i) {
             auto it = substitutes.find(words[i]);
             if (it == substitutes.end()) continue;
             for (const std::string& other : it->second) {
-              if (generated == options.max_variants_per_synonym) break;
+              if (generated == kCap) {
+                capped = true;
+                break;
+              }
               std::vector<std::string> variant = words;
               variant[i] = other;
               Add(variant, cpt->id);
               ++generated;
             }
           }
+          variants_ += generated;
+          if (capped) ++capped_synonyms_;
         }
       }
     }
@@ -110,6 +113,20 @@ class ConceptMatcher {
     return matches;
   }
 
+  /// Distinct (word sequence, concept) entries, the trie's entry_count().
+  size_t entry_count() const {
+    size_t count = 0;
+    for (const auto& [words, concepts] : entries_) count += concepts.size();
+    return count;
+  }
+
+  /// Expansion variants generated, duplicates included.
+  size_t variants() const { return variants_; }
+
+  /// Multiword synonyms that had substitutes left when the cap stopped
+  /// their expansion.
+  size_t capped_synonyms() const { return capped_synonyms_; }
+
  private:
   void Add(const std::vector<std::string>& words, int64_t concept_id) {
     entries_[words].insert(concept_id);
@@ -118,6 +135,8 @@ class ConceptMatcher {
 
   std::map<std::vector<std::string>, std::set<int64_t>> entries_;
   size_t longest_ = 0;
+  size_t variants_ = 0;
+  size_t capped_synonyms_ = 0;
 };
 
 }  // namespace qatk::naive

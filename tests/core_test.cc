@@ -4,6 +4,7 @@
 #include "core/baselines.h"
 #include "core/classifier.h"
 #include "core/similarity.h"
+#include "numbered.h"
 
 namespace qatk::core {
 namespace {
@@ -161,7 +162,7 @@ TEST(RankedKnnTest, DistinctCodesKeepBestNodeScore) {
 TEST(RankedKnnTest, MaxNodesCutoffLimitsCodes) {
   kb::KnowledgeBase knowledge;
   for (int i = 0; i < 50; ++i) {
-    knowledge.AddInstance("P1", "E" + std::to_string(i),
+    knowledge.AddInstance("P1", Numbered("E", i),
                           {1, 100 + i, 200 + i});
   }
   RankedKnnClassifier narrow({SimilarityMeasure::kJaccard, 5});
@@ -238,7 +239,7 @@ TEST(CodeFrequencyBaselineTest, TiesBreakLexicographically) {
 TEST(CandidateSetBaselineTest, OrderIsArbitraryButDeterministic) {
   kb::KnowledgeBase knowledge;
   for (int i = 0; i < 20; ++i) {
-    knowledge.AddInstance("P1", "E" + std::to_string(i), {1, 100 + i});
+    knowledge.AddInstance("P1", Numbered("E", i), {1, 100 + i});
   }
   CandidateSetBaseline baseline;
   auto first = baseline.Rank(knowledge, "P1", {1});
@@ -252,7 +253,7 @@ TEST(CandidateSetBaselineTest, OrderIsArbitraryButDeterministic) {
   // training distribution).
   bool is_insertion_order = true;
   for (size_t i = 0; i < first.size(); ++i) {
-    if (first[i].error_code != "E" + std::to_string(i)) {
+    if (first[i].error_code != Numbered("E", i)) {
       is_insertion_order = false;
       break;
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cas/annotators.h"
+#include "numbered.h"
 #include "taxonomy/concept_annotator.h"
 #include "taxonomy/extender.h"
 #include "taxonomy/taxonomy.h"
@@ -44,7 +45,7 @@ TEST(TaxonomyExtenderTest, MinesConcentratedUnknownTokens) {
   }
   // "geprueft" spreads over many codes -> filler, no proposal.
   for (int i = 0; i < 5; ++i) {
-    extender.AddDocument("teil geprueft", "E" + std::to_string(i));
+    extender.AddDocument("teil geprueft", Numbered("E", i));
   }
   auto proposals = extender.Propose();
   ASSERT_FALSE(proposals.empty());

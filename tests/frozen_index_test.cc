@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/classifier.h"
 #include "kb/knowledge_base.h"
+#include "numbered.h"
 
 namespace qatk::kb {
 namespace {
@@ -157,7 +158,7 @@ TEST(FrozenIndexTest, ScratchSurvivesReuseAcrossIndexesOfDifferentSizes) {
   FrozenIndex::Scratch scratch;
   KnowledgeBase big;
   for (int i = 0; i < 40; ++i) {
-    big.AddInstance("P0", "E" + std::to_string(i % 5),
+    big.AddInstance("P0", Numbered("E", i % 5),
                     {i % 7, 10 + i % 3, 20 + i});
   }
   FrozenIndex big_index = FrozenIndex::Build(big);
@@ -202,8 +203,8 @@ TEST(FrozenIndexEquivalenceTest, RandomizedCorporaMatchBruteForceExactly) {
     KnowledgeBase knowledge;
     for (size_t i = 0; i < num_instances; ++i) {
       knowledge.AddInstance(
-          "P" + std::to_string(rng.NextBounded(num_parts)),
-          "E" + std::to_string(rng.NextBounded(num_codes)),
+          Numbered("P", rng.NextBounded(num_parts)),
+          Numbered("E", rng.NextBounded(num_codes)),
           RandomFeatureSet(&rng, 12, feature_domain));
     }
     FrozenIndex index = FrozenIndex::Build(knowledge);
@@ -214,8 +215,8 @@ TEST(FrozenIndexEquivalenceTest, RandomizedCorporaMatchBruteForceExactly) {
       // carries an empty feature set.
       std::string part_id =
           rng.NextBernoulli(0.25)
-              ? "GHOST" + std::to_string(rng.NextBounded(3))
-              : "P" + std::to_string(rng.NextBounded(num_parts));
+              ? Numbered("GHOST", rng.NextBounded(3))
+              : Numbered("P", rng.NextBounded(num_parts));
       std::vector<int64_t> features =
           p % 5 == 0 ? std::vector<int64_t>{}
                      : RandomFeatureSet(&rng, 10, feature_domain);
@@ -235,13 +236,13 @@ TEST(FrozenIndexEquivalenceTest, SingletonNodesMatchBruteForce) {
   Rng rng(0xBADC0DE5EEDULL);
   KnowledgeBase knowledge;
   for (int i = 0; i < 30; ++i) {
-    knowledge.AddInstance("P" + std::to_string(i), "E" + std::to_string(i),
+    knowledge.AddInstance(Numbered("P", i), Numbered("E", i),
                           {i, i + 100});
   }
   FrozenIndex index = FrozenIndex::Build(knowledge);
   FrozenIndex::Scratch scratch;
   for (int i = 0; i < 30; ++i) {
-    ExpectEquivalent(knowledge, index, &scratch, "P" + std::to_string(i),
+    ExpectEquivalent(knowledge, index, &scratch, Numbered("P", i),
                      {i, i + 100}, 25);
   }
   ExpectEquivalent(knowledge, index, &scratch, "GHOST", {5, 105}, 25);

@@ -17,8 +17,9 @@
 #include "feature_reference.h"
 #include "hostile_text.h"
 #include "kb/features.h"
-#include "server/json.h"
+#include "numbered.h"
 #include "server/demo_corpus.h"
+#include "server/json.h"
 #include "server/protocol.h"
 #include "storage/database.h"
 #include "storage/sql.h"
@@ -89,7 +90,7 @@ TEST_P(SqlFuzzTest, SelectWhereMatchesReferenceFilter) {
       if (terms[i].on_string) {
         sql += "s " + terms[i].op + " '" + terms[i].s_value + "'";
       } else {
-        sql += "n " + terms[i].op + " " + std::to_string(terms[i].n_value);
+        sql += "n " + terms[i].op + Numbered(" ", terms[i].n_value);
       }
     }
     auto result = session.Execute(sql);
@@ -133,7 +134,7 @@ class WalTruncationFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(WalTruncationFuzzTest, ArbitraryTruncationYieldsConsistentPrefix) {
   Rng rng(GetParam());
   std::string path =
-      ::testing::TempDir() + "/wal_fuzz_" + std::to_string(GetParam());
+      ::testing::TempDir() + Numbered("/wal_fuzz_", GetParam());
   auto cleanup = [&]() {
     std::remove(path.c_str());
     std::remove((path + ".wal").c_str());
@@ -149,7 +150,7 @@ TEST_P(WalTruncationFuzzTest, ArbitraryTruncationYieldsConsistentPrefix) {
                     .ok());
     for (int i = 0; i < kRows; ++i) {
       ASSERT_TRUE(
-          (*db)->Insert("t", db::Tuple({db::Value("k" + std::to_string(i))}))
+          (*db)->Insert("t", db::Tuple({db::Value(Numbered("k", i))}))
               .ok());
     }
     // Crash without checkpoint.
@@ -276,7 +277,7 @@ server::Json RandomJson(Rng* rng, int depth) {
       server::Json object = server::Json::Object();
       const size_t n = rng->NextBounded(5);
       for (size_t i = 0; i < n; ++i) {
-        object.Set("k" + std::to_string(i), RandomJson(rng, depth - 1));
+        object.Set(Numbered("k", i), RandomJson(rng, depth - 1));
       }
       return object;
     }
@@ -309,7 +310,7 @@ TEST(JsonCodecFuzzTest, RequestsRoundTripThroughFraming) {
     server::Json params = server::Json::Object();
     const size_t n = rng.NextBounded(4);
     for (size_t i = 0; i < n; ++i) {
-      params.Set("p" + std::to_string(i), RandomJson(&rng, 2));
+      params.Set(Numbered("p", i), RandomJson(&rng, 2));
     }
     const std::string payload =
         server::EncodeRequest(id, method, params, deadline);

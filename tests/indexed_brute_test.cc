@@ -23,6 +23,7 @@
 #include "core/similarity.h"
 #include "kb/frozen_index.h"
 #include "kb/knowledge_base.h"
+#include "numbered.h"
 
 namespace qatk {
 namespace {
@@ -119,8 +120,8 @@ TEST(IndexedBruteEquivalenceTest, AdversarialRandomizedCorpora) {
     kb::KnowledgeBase knowledge;
     for (size_t i = 0; i < num_instances; ++i) {
       knowledge.AddInstance(
-          "P" + std::to_string(rng.NextBounded(num_parts)),
-          "E" + std::to_string(rng.NextBounded(num_codes)),
+          Numbered("P", rng.NextBounded(num_parts)),
+          Numbered("E", rng.NextBounded(num_codes)),
           RandomFeatureSet(&rng, 8, feature_domain));
     }
     kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
@@ -128,8 +129,8 @@ TEST(IndexedBruteEquivalenceTest, AdversarialRandomizedCorpora) {
     for (size_t p = 0; p < 8; ++p) {
       const std::string part_id =
           rng.NextBernoulli(0.25)
-              ? "GHOST" + std::to_string(rng.NextBounded(3))
-              : "P" + std::to_string(rng.NextBounded(num_parts));
+              ? Numbered("GHOST", rng.NextBounded(3))
+              : Numbered("P", rng.NextBounded(num_parts));
       const std::vector<int64_t> features =
           p % 5 == 0 ? std::vector<int64_t>{}
                      : RandomFeatureSet(&rng, 6, feature_domain);
@@ -149,7 +150,7 @@ TEST(IndexedBruteEquivalenceTest, ScoresExactlyOnTieKeepIdTieBreak) {
   // 150 nodes with identical feature sets (distinct codes, so nothing
   // merges): every score identical.
   for (int i = 0; i < 150; ++i) {
-    knowledge.AddInstance("P0", "E" + std::to_string(i), {1, 2, 3});
+    knowledge.AddInstance("P0", Numbered("E", i), {1, 2, 3});
   }
   kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
   kb::FrozenIndex::Scratch scratch;
@@ -166,7 +167,7 @@ TEST(IndexedBruteEquivalenceTest, SingletonAndEmptyPostings) {
   knowledge.AddInstance("P0", "E0", {});     // Featureless node.
   knowledge.AddInstance("P1", "E1", {7});    // Singleton posting.
   for (int i = 0; i < 130; ++i) {            // One long-run part besides.
-    knowledge.AddInstance("P2", "E" + std::to_string(i % 4), {7, 9, i % 3});
+    knowledge.AddInstance("P2", Numbered("E", i % 4), {7, 9, i % 3});
   }
   kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
   kb::FrozenIndex::Scratch scratch;
@@ -186,10 +187,10 @@ TEST(IndexedBruteEquivalenceTest, StrongContendersAmongHopelessNodes) {
   kb::KnowledgeBase knowledge;
   const std::vector<int64_t> probe = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   for (int i = 0; i < 30; ++i) {  // Full-overlap contenders, |B| = 10.
-    knowledge.AddInstance("P0", "HEAVY" + std::to_string(i), probe);
+    knowledge.AddInstance("P0", Numbered("HEAVY", i), probe);
   }
   for (int i = 0; i < 500; ++i) {  // |B| = 2, share one probe feature.
-    knowledge.AddInstance("P0", "LIGHT" + std::to_string(i),
+    knowledge.AddInstance("P0", Numbered("LIGHT", i),
                           {0, 100 + i});
   }
   kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
@@ -211,8 +212,8 @@ TEST(IndexedBruteEquivalenceTest, UnknownPartFillsZeroTailInNodeOrder) {
     const std::vector<int64_t> features =
         i == 3 || i == 8 ? std::vector<int64_t>{5, 100 + i}
                          : std::vector<int64_t>{200 + i};
-    knowledge.AddInstance("P" + std::to_string(i % 3),
-                          "E" + std::to_string(i), features);
+    knowledge.AddInstance(Numbered("P", i % 3),
+                          Numbered("E", i), features);
   }
   knowledge.AddInstance("P0", "EMPTY", {});  // Node 12: no features at all.
   kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
@@ -338,8 +339,8 @@ TEST(IndexedBruteEquivalenceTest, TopNodesMatchFullSortOnTieHeavyCorpora) {
     kb::KnowledgeBase knowledge;
     for (size_t i = 0; i < num_instances; ++i) {
       knowledge.AddInstance(
-          "P" + std::to_string(rng.NextBounded(num_parts)),
-          "E" + std::to_string(rng.NextBounded(num_codes)),
+          Numbered("P", rng.NextBounded(num_parts)),
+          Numbered("E", rng.NextBounded(num_codes)),
           RandomFeatureSet(&rng, 8, feature_domain));
     }
     kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
@@ -347,7 +348,7 @@ TEST(IndexedBruteEquivalenceTest, TopNodesMatchFullSortOnTieHeavyCorpora) {
     for (size_t p = 0; p < 8; ++p) {
       const std::string part_id =
           p % 4 == 3 ? "GHOST"
-                     : "P" + std::to_string(rng.NextBounded(num_parts));
+                     : Numbered("P", rng.NextBounded(num_parts));
       const std::vector<int64_t> features =
           p % 5 == 0 ? std::vector<int64_t>{}
                      : RandomFeatureSet(&rng, 6, feature_domain);
@@ -366,7 +367,7 @@ TEST(IndexedBruteEquivalenceTest, TopNodesMatchFullSortOnTieHeavyCorpora) {
 TEST(IndexedBruteEquivalenceTest, AllScoresEqualOnlyNodeIdsDecide) {
   kb::KnowledgeBase knowledge;
   for (int i = 0; i < 140; ++i) {
-    knowledge.AddInstance("P0", "E" + std::to_string(i % 3), {i % 7});
+    knowledge.AddInstance("P0", Numbered("E", i % 3), {i % 7});
   }
   kb::FrozenIndex index = kb::FrozenIndex::Build(knowledge);
   kb::FrozenIndex::Scratch scratch;
@@ -456,8 +457,8 @@ TEST(IndexedBruteEquivalenceTest, ConfirmSequencesMatchFromScratchBuild) {
     const size_t num_instances = rng.NextBounded(60);  // 0 = empty base.
     for (size_t i = 0; i < num_instances; ++i) {
       current.knowledge.AddInstance(
-          "P" + std::to_string(rng.NextBounded(num_parts)),
-          "E" + std::to_string(rng.NextBounded(num_codes)),
+          Numbered("P", rng.NextBounded(num_parts)),
+          Numbered("E", rng.NextBounded(num_codes)),
           RandomFeatureSet(&rng, 8, feature_domain));
     }
     current.index = kb::FrozenIndex::Build(current.knowledge);
@@ -465,8 +466,8 @@ TEST(IndexedBruteEquivalenceTest, ConfirmSequencesMatchFromScratchBuild) {
 
     for (size_t step = 0; step < kSteps; ++step) {
       std::string part_id =
-          "P" + std::to_string(rng.NextBounded(num_parts + extra_parts));
-      std::string code = "E" + std::to_string(rng.NextBounded(num_codes));
+          Numbered("P", rng.NextBounded(num_parts + extra_parts));
+      std::string code = Numbered("E", rng.NextBounded(num_codes));
       std::vector<int64_t> features =
           RandomFeatureSet(&rng, 8, feature_domain);
       switch (step % 5) {
@@ -483,10 +484,10 @@ TEST(IndexedBruteEquivalenceTest, ConfirmSequencesMatchFromScratchBuild) {
           }
           break;
         case 2:  // New part.
-          part_id = "P" + std::to_string(num_parts + extra_parts++);
+          part_id = Numbered("P", num_parts + extra_parts++);
           break;
         case 3:  // New code.
-          code = "E" + std::to_string(num_codes++);
+          code = Numbered("E", num_codes++);
           break;
         case 4:  // Empty feature set.
           features.clear();
@@ -500,7 +501,7 @@ TEST(IndexedBruteEquivalenceTest, ConfirmSequencesMatchFromScratchBuild) {
 
       std::vector<std::string> part_ids = {"GHOST"};
       for (size_t p = 0; p < num_parts + extra_parts; ++p) {
-        part_ids.push_back("P" + std::to_string(p));
+        part_ids.push_back(Numbered("P", p));
       }
       std::vector<std::vector<int64_t>> probes = {{}, features};
       for (int p = 0; p < 3; ++p) {

@@ -11,6 +11,7 @@
 #include "kb/features.h"
 #include "kb/kb_store.h"
 #include "kb/knowledge_base.h"
+#include "numbered.h"
 #include "server/demo_corpus.h"
 #include "storage/database.h"
 #include "taxonomy/concept_annotator.h"
@@ -306,12 +307,12 @@ TEST(KnowledgeBaseTest, ManySharedFeaturesStillDeduplicateLinearly) {
   // still appear once.
   KnowledgeBase knowledge;
   for (int n = 0; n < 5; ++n) {
-    knowledge.AddInstance("P1", "E" + std::to_string(n), {1, 2, 3, 4});
+    knowledge.AddInstance("P1", Numbered("E", n), {1, 2, 3, 4});
   }
   auto candidates = knowledge.SelectCandidates("P1", {1, 2, 3, 4});
   ASSERT_EQ(candidates.size(), 5u);
   for (int n = 0; n < 5; ++n) {
-    EXPECT_EQ(candidates[n]->error_code, "E" + std::to_string(n))
+    EXPECT_EQ(candidates[n]->error_code, Numbered("E", n))
         << "candidates must stay in knowledge-base insertion order";
   }
 }
@@ -396,9 +397,9 @@ class KbStoreTest : public ::testing::Test {
 TEST_F(KbStoreTest, CorpusRoundTrip) {
   Corpus corpus;
   for (int i = 0; i < 20; ++i) {
-    corpus.bundles.push_back(MakeBundle("REF" + std::to_string(i),
-                                        "P" + std::to_string(i % 3),
-                                        "E" + std::to_string(i % 5)));
+    corpus.bundles.push_back(MakeBundle(Numbered("REF", i),
+                                        Numbered("P", i % 3),
+                                        Numbered("E", i % 5)));
   }
   corpus.bundles[3].initial_oem_report = "optional initial";
   corpus.part_descriptions["P0"] = "desc p0";
@@ -551,7 +552,7 @@ tax::Taxonomy WithNestedSynonyms(const tax::Taxonomy& base) {
           tax::Concept inner;
           inner.id = next_id++;
           inner.category = outer->category;
-          inner.label = "Nested" + std::to_string(inner.id);
+          inner.label = Numbered("Nested", inner.id);
           inner.synonyms[language] = {word};
           QATK_CHECK_OK(nested.Add(std::move(inner)));
         }

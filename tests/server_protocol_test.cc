@@ -310,7 +310,10 @@ TEST(JsonNumberTest, ParsesLikeStrtodOnRandomLiterals) {
       if (rng() & 1) literal.push_back('-');
       literal += (rng() % 8 == 0) ? std::string("0")
                                   : digits(1 + rng() % 20, true);
-      if (rng() & 1) literal += "." + digits(1 + rng() % 25, false);
+      if (rng() & 1) {
+        literal.push_back('.');
+        literal += digits(1 + rng() % 25, false);
+      }
       if (rng() & 1) {
         literal.push_back((rng() & 1) ? 'e' : 'E');
         const int sign = static_cast<int>(rng() % 3);

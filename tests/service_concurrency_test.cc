@@ -287,38 +287,28 @@ TEST_F(ServiceConcurrencyTest, TrieBuiltOncePerTrainedSnapshot) {
       << "a confirm or a reader refresh rebuilt the concept trie";
 }
 
-// Recovery from a checkpoint snapshot builds the trie once; the word
-// models never build one.
+// Recovery from a checkpoint snapshot builds the trie once.
 TEST_F(ServiceConcurrencyTest, OpenFromSnapshotBuildsTheTrieOnce) {
   const std::string data_dir = ::testing::TempDir() + "/trie_builds_open";
   std::remove(ServiceLogPath(data_dir).c_str());
   std::remove(ServiceSnapshotPath(data_dir).c_str());
-  for (kb::FeatureModel model : {kb::FeatureModel::kBagOfConcepts,
-                                 kb::FeatureModel::kBagOfWords}) {
-    RecommendationService::Options options;
-    options.model = model;
-    {
-      auto service =
-          RecommendationService::Open(&world_.taxonomy(), options, data_dir);
-      ASSERT_TRUE(service.ok()) << service.status();
-      ASSERT_TRUE((*service)->Retrain(corpus_a_).ok());
-      ASSERT_TRUE((*service)->Checkpoint().ok());
-    }
-    const uint64_t builds = TrieBuilds();
-    auto reopened =
-        RecommendationService::Open(&world_.taxonomy(), options, data_dir);
-    ASSERT_TRUE(reopened.ok()) << reopened.status();
-    ASSERT_TRUE((*reopened)->durability().recovered_snapshot);
-    ASSERT_EQ((*reopened)->durability().replayed_records, 0u);
-    const kb::DataBundle& probe = corpus_a_.bundles[0];
-    ASSERT_TRUE((*reopened)->Recommend(probe).ok());
-    ASSERT_TRUE(
-        (*reopened)->ConfirmAssignment(probe, probe.error_code).ok());
-    ASSERT_TRUE((*reopened)->Recommend(probe).ok());
-    const bool concepts = model == kb::FeatureModel::kBagOfConcepts;
-    EXPECT_EQ(TrieBuilds() - builds, concepts ? 1u : 0u)
-        << kb::FeatureModelToString(model);
+  {
+    auto service =
+        RecommendationService::Open(&world_.taxonomy(), {}, data_dir);
+    ASSERT_TRUE(service.ok()) << service.status();
+    ASSERT_TRUE((*service)->Retrain(corpus_a_).ok());
+    ASSERT_TRUE((*service)->Checkpoint().ok());
   }
+  const uint64_t builds = TrieBuilds();
+  auto reopened = RecommendationService::Open(&world_.taxonomy(), {}, data_dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_TRUE((*reopened)->durability().recovered_snapshot);
+  ASSERT_EQ((*reopened)->durability().replayed_records, 0u);
+  const kb::DataBundle& probe = corpus_a_.bundles[0];
+  ASSERT_TRUE((*reopened)->Recommend(probe).ok());
+  ASSERT_TRUE((*reopened)->ConfirmAssignment(probe, probe.error_code).ok());
+  ASSERT_TRUE((*reopened)->Recommend(probe).ok());
+  EXPECT_EQ(TrieBuilds() - builds, 1u);
   std::remove(ServiceLogPath(data_dir).c_str());
   std::remove(ServiceSnapshotPath(data_dir).c_str());
 }

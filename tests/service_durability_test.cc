@@ -1,7 +1,8 @@
 // Durability contract of RecommendationService::Open (DESIGN.md §13):
 // ack-after-fsync logging, snapshot + replay recovery, idempotent replay
 // in the checkpoint window, crash-tail tolerance for every service-log
-// record type, and the seeded service-level crash torture.
+// record type, the snapshot format, and the seeded service-level crash
+// torture.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,12 +10,16 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/fault.h"
+#include "common/logging.h"
 #include "quest/recommendation_service.h"
 #include "quest/service_log.h"
 #include "quest/service_torture.h"
+#include "taxonomy/taxonomy.h"
 
 namespace qatk::quest {
 namespace {
@@ -29,11 +34,47 @@ void WipeDataDir(const std::string& data_dir) {
   std::remove((ServiceSnapshotPath(data_dir) + ".tmp").c_str());
 }
 
-RecommendationService::Options BagOfWordsOptions(FaultInjector* fault) {
+/// A small taxonomy over SmallCorpus's words. Its multiword synonyms
+/// ("brake disc", "worn out") also get expansion variants.
+const tax::Taxonomy* TestTaxonomy() {
+  static const tax::Taxonomy taxonomy = [] {
+    const std::vector<std::pair<tax::Category, std::vector<std::string>>>
+        concepts = {
+            {tax::Category::kComponent, {"disc", "brake disc", "rotor"}},
+            {tax::Category::kComponent, {"lock", "door lock"}},
+            {tax::Category::kComponent, {"actuator"}},
+            {tax::Category::kComponent, {"sensor"}},
+            {tax::Category::kSymptom, {"wear", "worn", "scored", "worn out"}},
+            {tax::Category::kSymptom, {"crack", "hairline crack"}},
+            {tax::Category::kSymptom, {"drift", "drifts", "drifting"}},
+            {tax::Category::kLocation, {"surface", "braking surface", "rim"}},
+            {tax::Category::kSymptom, {"cold"}},
+        };
+    tax::Taxonomy built;
+    int64_t id = 1;
+    for (const auto& [category, synonyms] : concepts) {
+      tax::Concept cpt;
+      cpt.id = id++;
+      cpt.category = category;
+      cpt.label = synonyms[0];
+      cpt.synonyms[text::Language::kEnglish] = synonyms;
+      QATK_CHECK_OK(built.Add(std::move(cpt)));
+    }
+    return built;
+  }();
+  return &taxonomy;
+}
+
+RecommendationService::Options ServiceOptions(FaultInjector* fault) {
   RecommendationService::Options options;
-  options.model = kb::FeatureModel::kBagOfWords;  // No taxonomy needed.
   options.fault = fault;
   return options;
+}
+
+Result<std::unique_ptr<RecommendationService>> OpenService(
+    const std::string& data_dir, FaultInjector* fault = nullptr) {
+  return RecommendationService::Open(TestTaxonomy(), ServiceOptions(fault),
+                                     data_dir);
 }
 
 kb::DataBundle Bundle(const std::string& part, const std::string& code,
@@ -86,10 +127,6 @@ void AppendDoubleBits(std::string* out, double value) {
 std::string Fingerprint(const RecommendationService& service) {
   auto state = service.Snapshot();
   std::string fp = service.trained() ? "T\n" : "U\n";
-  for (const auto& [word, id] : state->vocabulary.Entries()) {
-    fp += word + "=" + std::to_string(id) + ";";
-  }
-  fp += "\n";
   for (const kb::KnowledgeNode* node : state->knowledge.AllNodes()) {
     fp += node->part_id + "|" + node->error_code + "|";
     for (int64_t f : node->features) fp += std::to_string(f) + ",";
@@ -149,8 +186,7 @@ TEST(ServiceDurabilityTest, MutationsSurviveReopen) {
   const std::string dir = TempPath("svc_roundtrip");
   WipeDataDir(dir);
   {
-    auto service =
-        RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+    auto service = OpenService(dir);
     ASSERT_TRUE(service.ok()) << service.status();
     RecommendationService* svc = service.ValueOrDie().get();
     ASSERT_TRUE(svc->Train(SmallCorpus()).ok());
@@ -163,8 +199,7 @@ TEST(ServiceDurabilityTest, MutationsSurviveReopen) {
     EXPECT_EQ(svc->durability().last_lsn, 3u);
     // Destroyed without Checkpoint: recovery must come from the log alone.
   }
-  auto reopened =
-      RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+  auto reopened = OpenService(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   RecommendationService* svc = reopened.ValueOrDie().get();
   EXPECT_TRUE(svc->trained());
@@ -175,7 +210,7 @@ TEST(ServiceDurabilityTest, MutationsSurviveReopen) {
   EXPECT_EQ(stats.last_lsn, 3u);
 
   // Bit-identical to an uncrashed ephemeral service with the same history.
-  RecommendationService reference(nullptr, BagOfWordsOptions(nullptr));
+  RecommendationService reference(TestTaxonomy(), ServiceOptions(nullptr));
   ASSERT_TRUE(reference.Train(SmallCorpus()).ok());
   ASSERT_TRUE(reference
                   .ConfirmAssignment(
@@ -196,8 +231,7 @@ TEST(ServiceDurabilityTest, CheckpointShortcutsReplay) {
   WipeDataDir(dir);
   std::string want;
   {
-    auto service =
-        RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+    auto service = OpenService(dir);
     ASSERT_TRUE(service.ok()) << service.status();
     RecommendationService* svc = service.ValueOrDie().get();
     ASSERT_TRUE(svc->Train(SmallCorpus()).ok());
@@ -210,8 +244,7 @@ TEST(ServiceDurabilityTest, CheckpointShortcutsReplay) {
     ASSERT_TRUE(log.ok());
     EXPECT_TRUE(*log.ValueOrDie()->Empty()) << "checkpoint must truncate";
   }
-  auto reopened =
-      RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+  auto reopened = OpenService(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   const RecommendationService::DurabilityStats stats =
       reopened.ValueOrDie()->durability();
@@ -223,7 +256,7 @@ TEST(ServiceDurabilityTest, CheckpointShortcutsReplay) {
 }
 
 TEST(ServiceDurabilityTest, CheckpointOnEphemeralServiceIsInvalid) {
-  RecommendationService service(nullptr, BagOfWordsOptions(nullptr));
+  RecommendationService service(TestTaxonomy(), ServiceOptions(nullptr));
   EXPECT_FALSE(service.durable());
   EXPECT_TRUE(service.Checkpoint().IsInvalid());
 }
@@ -238,8 +271,7 @@ TEST(ServiceDurabilityTest, CheckpointWindowCrashReplaysIdempotently) {
   FaultInjector fault;
   fault.AddFault({"service.log.truncate", 0, FaultKind::kCrash, 0.0});
   {
-    auto service =
-        RecommendationService::Open(nullptr, BagOfWordsOptions(&fault), dir);
+    auto service = OpenService(dir, &fault);
     ASSERT_TRUE(service.ok()) << service.status();
     RecommendationService* svc = service.ValueOrDie().get();
     ASSERT_TRUE(svc->Train(SmallCorpus()).ok());
@@ -259,8 +291,7 @@ TEST(ServiceDurabilityTest, CheckpointWindowCrashReplaysIdempotently) {
     EXPECT_FALSE(*log.ValueOrDie()->Empty());
   }
   for (int reopen = 0; reopen < 2; ++reopen) {
-    auto recovered =
-        RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+    auto recovered = OpenService(dir);
     ASSERT_TRUE(recovered.ok()) << "reopen " << reopen << ": "
                                 << recovered.status();
     const RecommendationService::DurabilityStats stats =
@@ -281,8 +312,7 @@ TEST(ServiceDurabilityTest, TransientFsyncFailureLeavesNoTrace) {
   FaultInjector fault;
   fault.AddFault({"service.log.fsync", 0, FaultKind::kTransient, 0.0});
   {
-    auto service =
-        RecommendationService::Open(nullptr, BagOfWordsOptions(&fault), dir);
+    auto service = OpenService(dir, &fault);
     ASSERT_TRUE(service.ok()) << service.status();
     RecommendationService* svc = service.ValueOrDie().get();
     Status first = svc->Train(SmallCorpus());
@@ -293,8 +323,7 @@ TEST(ServiceDurabilityTest, TransientFsyncFailureLeavesNoTrace) {
     ASSERT_TRUE(svc->Train(SmallCorpus()).ok());
     EXPECT_EQ(svc->durability().last_lsn, 1u);
   }
-  auto reopened =
-      RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+  auto reopened = OpenService(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened.ValueOrDie()->durability().replayed_records, 1u)
       << "the un-acked first attempt must have been rolled back";
@@ -306,8 +335,7 @@ TEST(ServiceDurabilityTest, CorruptSnapshotIsDataLoss) {
   const std::string dir = TempPath("svc_snap_corrupt");
   WipeDataDir(dir);
   {
-    auto service =
-        RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+    auto service = OpenService(dir);
     ASSERT_TRUE(service.ok());
     ASSERT_TRUE(service.ValueOrDie()->Train(SmallCorpus()).ok());
     ASSERT_TRUE(service.ValueOrDie()->Checkpoint().ok());
@@ -320,8 +348,7 @@ TEST(ServiceDurabilityTest, CorruptSnapshotIsDataLoss) {
   WriteBytes(snap_path, bytes);
   auto snapshot = ReadSnapshot(snap_path);
   EXPECT_TRUE(snapshot.status().IsDataLoss()) << snapshot.status();
-  auto reopened =
-      RecommendationService::Open(nullptr, BagOfWordsOptions(nullptr), dir);
+  auto reopened = OpenService(dir);
   EXPECT_TRUE(reopened.status().IsDataLoss())
       << "a corrupt snapshot must fail loudly, not silently retrain";
   WipeDataDir(dir);
@@ -330,6 +357,152 @@ TEST(ServiceDurabilityTest, CorruptSnapshotIsDataLoss) {
 TEST(ServiceDurabilityTest, MissingSnapshotIsKeyError) {
   EXPECT_TRUE(
       ReadSnapshot(TempPath("svc_no_such_snapshot")).status().IsKeyError());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot format
+// ---------------------------------------------------------------------------
+
+/// The history every format test checkpoints: a train, a confirm and a
+/// define.
+void ApplyFormatHistory(RecommendationService* service) {
+  ASSERT_TRUE(service->Train(SmallCorpus()).ok());
+  ASSERT_TRUE(service
+                  ->ConfirmAssignment(
+                      Bundle("P1", "", "fresh crack on disc", "crack seen"),
+                      "E2")
+                  .ok());
+  ASSERT_TRUE(
+      service->DefineErrorCode("P2", "E9", "new actuator failure mode").ok());
+}
+
+/// service.snapshot after ApplyFormatHistory and a Checkpoint, as written
+/// by commit dc7774d, whose service still carried a word vocabulary (empty
+/// for bag-of-concepts) in every state.
+constexpr char kGoldenSnapshotHex[] =
+    "71736e70310a9066920f0300000000000000010000000005000000020000005031020000"
+    "004531030000000100000000000000050000000000000008000000000000000200000000"
+    "000000020000005031020000004532030000000100000000000000060000000000000008"
+    "000000000000000100000000000000020000005032020000004533040000000200000000"
+    "000000030000000000000004000000000000000700000000000000010000000000000002"
+    "000000503202000000453305000000020000000000000003000000000000000400000000"
+    "000000070000000000000009000000000000000100000000000000020000005031020000"
+    "004532020000000100000000000000060000000000000001000000000000000200000002"
+    "000000503102000000020000004531020000000000000002000000453202000000000000"
+    "000200000050320100000002000000453302000000000000000200000002000000503110"
+    "00000066726f6e74206272616b65206469736302000000503212000000646f6f72206c6f"
+    "636b206163747561746f7204000000020000004531190000007375726661636520776f72"
+    "6e206265796f6e64206c696d697402000000453217000000686169726c696e6520637261"
+    "636b2064657465637465640200000045331500000073656e736f722072656164696e6720"
+    "647269667473020000004539190000006e6577206163747561746f72206661696c757265"
+    "206d6f646501000000020000005032010000000200000045390500000000000000000000"
+    "000200000000000000030000000000000004000000000000000500000000000000060000"
+    "0000000000";
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xF]);
+  }
+  return hex;
+}
+
+/// Snapshot file layout: magic, CRC-32 of the payload (u32 LE), payload.
+/// The payload opens with last_lsn (u64), trained (u8) and the vocabulary
+/// count (u32).
+constexpr size_t kMagicLen = 6;
+constexpr size_t kVocabularyCountAt = kMagicLen + 4 + 8 + 1;
+
+void AppendU32(std::string* out, uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out->push_back(static_cast<char>((v >> shift) & 0xFF));
+  }
+}
+
+/// `snapshot` with `words` spliced in as its vocabulary (ids in order)
+/// and the checksum recomputed: a word-model snapshot.
+std::string WithVocabulary(const std::string& snapshot,
+                           const std::vector<std::string>& words) {
+  std::string entries;
+  AppendU32(&entries, static_cast<uint32_t>(words.size()));
+  for (size_t id = 0; id < words.size(); ++id) {
+    AppendU32(&entries, static_cast<uint32_t>(words[id].size()));
+    entries += words[id];
+    AppendU32(&entries, static_cast<uint32_t>(id));  // u64 id, low half.
+    AppendU32(&entries, 0);
+  }
+  std::string payload = snapshot.substr(kMagicLen + 4);
+  payload.replace(kVocabularyCountAt - kMagicLen - 4, 4, entries);
+  std::string blob = snapshot.substr(0, kMagicLen);
+  AppendU32(&blob, Crc32(payload));
+  return blob + payload;
+}
+
+// The writer's bytes equal the golden ones: the vocabulary count stays in
+// the format, written as 0.
+TEST(SnapshotFormatTest, WriterMatchesGoldenBytes) {
+  const std::string dir = TempPath("svc_format_write");
+  WipeDataDir(dir);
+  {
+    auto service = OpenService(dir);
+    ASSERT_TRUE(service.ok()) << service.status();
+    ApplyFormatHistory(service.ValueOrDie().get());
+    ASSERT_TRUE(service.ValueOrDie()->Checkpoint().ok());
+  }
+  EXPECT_EQ(ToHex(SlurpFile(ServiceSnapshotPath(dir))), kGoldenSnapshotHex);
+  WipeDataDir(dir);
+}
+
+// A snapshot in the golden format opens and serves exactly like a service
+// that ran the same history.
+TEST(SnapshotFormatTest, GoldenSnapshotOpensAndFingerprintsIdentically) {
+  const std::string dir = TempPath("svc_format_open");
+  WipeDataDir(dir);
+  ASSERT_TRUE(EnsureDataDir(dir).ok());
+  WriteBytes(ServiceSnapshotPath(dir), FromHex(kGoldenSnapshotHex));
+  auto opened = OpenService(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const RecommendationService::DurabilityStats stats =
+      opened.ValueOrDie()->durability();
+  EXPECT_TRUE(stats.recovered_snapshot);
+  EXPECT_EQ(stats.replayed_records, 0u);
+  EXPECT_EQ(stats.last_lsn, 3u);
+
+  RecommendationService reference(TestTaxonomy(), ServiceOptions(nullptr));
+  ApplyFormatHistory(&reference);
+  EXPECT_EQ(Fingerprint(*opened.ValueOrDie()), Fingerprint(reference));
+  WipeDataDir(dir);
+}
+
+// A word-model snapshot (non-empty vocabulary) is refused by name, never
+// opened with its vocabulary skipped.
+TEST(SnapshotFormatTest, WordModelVocabularyFailsOpen) {
+  const std::string dir = TempPath("svc_format_vocab");
+  WipeDataDir(dir);
+  ASSERT_TRUE(EnsureDataDir(dir).ok());
+  WriteBytes(ServiceSnapshotPath(dir),
+             WithVocabulary(FromHex(kGoldenSnapshotHex), {"disc", "crack"}));
+  auto snapshot = ReadSnapshot(ServiceSnapshotPath(dir));
+  EXPECT_TRUE(snapshot.status().IsInvalid()) << snapshot.status();
+  auto opened = OpenService(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsInvalid()) << opened.status();
+  EXPECT_NE(opened.status().message().find("word-model vocabulary of 2"),
+            std::string::npos)
+      << opened.status();
+  WipeDataDir(dir);
 }
 
 // ---------------------------------------------------------------------------

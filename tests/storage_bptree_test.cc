@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "numbered.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -59,13 +60,13 @@ TEST_F(BPlusTreeTest, EmptyKeyWorks) {
 TEST_F(BPlusTreeTest, ManyInsertsForceSplits) {
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
-    std::string key = "key-" + std::to_string(i * 31 % n) + "-suffix";
+    std::string key = Numbered("key-", i * 31 % n) + "-suffix";
     ASSERT_TRUE(tree_->Insert(key, MakeRid(i)).ok()) << i;
   }
   ASSERT_TRUE(tree_->CheckInvariants().ok());
   EXPECT_EQ(*tree_->CountEntries(), static_cast<size_t>(n));
   for (int i = 0; i < n; i += 173) {
-    std::string key = "key-" + std::to_string(i * 31 % n) + "-suffix";
+    std::string key = Numbered("key-", i * 31 % n) + "-suffix";
     EXPECT_EQ(*tree_->Get(key), MakeRid(i));
   }
   EXPECT_GT(disk_->num_pages(), 10u) << "tree should have split many times";
@@ -103,7 +104,7 @@ TEST_F(BPlusTreeTest, ScanRangeOrderedAndBounded) {
 
 TEST_F(BPlusTreeTest, ScanRangeEarlyStop) {
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(tree_->Insert("k" + std::to_string(100 + i), MakeRid(i)).ok());
+    ASSERT_TRUE(tree_->Insert(Numbered("k", 100 + i), MakeRid(i)).ok());
   }
   int count = 0;
   ASSERT_TRUE(tree_
@@ -151,7 +152,7 @@ TEST_F(BPlusTreeTest, ScanPrefixWith0xFFBytes) {
 
 TEST_F(BPlusTreeTest, DeleteRemovesKey) {
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree_->Insert("k" + std::to_string(i), MakeRid(i)).ok());
+    ASSERT_TRUE(tree_->Insert(Numbered("k", i), MakeRid(i)).ok());
   }
   ASSERT_TRUE(tree_->Delete("k250").ok());
   EXPECT_TRUE(tree_->Get("k250").status().IsKeyError());
@@ -174,7 +175,8 @@ TEST_F(BPlusTreeTest, DeleteSpaceIsReclaimedOnPressure) {
     std::vector<std::string> keys;
     for (int i = 0; i < 40; ++i) {
       std::string key(80, 'a' + (i % 26));
-      key += std::to_string(round) + "_" + std::to_string(i);
+      key += std::to_string(round);
+      key += Numbered("_", i);
       keys.push_back(key);
       ASSERT_TRUE(tree_->Insert(key, MakeRid(i)).ok());
     }
@@ -196,7 +198,7 @@ TEST_P(BPlusTreeRandomTest, MirrorsReferenceModel) {
   for (int step = 0; step < 4000; ++step) {
     double dice = rng.NextDouble();
     if (dice < 0.7 || model.empty()) {
-      std::string key = "k" + std::to_string(rng.NextBounded(2000));
+      std::string key = Numbered("k", rng.NextBounded(2000));
       key.append(rng.NextBounded(60), 'p');
       Rid rid = MakeRid(static_cast<uint32_t>(step));
       Status st = tree_->Insert(key, rid);
@@ -213,7 +215,7 @@ TEST_P(BPlusTreeRandomTest, MirrorsReferenceModel) {
       model.erase(it);
     } else {
       // Random lookups.
-      std::string key = "k" + std::to_string(rng.NextBounded(2000));
+      std::string key = Numbered("k", rng.NextBounded(2000));
       auto found = tree_->Get(key);
       if (model.count(key) > 0) {
         ASSERT_TRUE(found.ok());
@@ -253,11 +255,11 @@ TEST_F(BPlusTreeTest, SmallBufferPoolStillCorrect) {
   ASSERT_TRUE(root.ok());
   BPlusTree tree(&pool, *root);
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(tree.Insert("key" + std::to_string(i), MakeRid(i)).ok()) << i;
+    ASSERT_TRUE(tree.Insert(Numbered("key", i), MakeRid(i)).ok()) << i;
   }
   EXPECT_GT(pool.eviction_count(), 0u);
   for (int i = 0; i < 2000; i += 111) {
-    EXPECT_EQ(*tree.Get("key" + std::to_string(i)), MakeRid(i));
+    EXPECT_EQ(*tree.Get(Numbered("key", i)), MakeRid(i));
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "numbered.h"
 #include "storage/database.h"
 #include "storage/executor.h"
 
@@ -64,9 +65,9 @@ TEST_F(DatabaseTest, IndexLookupFindsAllDuplicates) {
   ASSERT_TRUE(db_->CreateTable("parts", PartsSchema()).ok());
   ASSERT_TRUE(db_->CreateIndex("idx_part", "parts", {"part_id"}).ok());
   for (int i = 0; i < 50; ++i) {
-    std::string part = "P" + std::to_string(i % 5);
+    std::string part = Numbered("P", i % 5);
     ASSERT_TRUE(
-        db_->Insert("parts", PartRow(part, "E" + std::to_string(i), 1)).ok());
+        db_->Insert("parts", PartRow(part, Numbered("E", i), 1)).ok());
   }
   int count = 0;
   ASSERT_TRUE(db_->ScanIndexEquals("idx_part", {Value("P2")},
@@ -156,7 +157,7 @@ TEST_F(DatabaseTest, ScanTableVisitsEverything) {
   ASSERT_TRUE(db_->CreateTable("parts", PartsSchema()).ok());
   std::set<std::string> expected;
   for (int i = 0; i < 100; ++i) {
-    std::string code = "E" + std::to_string(i);
+    std::string code = Numbered("E", i);
     ASSERT_TRUE(db_->Insert("parts", PartRow("P", code, i)).ok());
     expected.insert(code);
   }
@@ -178,8 +179,8 @@ TEST_F(DatabaseTest, FilePersistenceRoundTrip) {
     ASSERT_TRUE((*db)->CreateIndex("idx", "parts", {"part_id"}).ok());
     for (int i = 0; i < 200; ++i) {
       ASSERT_TRUE(
-          (*db)->Insert("parts", PartRow("P" + std::to_string(i % 7),
-                                         "E" + std::to_string(i), i))
+          (*db)->Insert("parts", PartRow(Numbered("P", i % 7),
+                                         Numbered("E", i), i))
               .ok());
     }
     ASSERT_TRUE((*db)->Checkpoint().ok());
@@ -251,8 +252,8 @@ class ExecutorTest : public DatabaseTest {
     ASSERT_TRUE(db_->CreateTable("parts", PartsSchema()).ok());
     ASSERT_TRUE(db_->CreateIndex("idx_part", "parts", {"part_id"}).ok());
     for (int i = 0; i < 60; ++i) {
-      ASSERT_TRUE(db_->Insert("parts", PartRow("P" + std::to_string(i % 3),
-                                               "E" + std::to_string(i % 10),
+      ASSERT_TRUE(db_->Insert("parts", PartRow(Numbered("P", i % 3),
+                                               Numbered("E", i % 10),
                                                i))
                       .ok());
     }
@@ -406,7 +407,7 @@ TEST_F(ExecutorTest, HashJoinMatchesNestedLoopReference) {
                   .ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(db_->Insert("codes",
-                            Tuple({Value("E" + std::to_string(i)),
+                            Tuple({Value(Numbered("E", i)),
                                    Value(static_cast<int64_t>(i % 3))}))
                     .ok());
   }

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "numbered.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_table.h"
@@ -43,7 +44,7 @@ TEST_F(HeapTableTest, EmptyRecord) {
 TEST_F(HeapTableTest, ManyRecordsSpanPages) {
   std::map<int, Rid> rids;
   for (int i = 0; i < 2000; ++i) {
-    std::string record = "record-" + std::to_string(i) +
+    std::string record = Numbered("record-", i) +
                          std::string(i % 50, 'x');
     auto rid = table_->Insert(record);
     ASSERT_TRUE(rid.ok()) << rid.status();
@@ -51,7 +52,7 @@ TEST_F(HeapTableTest, ManyRecordsSpanPages) {
   }
   // Spot-check retrieval.
   for (int i = 0; i < 2000; i += 97) {
-    std::string expected = "record-" + std::to_string(i) +
+    std::string expected = Numbered("record-", i) +
                            std::string(i % 50, 'x');
     EXPECT_EQ(*table_->Get(rids[i]), expected);
   }
@@ -98,7 +99,7 @@ TEST_F(HeapTableTest, UpdateGrowingMayMove) {
 TEST_F(HeapTableTest, OverflowRecordRoundTrip) {
   // Larger than one page: exercises the overflow chain.
   std::string big;
-  for (int i = 0; i < 3000; ++i) big += "chunk" + std::to_string(i) + "|";
+  for (int i = 0; i < 3000; ++i) big += Numbered("chunk", i) + "|";
   ASSERT_GT(big.size(), 2 * kPageSize);
   auto rid = table_->Insert(big);
   ASSERT_TRUE(rid.ok()) << rid.status();
@@ -121,7 +122,7 @@ TEST_F(HeapTableTest, OverflowBoundaryExactPageMultiple) {
 TEST_F(HeapTableTest, ScanVisitsAllLiveRecords) {
   std::set<std::string> expected;
   for (int i = 0; i < 500; ++i) {
-    std::string r = "rec" + std::to_string(i);
+    std::string r = Numbered("rec", i);
     table_->Insert(r).ValueOrDie();
     expected.insert(r);
   }
@@ -165,7 +166,7 @@ TEST_F(HeapTableTest, RandomizedMirrorsReferenceModel) {
     if (dice < 0.6 || live.empty()) {
       size_t len = rng.NextBounded(300);
       std::string payload =
-          "p" + std::to_string(next_id++) + "-" + std::string(len, 'a');
+          Numbered("p", next_id++) + "-" + std::string(len, 'a');
       Rid rid = *table_->Insert(payload);
       live[payload] = rid;
     } else if (dice < 0.85) {
@@ -176,7 +177,7 @@ TEST_F(HeapTableTest, RandomizedMirrorsReferenceModel) {
     } else {
       auto it = live.begin();
       std::advance(it, rng.NextBounded(live.size()));
-      std::string new_payload = "u" + std::to_string(next_id++);
+      std::string new_payload = Numbered("u", next_id++);
       Rid new_rid = *table_->Update(it->second, new_payload);
       live.erase(it);
       live[new_payload] = new_rid;

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/fault.h"
+#include "numbered.h"
 #include "storage/database.h"
 #include "storage/wal.h"
 
@@ -136,7 +137,7 @@ TEST(CrashRecoveryTest, UncheckpointedInsertsSurviveCrash) {
     ASSERT_TRUE(db.ok()) << db.status();
     ASSERT_TRUE((*db)->CreateTable("t", TestSchema()).ok());
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE((*db)->Insert("t", Row("k" + std::to_string(i), i)).ok());
+      ASSERT_TRUE((*db)->Insert("t", Row(Numbered("k", i), i)).ok());
     }
     // Crash: no Checkpoint; the Database is simply destroyed.
   }
@@ -161,7 +162,7 @@ TEST(CrashRecoveryTest, NoDuplicatesWhenDirtyPagesWereEvicted) {
     ASSERT_TRUE((*db)->CreateTable("t", TestSchema()).ok());
     ASSERT_TRUE((*db)->CreateIndex("t_by_k", "t", {"k"}).ok());
     for (int i = 0; i < 400; ++i) {
-      ASSERT_TRUE((*db)->Insert("t", Row("k" + std::to_string(i), i)).ok());
+      ASSERT_TRUE((*db)->Insert("t", Row(Numbered("k", i), i)).ok());
     }
     EXPECT_GT((*db)->buffer_pool()->eviction_count(), 0u)
         << "test needs eviction pressure to be meaningful";
@@ -192,12 +193,12 @@ TEST(CrashRecoveryTest, OpsAfterCheckpointReplayOnTop) {
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateTable("t", TestSchema()).ok());
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE((*db)->Insert("t", Row("pre" + std::to_string(i), i)).ok());
+      ASSERT_TRUE((*db)->Insert("t", Row(Numbered("pre", i), i)).ok());
     }
     ASSERT_TRUE((*db)->Checkpoint().ok());
     for (int i = 0; i < 15; ++i) {
       ASSERT_TRUE(
-          (*db)->Insert("t", Row("post" + std::to_string(i), i)).ok());
+          (*db)->Insert("t", Row(Numbered("post", i), i)).ok());
     }
     // Crash.
   }
@@ -219,7 +220,7 @@ TEST(CrashRecoveryTest, DeletesReplayed) {
     ASSERT_TRUE((*db)->CreateTable("t", TestSchema()).ok());
     std::vector<Rid> rids;
     for (int i = 0; i < 10; ++i) {
-      rids.push_back(*(*db)->Insert("t", Row("k" + std::to_string(i), i)));
+      rids.push_back(*(*db)->Insert("t", Row(Numbered("k", i), i)));
     }
     ASSERT_TRUE((*db)->Checkpoint().ok());
     ASSERT_TRUE((*db)->Delete("t", rids[3]).ok());
@@ -287,7 +288,7 @@ TEST(CrashRecoveryTest, RepeatedCrashCycles) {
     }
     for (int i = 0; i < 30; ++i) {
       ASSERT_TRUE((*db)->Insert("t",
-                                Row("c" + std::to_string(cycle) + "_" +
+                                Row(Numbered("c", cycle) + "_" +
                                         std::to_string(i),
                                     i))
                       .ok());
@@ -389,7 +390,7 @@ TEST(CrashRecoveryTest, CrashBetweenWalTruncateAndJournalReset) {
     ASSERT_TRUE(db.ok()) << db.status();
     ASSERT_TRUE((*db)->CreateTable("t", TestSchema()).ok());
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE((*db)->Insert("t", Row("k" + std::to_string(i), i)).ok());
+      ASSERT_TRUE((*db)->Insert("t", Row(Numbered("k", i), i)).ok());
     }
     Status st = (*db)->Checkpoint();
     ASSERT_FALSE(st.ok()) << "checkpoint must hit the injected crash";
