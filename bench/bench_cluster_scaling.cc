@@ -6,15 +6,16 @@
 // Before timing anything it proves the load-bearing property: every
 // held-out bundle replayed through the cluster front end must produce a
 // response BIT-IDENTICAL to a single-node service trained on the same
-// corpus — at every shard count, for the hash sharder and a range-sharder
-// cross-check, including unknown-part probes that exercise the fallback
-// scatter.
+// corpus — at every shard count, including unknown-part probes that
+// exercise the fallback scatter.
 //
-// Emits machine-readable BENCH_cluster.json. Exit status is the gate used
-// by scripts/check.sh: nonzero on any equivalence mismatch, and (only on
-// hosts with >= 4 cores, where shard processes can actually run in
-// parallel) on a 1->4 shard throughput table that is not monotonically
-// non-decreasing within a 0.95x per-step tolerance.
+// Emits machine-readable BENCH_cluster.json, stamped with the commit and
+// build type it measured (read when CMake configures the tree). Exit
+// status is the gate used by scripts/check.sh: nonzero on any
+// equivalence mismatch, and (only on hosts with >= 4 cores, where shard
+// processes can actually run in parallel) on a 1->4 shard throughput
+// table that is not monotonically non-decreasing within a 0.95x per-step
+// tolerance.
 //
 // Usage: bench_cluster_scaling [--quick] [--out=BENCH_cluster.json]
 //                              [--connect=PORT]
@@ -50,7 +51,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using qatk::cluster::Coordinator;
-using qatk::cluster::MakeSharder;
 using qatk::cluster::ShardEndpoint;
 using qatk::quest::RecommendationService;
 using qatk::server::Client;
@@ -85,16 +85,14 @@ std::vector<std::string> EncodeReplayFrames(
   return frames;
 }
 
-RecommendationService::Options ScopedOptions(const std::string& sharder_name,
-                                             uint32_t index, uint32_t n) {
+RecommendationService::Options ScopedOptions(uint32_t index, uint32_t n) {
   RecommendationService::Options options;
-  std::shared_ptr<qatk::cluster::Sharder> sharder =
-      MakeSharder(sharder_name, n);
+  const qatk::cluster::Sharder sharder(n);
   options.shard.shard_index = index;
   options.shard.num_shards = n;
-  options.shard.sharder = sharder_name;
+  options.shard.sharder = sharder.name();
   options.shard.owns_part = [sharder, index](const std::string& part) {
-    return sharder->ShardFor(part) == index;
+    return sharder.ShardFor(part) == index;
   };
   return options;
 }
@@ -117,13 +115,12 @@ struct ClusterUnderTest {
 
 std::unique_ptr<ClusterUnderTest> BuildCluster(
     qatk::datagen::DomainWorld* world, const qatk::kb::Corpus& train,
-    const std::string& sharder_name, uint32_t n, size_t front_threads) {
+    uint32_t n, size_t front_threads) {
   auto cluster = std::make_unique<ClusterUnderTest>();
   Coordinator::Options options;
-  options.sharder = sharder_name;
   for (uint32_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<RecommendationService>(
-        &world->taxonomy(), ScopedOptions(sharder_name, i, n));
+        &world->taxonomy(), ScopedOptions(i, n));
     if (!shard->Train(train).ok()) return nullptr;
     // One event-loop thread per shard: the scaling table measures the
     // effect of adding *shards*, not threads.
@@ -295,6 +292,8 @@ int main(int argc, char** argv) {
   qatk::benchutil::JsonWriter json(&text);
   json.BeginObject();
   json.Key("bench").Value("cluster_scaling");
+  json.Key("commit").Value(QATK_GIT_COMMIT);
+  json.Key("build_type").Value(QATK_BUILD_TYPE);
   json.Key("quick").Value(quick);
   json.Key("cores").Value(static_cast<uint64_t>(cores));
   json.Key("scaling_enforced").Value(scaling_enforced);
@@ -332,7 +331,7 @@ int main(int argc, char** argv) {
     json.Key("configs").BeginArray();
     for (uint32_t n = 1; n <= 4; ++n) {
       auto cluster =
-          BuildCluster(&world, split.train, "hash", n, /*front_threads=*/4);
+          BuildCluster(&world, split.train, n, /*front_threads=*/4);
       if (cluster == nullptr) {
         std::fprintf(stderr, "FAIL: could not build %u-shard cluster\n", n);
         failed = true;
@@ -381,22 +380,6 @@ int main(int argc, char** argv) {
                    ">= 4); the scaling table is informational only\n",
                    cores);
     }
-
-    // Range-sharder cross-check: same equivalence property under the
-    // locality-preserving partitioning, one shard count.
-    auto range_cluster =
-        BuildCluster(&world, split.train, "range", 3, /*front_threads=*/2);
-    size_t range_mismatches = probes.size();
-    if (range_cluster != nullptr) {
-      range_mismatches =
-          RunEquivalence(range_cluster->front->port(), reference, probes);
-    }
-    std::printf("range/3 cross-check: %zu mismatches\n", range_mismatches);
-    json.Key("range_check").BeginObject();
-    json.Key("shards").Value(static_cast<uint64_t>(3));
-    json.Key("mismatches").Value(static_cast<uint64_t>(range_mismatches));
-    json.EndObject();
-    if (range_mismatches > 0) failed = true;
   }
 
   json.EndObject();

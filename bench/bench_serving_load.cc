@@ -9,10 +9,12 @@
 // re-encoding a direct in-process Recommend() on the same bundle (doubles
 // cross the wire as %.17g text, which round-trips exactly).
 //
-// Emits machine-readable BENCH_serving.json. Exit status is the gate used
-// by scripts/check.sh: nonzero on any equivalence mismatch, dropped
-// request during drain, shed-accounting mismatch, fault-schedule crash,
-// or (only when this host has >= 4 cores) 1->4 thread scaling below 2x —
+// Emits machine-readable BENCH_serving.json, stamped with the commit and
+// build type it measured (read when CMake configures the tree). Exit
+// status is the gate used by scripts/check.sh: nonzero on any equivalence
+// mismatch, dropped request during drain, shed-accounting mismatch,
+// fault-schedule crash, or (only when this host has >= 4 cores) 1->4
+// thread scaling below 2.4x —
 // on smaller hosts the scaling ratio is reported but not enforced,
 // because event-loop threads cannot beat physics.
 //
@@ -478,6 +480,8 @@ int main(int argc, char** argv) {
   qatk::benchutil::JsonWriter json(&text);
   json.BeginObject();
   json.Key("bench").Value("serving_load");
+  json.Key("commit").Value(QATK_GIT_COMMIT);
+  json.Key("build_type").Value(QATK_BUILD_TYPE);
   json.Key("quick").Value(quick);
   json.Key("cores").Value(static_cast<uint64_t>(cores));
   json.Key("train_bundles").Value(split.train.bundles.size());

@@ -22,8 +22,11 @@
 #                           build-perf/BENCH_knn.json; the committed
 #                           BENCH_knn.json is the scaling stage's.
 #   4. serve              — Release build of the epoll serving stack:
-#                           qatk_serve --port=abc and --port=70000 must
-#                           each exit 2 (refused before training starts),
+#                           qatk_serve --port=abc, --port=70000,
+#                           --shards=1 --shard-index=7 (an index outside
+#                           the cluster) and --sharder=hash (there is one
+#                           sharder, so no such flag) must each exit 2
+#                           (refused before training starts),
 #                           then bench_serving_load --quick in-process (wire
 #                           responses must be bit-identical to direct
 #                           Recommend calls; shed/drain/fault gates), then
@@ -54,15 +57,16 @@
 #                           Writes BENCH_crash.json at the repo root.
 #   7. cluster            — sharded serving end-to-end: Release build of
 #                           bench_cluster_scaling --quick in-process
-#                           (cluster responses over 1..4 hash shards plus
-#                           a range cross-check must be bit-identical to
-#                           single-node; the 1->4 shard throughput table
-#                           gates on >= 4-core hosts, SKIPPED elsewhere),
-#                           then a real 3-shard qatk_cluster process tree
-#                           on ephemeral ports, the equivalence replay
-#                           against its front end over TCP, and a SIGTERM
-#                           cluster drain that must exit 0. Both halves
-#                           always run; the stage fails if either does.
+#                           (cluster responses over 1..4 hash shards must
+#                           be bit-identical to single-node; the 1->4
+#                           shard throughput table gates on >= 4-core
+#                           hosts, SKIPPED elsewhere), then real 1-shard
+#                           and 3-shard qatk_cluster process trees on
+#                           ephemeral ports, each with the equivalence
+#                           replay against its front end over TCP and a
+#                           SIGTERM cluster drain that must exit 0. Both
+#                           halves always run; the stage fails if either
+#                           does.
 #                           Writes its --quick result to
 #                           build-perf/BENCH_cluster.json.
 #   8. scaling            — multi-core scaling gates: full (non-quick)
@@ -170,13 +174,18 @@ for STAGE in "${STAGES[@]}"; do
     cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_serving_load qatk_serve
     # A malformed or out-of-range numeric flag is refused with exit 2
     # before training or any event loop starts: not an uncaught exception
-    # (exit 134), and no port wrapped into 16 bits (70000 -> 4464).
-    for BAD_FLAG in --port=abc --port=70000; do
+    # (exit 134), and no port wrapped into 16 bits (70000 -> 4464). So are
+    # a shard index outside the cluster and --sharder (there is one
+    # sharder, so no such flag).
+    for BAD_FLAGS in "--port=abc" "--port=70000" \
+      "--shards=1 --shard-index=7" "--sharder=hash"; do
       STATUS=0
-      timeout 60 "${BUILD_DIR}/src/server/qatk_serve" "${BAD_FLAG}" \
+      # Unquoted on purpose: one entry may hold several flags.
+      # shellcheck disable=SC2086
+      timeout 60 "${BUILD_DIR}/src/server/qatk_serve" ${BAD_FLAGS} \
         2>/dev/null || STATUS=$?
       if [[ "${STATUS}" -ne 2 ]]; then
-        echo "qatk_serve ${BAD_FLAG} exited ${STATUS}, want 2" >&2
+        echo "qatk_serve ${BAD_FLAGS} exited ${STATUS}, want 2" >&2
         exit 1
       fi
     done
@@ -217,32 +226,38 @@ for STAGE in "${STAGES[@]}"; do
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
       --target bench_cluster_scaling qatk_cluster qatk_serve
     # In-process gates: bit-identical responses at every shard count
-    # (hash 1..4 + range cross-check, unknown-part fallbacks included);
+    # (1..4 hash shards, unknown-part fallbacks included);
     # the shard-scaling table gates itself only on >= 4-core hosts. Its
     # status is kept, not fatal here, so the cross-process half below
     # always runs too; the stage fails at the end if either half failed.
     IN_PROCESS=0
     "${BUILD_DIR}/bench/bench_cluster_scaling" --quick \
       --out="${BUILD_DIR}/BENCH_cluster.json" || IN_PROCESS=$?
-    # Cross-process: a real 3-shard cluster (launcher forks qatk_serve
-    # workers, each training its own slice), the equivalence replay
-    # against the front end, then a SIGTERM drain of the whole tree.
+    # Cross-process: a real 1-shard and a real 3-shard cluster (the
+    # launcher forks qatk_serve workers, each training its own slice),
+    # the equivalence replay against each front end, then a SIGTERM drain
+    # of the whole tree.
     CROSS_PROCESS=0
-    PORT_FILE="$(mktemp)"
-    rm -f "${PORT_FILE}"
-    "${BUILD_DIR}/src/cluster/qatk_cluster" --port=0 --shards=3 \
-      --serve-bin="${BUILD_DIR}/src/server/qatk_serve" \
-      --port-file="${PORT_FILE}" &
-    CLUSTER_PID=$!
-    for _ in $(seq 1 600); do
-      [[ -f "${PORT_FILE}" ]] && break
-      sleep 0.5
-    done
-    if [[ ! -f "${PORT_FILE}" ]]; then
-      echo "qatk_cluster never wrote its port file" >&2
-      kill -9 "${CLUSTER_PID}" 2>/dev/null || true
-      CROSS_PROCESS=1
-    else
+    for SHARDS in 1 3; do
+      echo "--- real ${SHARDS}-shard qatk_cluster: replay + drain ---"
+      PORT_FILE="$(mktemp)"
+      rm -f "${PORT_FILE}"
+      "${BUILD_DIR}/src/cluster/qatk_cluster" --port=0 --shards="${SHARDS}" \
+        --serve-bin="${BUILD_DIR}/src/server/qatk_serve" \
+        --port-file="${PORT_FILE}" &
+      CLUSTER_PID=$!
+      for _ in $(seq 1 600); do
+        [[ -f "${PORT_FILE}" ]] && break
+        kill -0 "${CLUSTER_PID}" 2>/dev/null || break
+        sleep 0.5
+      done
+      if [[ ! -f "${PORT_FILE}" ]]; then
+        echo "${SHARDS}-shard qatk_cluster never wrote its port file" >&2
+        kill -9 "${CLUSTER_PID}" 2>/dev/null || true
+        wait "${CLUSTER_PID}" 2>/dev/null || true
+        CROSS_PROCESS=1
+        continue
+      fi
       PORT="$(cat "${PORT_FILE}")"
       rm -f "${PORT_FILE}"
       "${BUILD_DIR}/bench/bench_cluster_scaling" --quick --connect="${PORT}" \
@@ -251,7 +266,7 @@ for STAGE in "${STAGES[@]}"; do
       # The cluster drain must finish in-flight work on the front end and
       # every shard worker, reap all children, and exit 0.
       wait "${CLUSTER_PID}" || CROSS_PROCESS=$?
-    fi
+    done
     if [[ "${IN_PROCESS}" -ne 0 ]]; then
       echo "in-process bench_cluster_scaling failed with exit" \
         "${IN_PROCESS}" >&2

@@ -6,6 +6,7 @@
 
 #include "cluster/merge.h"
 #include "common/logging.h"
+#include "common/retry.h"
 #include "obs/trace.h"
 
 namespace qatk::cluster {
@@ -15,6 +16,18 @@ namespace {
 using server::Json;
 using server::Request;
 using server::Response;
+
+/// Per-RPC socket timeouts of every shard channel (see Client::Connect).
+constexpr int kShardTimeoutMs = 5000;
+constexpr int kShardConnectTimeoutMs = 5000;
+
+/// Retry policy of every shard RPC: jittered, so the front-end loops do
+/// not retry a restarting shard in lockstep.
+RetryPolicy ShardRetryPolicy() {
+  return RetryPolicy(RetryPolicy::Options{
+      /*max_attempts=*/4, /*base_backoff=*/std::chrono::microseconds(500),
+      /*jitter=*/0.25, /*seed=*/0x9e3779b97f4a7c15ull});
+}
 
 uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -80,13 +93,13 @@ Result<server::Client> Coordinator::AcquireChannel(size_t shard) {
   }
   const ShardEndpoint& endpoint = options_.shards[shard];
   server::Client channel;
-  channel.set_retry_policy(options_.retry_policy);
+  channel.set_retry_policy(ShardRetryPolicy());
   // A failed connect is not yet fatal: the channel remembers the endpoint
   // and every caller drives it through a retry path that reconnects with
   // backoff — a shard mid-restart costs a retry, not a hard error.
   static_cast<void>(channel.Connect(endpoint.host, endpoint.port,
-                                    options_.timeout_ms, /*rcvbuf_bytes=*/0,
-                                    options_.connect_timeout_ms));
+                                    kShardTimeoutMs, /*rcvbuf_bytes=*/0,
+                                    kShardConnectTimeoutMs));
   return channel;
 }
 
@@ -178,7 +191,7 @@ Response Coordinator::RouteQuery(const Request& request,
   obs::ScopedTimer fanout_span(fanout_us_);
   using ShardPartial = quest::RecommendationService::ShardPartial;
   std::vector<ShardPartial> partials;
-  // Round 1: probe the owner alone. Every sharder makes ownership a pure
+  // Round 1: probe the owner alone. The sharder makes ownership a pure
   // function of the part id, so a trained part is fully answered by one
   // shard — the common case costs one RPC, not a fan-out.
   const uint32_t owner = sharder_->ShardFor(part_id);
@@ -216,8 +229,9 @@ Response Coordinator::RouteQuery(const Request& request,
   for (const ShardPartial& piece : partials) {
     merged_items_->Add(piece.items.size());
   }
+  using ServiceOptions = quest::RecommendationService::Options;
   MergedRecommendation merged =
-      MergePartials(partials, options_.max_nodes, options_.top_n);
+      MergePartials(partials, ServiceOptions::max_nodes, ServiceOptions::top_n);
   Response response;
   response.id = request.id;
   response.code = StatusCode::kOk;

@@ -2,7 +2,6 @@
 #define QATK_CLUSTER_COORDINATOR_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -50,21 +49,15 @@ struct ShardEndpoint {
 /// connections on demand).
 class Coordinator : public server::RequestHandler {
  public:
+  /// The merge widths are the service's own constants
+  /// (RecommendationService::Options::max_nodes and top_n), so the front
+  /// end and its shards rank alike by construction; the shard RPC
+  /// timeouts and retry policy are constants of coordinator.cc.
   struct Options {
     std::vector<ShardEndpoint> shards;
-    /// Sharder name ("hash" or "range"); must match what every shard was
-    /// trained with (verified by Connect).
+    /// Sharder name ("hash"); must match what every shard was trained
+    /// with (verified by Connect).
     std::string sharder = "hash";
-    /// Merge widths; must match the shards' service options.
-    size_t max_nodes = 25;
-    size_t top_n = 10;
-    /// Per-RPC socket timeouts (see Client::Connect).
-    int timeout_ms = 5000;
-    int connect_timeout_ms = 5000;
-    /// Retry policy for shard RPCs.
-    RetryPolicy retry_policy{RetryPolicy::Options{
-        /*max_attempts=*/4, /*base_backoff=*/std::chrono::microseconds(500),
-        /*jitter=*/0.25, /*seed=*/0x9e3779b97f4a7c15ull}};
   };
 
   explicit Coordinator(Options options);

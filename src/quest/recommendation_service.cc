@@ -196,7 +196,7 @@ RecommendationService::RecommendationService(const tax::Taxonomy* taxonomy,
     : taxonomy_(taxonomy),
       options_(options),
       state_(std::make_shared<const TrainedState>()),
-      classifier_({options.similarity, options.max_nodes}) {}
+      classifier_({Options::similarity, Options::max_nodes}) {}
 
 std::shared_ptr<const RecommendationService::TrainedState>
 RecommendationService::Snapshot() const {
@@ -348,16 +348,16 @@ Status RecommendationService::RecommendWithReader(ReaderState& reader,
   }
   // One code past top_n is enough to tell whether the list was cut.
   classifier_.ClassifyInto(reader.state->index, part_id, reader.features,
-                           options_.top_n + 1, &reader.scratch, &out->top);
-  out->truncated = out->top.size() > options_.top_n;
-  if (out->truncated) out->top.resize(options_.top_n);
+                           Options::top_n + 1, &reader.scratch, &out->top);
+  out->truncated = out->top.size() > Options::top_n;
+  if (out->truncated) out->top.resize(Options::top_n);
   return Status::OK();
 }
 
 Result<RecommendationService::Recommendation>
 RecommendationService::Recommend(const kb::DataBundle& bundle) const {
   Recommendation recommendation;
-  recommendation.top.reserve(options_.top_n + 1);
+  recommendation.top.reserve(Options::top_n + 1);
   QATK_RETURN_NOT_OK(RecommendInto(bundle, &recommendation));
   return recommendation;
 }
@@ -378,7 +378,7 @@ RecommendationService::RecommendForText(const std::string& part_id,
                                         const std::string& text) const {
   if (!trained()) return Status::Invalid("service not trained");
   Recommendation recommendation;
-  recommendation.top.reserve(options_.top_n + 1);
+  recommendation.top.reserve(Options::top_n + 1);
   QATK_RETURN_NOT_OK(
       RecommendWithReader(AcquireReader(), part_id, text, &recommendation));
   return recommendation;

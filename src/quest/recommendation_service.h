@@ -57,12 +57,16 @@ namespace qatk::quest {
 class RecommendationService {
  public:
   struct Options {
-    /// The one feature model served: bag-of-concepts, the model the paper
-    /// concludes is industrially feasible (§5.2.2).
+    /// The one serving configuration, fixed at compile time so every shard
+    /// and the coordinator rank alike by construction. The feature model
+    /// is bag-of-concepts, the model the paper concludes is industrially
+    /// feasible (§5.2.2), scored with Jaccard; the top `top_n` codes come
+    /// from the `max_nodes` best-scored nodes (§4.3).
     static constexpr kb::FeatureModel model = kb::FeatureModel::kBagOfConcepts;
-    core::SimilarityMeasure similarity = core::SimilarityMeasure::kJaccard;
-    size_t max_nodes = 25;
-    size_t top_n = 10;
+    static constexpr core::SimilarityMeasure similarity =
+        core::SimilarityMeasure::kJaccard;
+    static constexpr size_t max_nodes = 25;
+    static constexpr size_t top_n = 10;
     /// Optional fault injector (borrowed, may be nullptr); training
     /// observes op "train.bundle" once per corpus bundle, so tests can
     /// fail a training pass at any point and assert it had no effect.
@@ -76,8 +80,8 @@ class RecommendationService {
     struct ShardScope {
       uint32_t shard_index = 0;
       uint32_t num_shards = 1;
-      /// Sharder name ("hash", "range"), surfaced in Health so the
-      /// coordinator can verify the cluster is partitioned consistently.
+      /// Sharder name ("hash"), surfaced in Health so the coordinator
+      /// can verify the cluster is partitioned consistently.
       std::string sharder;
       std::function<bool(const std::string&)> owns_part;
       bool active() const { return static_cast<bool>(owns_part); }

@@ -20,13 +20,13 @@ Client::~Client() { Close(); }
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
       read_buf_(std::move(other.read_buf_)),
-      max_frame_bytes_(other.max_frame_bytes_),
       host_(std::move(other.host_)),
       port_(other.port_),
       timeout_ms_(other.timeout_ms_),
       rcvbuf_bytes_(other.rcvbuf_bytes_),
       connect_timeout_ms_(other.connect_timeout_ms_),
-      has_endpoint_(other.has_endpoint_) {
+      has_endpoint_(other.has_endpoint_),
+      retry_policy_(std::move(other.retry_policy_)) {
   other.fd_ = -1;
   other.has_endpoint_ = false;
 }
@@ -36,13 +36,13 @@ Client& Client::operator=(Client&& other) noexcept {
     Close();
     fd_ = other.fd_;
     read_buf_ = std::move(other.read_buf_);
-    max_frame_bytes_ = other.max_frame_bytes_;
     host_ = std::move(other.host_);
     port_ = other.port_;
     timeout_ms_ = other.timeout_ms_;
     rcvbuf_bytes_ = other.rcvbuf_bytes_;
     connect_timeout_ms_ = other.connect_timeout_ms_;
     has_endpoint_ = other.has_endpoint_;
+    retry_policy_ = std::move(other.retry_policy_);
     other.fd_ = -1;
     other.has_endpoint_ = false;
   }
@@ -165,7 +165,7 @@ Result<std::string> Client::ReceiveFrame() {
   if (fd_ < 0) return Status::Invalid("client is not connected");
   char buf[65536];
   for (;;) {
-    FrameDecode decode = DecodeFrame(read_buf_, max_frame_bytes_);
+    FrameDecode decode = DecodeFrame(read_buf_, kDefaultMaxFrameBytes);
     if (decode.state == FrameDecode::State::kFrame) {
       std::string payload(decode.payload);
       read_buf_.erase(0, decode.consumed);

@@ -96,7 +96,6 @@ class Client {
  private:
   int fd_ = -1;
   std::string read_buf_;
-  size_t max_frame_bytes_ = kDefaultMaxFrameBytes;
   /// Endpoint memory for Reconnect (set by Connect).
   std::string host_;
   uint16_t port_ = 0;

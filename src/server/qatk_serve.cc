@@ -11,7 +11,7 @@
 //              [--max-in-flight=1024] [--idle-timeout-ms=60000]
 //              [--drain-timeout-ms=10000] [--port-file=PATH]
 //              [--metrics-interval-s=0] [--data-dir=DIR]
-//              [--shard-index=I --shards=N [--sharder=hash]]
+//              [--shard-index=I --shards=N]
 //
 // A numeric flag whose value is not a whole decimal number in range for
 // its field exits 2 ("invalid value for --<flag>"), as an unknown flag
@@ -32,13 +32,14 @@
 // checkpoint. kill -9 it, restart with the same --data-dir, and every
 // acknowledged mutation is still there.
 //
-// --shards=N with --shard-index=I runs this process as shard I of an
-// N-way cluster (DESIGN.md §14): training keeps only the knowledge nodes
-// of the parts this shard owns under --sharder, and the ShardQuery /
-// ShardTopK probes answer raw pre-dedup partials for the qatk_cluster
-// front end to merge. The sharder (hash or range) must be identical
-// across the whole cluster; the front end verifies it via the "shard"
-// object in Health.
+// --shards=N with --shard-index=I (default 0) runs this process as shard
+// I of an N-way cluster (DESIGN.md §14), for every N >= 1: training keeps
+// only the knowledge nodes of the parts this shard owns under the hash
+// sharder, and the ShardQuery / ShardTopK probes answer raw pre-dedup
+// partials for the qatk_cluster front end to merge. Health reports the
+// shard's index, shard count and sharder name in a "shard" object, which
+// the front end verifies. --shard-index without --shards, or an index
+// outside [0, N), exits 2.
 //
 // Quick poke with nc (frames are 4-byte big-endian length + JSON):
 //   printf '{"id":1,"method":"Health","params":{}}' | awk '{
@@ -52,6 +53,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -136,9 +138,9 @@ int main(int argc, char** argv) {
   std::string port_file;
   std::string data_dir;
   int metrics_interval_s = 0;
-  uint32_t shard_index = 0;
-  uint32_t num_shards = 1;
-  std::string sharder_name = "hash";
+  // Set only by the flags: a process given neither serves unscoped.
+  std::optional<uint32_t> shard_index;
+  std::optional<uint32_t> num_shards;
   for (int i = 1; i < argc; ++i) {
     const qatk::server::Flag flag(argv[i]);
     bool valid = true;
@@ -159,11 +161,9 @@ int main(int argc, char** argv) {
     } else if (flag.Is("--data-dir")) {
       data_dir = flag.value();
     } else if (flag.Is("--shard-index")) {
-      valid = flag.ParseNumber(&shard_index);
+      valid = flag.ParseNumber(&shard_index.emplace());
     } else if (flag.Is("--shards")) {
-      valid = flag.ParseNumber(&num_shards);
-    } else if (flag.Is("--sharder")) {
-      sharder_name = flag.value();
+      valid = flag.ParseNumber(&num_shards.emplace());
     } else if (flag.Is("--metrics-interval-s") ||
                flag.Is("--metrics_interval_s")) {
       valid = flag.ParseNumber(&metrics_interval_s);
@@ -179,27 +179,28 @@ int main(int argc, char** argv) {
   }
 
   qatk::quest::RecommendationService::Options service_options;
-  if (num_shards > 1 || num_shards == 0) {
-    if (num_shards == 0 || shard_index >= num_shards) {
+  if (shard_index.has_value() && !num_shards.has_value()) {
+    std::fprintf(stderr, "--shard-index needs --shards\n");
+    return 2;
+  }
+  if (num_shards.has_value()) {
+    const uint32_t n = *num_shards;
+    const uint32_t index = shard_index.value_or(0);
+    if (index >= n) {
       std::fprintf(stderr, "--shard-index=%u out of range for --shards=%u\n",
-                   shard_index, num_shards);
+                   index, n);
       return 2;
     }
-    std::shared_ptr<qatk::cluster::Sharder> sharder(
-        qatk::cluster::MakeSharder(sharder_name, num_shards));
-    if (sharder == nullptr) {
-      std::fprintf(stderr, "unknown sharder: %s\n", sharder_name.c_str());
-      return 2;
-    }
-    service_options.shard.shard_index = shard_index;
-    service_options.shard.num_shards = num_shards;
-    service_options.shard.sharder = sharder_name;
+    const qatk::cluster::Sharder sharder(n);
+    service_options.shard.shard_index = index;
+    service_options.shard.num_shards = n;
+    service_options.shard.sharder = sharder.name();
     service_options.shard.owns_part =
-        [sharder, shard_index](const std::string& part_id) {
-          return sharder->ShardFor(part_id) == shard_index;
+        [sharder, index](const std::string& part_id) {
+          return sharder.ShardFor(part_id) == index;
         };
-    std::fprintf(stderr, "shard %u/%u (sharder=%s)\n", shard_index,
-                 num_shards, sharder_name.c_str());
+    std::fprintf(stderr, "shard %u/%u (sharder=%s)\n", index, n,
+                 sharder.name());
   }
 
   std::fprintf(stderr, "building demo world + corpus...\n");

@@ -652,7 +652,7 @@ bool Server::Impl::ProcessFrames(Loop* loop, Conn* conn) {
   while (offset < conn->read_buf.size()) {
     FrameDecode decode =
         DecodeFrame(std::string_view(conn->read_buf).substr(offset),
-                    options.max_frame_bytes);
+                    kDefaultMaxFrameBytes);
     if (decode.state == FrameDecode::State::kNeedMore) break;
     if (decode.state == FrameDecode::State::kError) {
       protocol_errors.fetch_add(1, std::memory_order_relaxed);

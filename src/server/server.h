@@ -93,8 +93,9 @@ class ServiceRequestHandler : public RequestHandler {
 /// request batching amortizes syscalls, wakeups, and allocations.
 ///
 /// Backpressure contract:
-///  * Reads are bounded by the frame cap: a connection buffering more
-///    than one maximal frame without completing it is a protocol error.
+///  * Reads are bounded by the frame cap, kDefaultMaxFrameBytes (the
+///    Client's too): a connection buffering more than one maximal frame
+///    without completing it is a protocol error.
 ///  * Admission control: at most `max_in_flight` admitted requests may be
 ///    awaiting execution or sitting as unflushed responses, globally.
 ///    Beyond that, requests are answered immediately with kUnavailable
@@ -124,7 +125,6 @@ class Server {
     size_t threads = 1;
     /// Admission-control cap (see class comment).
     size_t max_in_flight = 1024;
-    size_t max_frame_bytes = kDefaultMaxFrameBytes;
     size_t max_write_buffer = 8u << 20;
     /// > 0 shrinks each accepted connection's kernel send buffer. The
     /// default (0, kernel-tuned ~4MiB) lets small responses "flush" into

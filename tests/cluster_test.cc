@@ -2,7 +2,7 @@
 // semantics, and — the load-bearing property — bit-identical equivalence
 // between a sharded cluster and a single-node service. Equivalence is
 // exercised at two levels: directly against RecommendationService::
-// ShardTopK + MergePartials for every (shard count, sharder) config, and
+// ShardTopK + MergePartials at every shard count from 1 to 4, and
 // end-to-end over real sockets through a Coordinator front end.
 
 #include <gtest/gtest.h>
@@ -46,8 +46,8 @@ using server::Json;
 // Sharder units.
 
 TEST(SharderTest, HashIsDeterministicAndInRange) {
-  HashSharder a(4);
-  HashSharder b(4);
+  Sharder a(4);
+  Sharder b(4);
   for (int i = 0; i < 200; ++i) {
     const std::string key = Numbered("P", i * 37);
     const uint32_t shard = a.ShardFor(key);
@@ -58,7 +58,7 @@ TEST(SharderTest, HashIsDeterministicAndInRange) {
 }
 
 TEST(SharderTest, HashSpreadsKeysAcrossAllShards) {
-  HashSharder sharder(4);
+  Sharder sharder(4);
   std::set<uint32_t> hit;
   for (int i = 0; i < 64; ++i) {
     hit.insert(sharder.ShardFor(Numbered("PART-", i)));
@@ -66,27 +66,9 @@ TEST(SharderTest, HashSpreadsKeysAcrossAllShards) {
   EXPECT_EQ(hit.size(), 4u);
 }
 
-TEST(SharderTest, RangeIsMonotoneInTheKeyPrefix) {
-  RangeSharder sharder(5);
-  // Sorted keys must map to non-decreasing shard indices: range
-  // partitioning preserves lexicographic locality on the leading bytes.
-  const std::vector<std::string> sorted = {
-      "A0", "A9", "B100", "M55", "P01", "P99", "b20", "z9", "zzzzzzzzzz"};
-  uint32_t prev = 0;
-  for (const auto& key : sorted) {
-    const uint32_t shard = sharder.ShardFor(key);
-    EXPECT_LT(shard, 5u);
-    EXPECT_GE(shard, prev) << key;
-    prev = shard;
-  }
-  // Extremes of the prefix space land on the extreme shards.
-  EXPECT_EQ(sharder.ShardFor(std::string(8, '\x00')), 0u);
-  EXPECT_EQ(sharder.ShardFor(std::string(8, '\xff')), 4u);
-}
-
 TEST(SharderTest, FactoryCoversNamesAndRejectsBadInput) {
   EXPECT_NE(MakeSharder("hash", 3), nullptr);
-  EXPECT_NE(MakeSharder("range", 3), nullptr);
+  EXPECT_EQ(MakeSharder("range", 3), nullptr);
   EXPECT_EQ(MakeSharder("round_robin", 3), nullptr);
   EXPECT_EQ(MakeSharder("hash", 0), nullptr);
   EXPECT_EQ(MakeSharder("mystery", 3), nullptr);
@@ -190,15 +172,14 @@ datagen::WorldConfig TinyWorld() {
   return config;
 }
 
-RecommendationService::Options ScopedOptions(const std::string& sharder_name,
-                                             uint32_t index, uint32_t n) {
+RecommendationService::Options ScopedOptions(uint32_t index, uint32_t n) {
   RecommendationService::Options options;
-  std::shared_ptr<Sharder> sharder = MakeSharder(sharder_name, n);
+  const Sharder sharder(n);
   options.shard.shard_index = index;
   options.shard.num_shards = n;
-  options.shard.sharder = sharder_name;
+  options.shard.sharder = sharder.name();
   options.shard.owns_part = [sharder, index](const std::string& part) {
-    return sharder->ShardFor(part) == index;
+    return sharder.ShardFor(part) == index;
   };
   return options;
 }
@@ -227,13 +208,13 @@ class ClusterEquivalenceTest : public ::testing::Test {
     world_ = nullptr;
   }
 
-  /// Trains one scoped service per shard for (sharder_name, n).
+  /// Trains one scoped service per shard of an n-shard cluster.
   static std::vector<std::unique_ptr<RecommendationService>> TrainShards(
-      const std::string& sharder_name, uint32_t n) {
+      uint32_t n) {
     std::vector<std::unique_ptr<RecommendationService>> shards;
     for (uint32_t i = 0; i < n; ++i) {
       shards.push_back(std::make_unique<RecommendationService>(
-          &world_->taxonomy(), ScopedOptions(sharder_name, i, n)));
+          &world_->taxonomy(), ScopedOptions(i, n)));
       EXPECT_TRUE(shards.back()->Train(*corpus_).ok());
     }
     return shards;
@@ -244,7 +225,7 @@ class ClusterEquivalenceTest : public ::testing::Test {
   /// all-nodes sweep (fallback=true) to every shard.
   static RecommendationService::Recommendation ClusterRecommend(
       const std::vector<std::unique_ptr<RecommendationService>>& shards,
-      Sharder& sharder, const kb::DataBundle& bundle) {
+      const Sharder& sharder, const kb::DataBundle& bundle) {
     const uint32_t owner = sharder.ShardFor(bundle.part_id);
     auto probe = shards[owner]->ShardTopK(bundle, /*fallback=*/false);
     EXPECT_TRUE(probe.ok()) << probe.status();
@@ -280,17 +261,15 @@ class ClusterEquivalenceTest : public ::testing::Test {
 
   /// Probes every corpus bundle plus unknown-part fallbacks and counts
   /// mismatches against the single-node reference.
-  static void ExpectClusterMatchesReference(const std::string& sharder_name,
-                                            uint32_t n) {
-    auto shards = TrainShards(sharder_name, n);
-    auto sharder = MakeSharder(sharder_name, n);
-    ASSERT_NE(sharder, nullptr);
+  static void ExpectClusterMatchesReference(uint32_t n) {
+    auto shards = TrainShards(n);
+    const Sharder sharder(n);
     size_t mismatches = 0;
     std::string first;
     for (const auto& bundle : corpus_->bundles) {
       auto want = reference_->Recommend(bundle);
       ASSERT_TRUE(want.ok()) << want.status();
-      auto got = ClusterRecommend(shards, *sharder, bundle);
+      auto got = ClusterRecommend(shards, sharder, bundle);
       if (!SameRecommendation(want.ValueOrDie(), got)) {
         if (++mismatches == 1) first = bundle.reference_number;
       }
@@ -301,13 +280,13 @@ class ClusterEquivalenceTest : public ::testing::Test {
       probe.part_id = Numbered("ZZ-UNKNOWN-", i);
       auto want = reference_->Recommend(probe);
       ASSERT_TRUE(want.ok()) << want.status();
-      auto got = ClusterRecommend(shards, *sharder, probe);
+      auto got = ClusterRecommend(shards, sharder, probe);
       if (!SameRecommendation(want.ValueOrDie(), got)) {
         if (++mismatches == 1) first = probe.part_id;
       }
     }
     EXPECT_EQ(mismatches, 0u)
-        << sharder_name << "/" << n << ": first mismatch at " << first;
+        << n << " shards: first mismatch at " << first;
   }
 
   static datagen::DomainWorld* world_;
@@ -321,13 +300,7 @@ RecommendationService* ClusterEquivalenceTest::reference_ = nullptr;
 
 TEST_F(ClusterEquivalenceTest, HashShardsMatchSingleNode) {
   for (uint32_t n : {1u, 2u, 3u, 4u}) {
-    ExpectClusterMatchesReference("hash", n);
-  }
-}
-
-TEST_F(ClusterEquivalenceTest, RangeShardsMatchSingleNode) {
-  for (uint32_t n : {2u, 3u, 4u}) {
-    ExpectClusterMatchesReference("range", n);
+    ExpectClusterMatchesReference(n);
   }
 }
 
@@ -357,7 +330,7 @@ TEST(ShardedIndexTest, SlicedPartialsMergeExactlyToFullIndex) {
   // Each shard's slice is a knowledge base of the nodes it owns, restored
   // in the unrestricted order (so tie-breaking inside the slice is
   // unchanged); kept[s] maps a slice node to its index in `full`.
-  HashSharder sharder(3);
+  Sharder sharder(3);
   std::vector<kb::KnowledgeBase> shard_knowledge(3);
   std::vector<std::vector<uint32_t>> kept(3);
   for (size_t i = 0; i < knowledge.num_nodes(); ++i) {
@@ -437,7 +410,7 @@ TEST(ShardedIndexTest, SlicedPartialsMergeExactlyToFullIndex) {
 }
 
 TEST_F(ClusterEquivalenceTest, ShardTopKProbeDoesNotScoreUnknownParts) {
-  auto shards = TrainShards("hash", 3);
+  auto shards = TrainShards(3);
   auto sharder = MakeSharder("hash", 3);
   kb::DataBundle probe = corpus_->bundles[0];
   probe.part_id = "NO-SUCH-PART";
@@ -463,7 +436,7 @@ TEST_F(ClusterEquivalenceTest, ConfirmWithGlobalOrdinalKeepsEquivalence) {
   // A confirmed assignment routed to the owner with a coordinator-style
   // global ordinal must leave the cluster bit-identical to a single node
   // that absorbed the same confirm.
-  auto shards = TrainShards("hash", 3);
+  auto shards = TrainShards(3);
   auto sharder = MakeSharder("hash", 3);
   // Ordinal counters agree across shards (every shard counts the whole
   // corpus) and match the single-node high-water mark.
@@ -512,7 +485,7 @@ TEST_F(ClusterEquivalenceTest, ConfirmWithGlobalOrdinalKeepsEquivalence) {
 class ClusterWireTest : public ClusterEquivalenceTest {
  protected:
   void StartCluster(uint32_t n) {
-    shards_ = TrainShards("hash", n);
+    shards_ = TrainShards(n);
     Coordinator::Options options;
     for (auto& shard : shards_) {
       auto server = std::make_unique<server::Server>(

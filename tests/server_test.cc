@@ -790,6 +790,23 @@ TEST_F(ServerTest, ClientRetriesThroughShedding) {
       << "success must come from the freed slot, not budget exhaustion";
 }
 
+TEST(ClientTest, MoveKeepsTheRetryPolicy) {
+  // The coordinator arms a channel's policy, then moves the channel
+  // through its pool: a move that reset the policy would retry every
+  // shard RPC under the default budget instead.
+  RetryPolicy::Options retry;
+  retry.max_attempts = 7;
+  retry.base_backoff = std::chrono::microseconds(300);
+  Client armed;
+  armed.set_retry_policy(RetryPolicy(retry));
+  Client moved(std::move(armed));
+  EXPECT_EQ(moved.retry_policy().options().max_attempts, 7);
+  Client assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.retry_policy().options().max_attempts, 7);
+  EXPECT_EQ(assigned.retry_policy().options().base_backoff.count(), 300);
+}
+
 TEST_F(ServerTest, DrainPersistsAcknowledgedConfirms) {
   // A durable service behind the server: every ConfirmAssignment answered
   // OK over the wire must still exist after the data dir is reopened —
