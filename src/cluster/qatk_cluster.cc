@@ -141,25 +141,6 @@ bool DrainShard(pid_t pid, uint32_t index) {
   return clean;
 }
 
-/// Writes the front end's port to `path` (tmp + rename, so a poller never
-/// reads a half-written port).
-bool WritePortFile(const std::string& path, uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write port file %s\n", tmp.c_str());
-    return false;
-  }
-  std::fprintf(f, "%u\n", port);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "cannot rename port file into place\n");
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 struct ClusterFlags {
   qatk::server::Server::Options server_options;
   uint32_t num_shards = 3;
@@ -237,7 +218,7 @@ int Serve(const ClusterFlags& flags, const std::string& work_dir,
                num_shards == 1 ? "" : "s");
   // The server's destructor drains the front end on the early returns.
   if (!flags.port_file.empty() &&
-      !WritePortFile(flags.port_file, server.port())) {
+      !qatk::server::WritePortFile(flags.port_file, server.port())) {
     return 1;
   }
   g_server.store(&server);

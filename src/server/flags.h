@@ -2,6 +2,8 @@
 #define QATK_SERVER_FLAGS_H_
 
 #include <charconv>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -49,6 +51,26 @@ class Flag {
   std::string name_;
   std::string value_;
 };
+
+/// Writes `port` to `path` for a script or launcher that polls for it,
+/// as qatk_serve's and qatk_cluster's --port-file do: to `path`.tmp, then
+/// renamed into place, so a poller never reads a half-written port.
+/// Prints why and returns false when either step fails.
+inline bool WritePortFile(const std::string& path, uint16_t port) {
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write port file %s\n", tmp.c_str());
+    return false;
+  }
+  std::fprintf(f, "%u\n", static_cast<unsigned>(port));
+  std::fclose(f);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "cannot rename port file into place\n");
+    return false;
+  }
+  return true;
+}
 
 }  // namespace qatk::server
 

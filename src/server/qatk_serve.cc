@@ -255,21 +255,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "serving on %s:%u (%zu thread%s)\n",
                options.host.c_str(), server.port(), options.threads,
                options.threads == 1 ? "" : "s");
-  if (!port_file.empty()) {
-    // Write to a temp name then rename, so a poller never reads a
-    // half-written port.
-    const std::string tmp = port_file + ".tmp";
-    FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write port file %s\n", tmp.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%u\n", server.port());
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-      std::fprintf(stderr, "cannot rename port file into place\n");
-      return 1;
-    }
+  if (!port_file.empty() &&
+      !qatk::server::WritePortFile(port_file, server.port())) {
+    return 1;
   }
 
   g_server = &server;
