@@ -24,8 +24,10 @@
 #   4. serve              — Release build of the epoll serving stack:
 #                           qatk_serve --port=abc, --port=70000,
 #                           --shards=1 --shard-index=7 (an index outside
-#                           the cluster) and --sharder=hash (there is one
-#                           sharder, so no such flag) must each exit 2
+#                           the cluster), --sharder=hash (there is one
+#                           sharder, so no such flag) and
+#                           --metrics-interval-s=10 (removed; metrics are
+#                           read over the wire) must each exit 2
 #                           (refused before training starts),
 #                           then bench_serving_load --quick in-process (wire
 #                           responses must be bit-identical to direct
@@ -175,10 +177,12 @@ for STAGE in "${STAGES[@]}"; do
     # A malformed or out-of-range numeric flag is refused with exit 2
     # before training or any event loop starts: not an uncaught exception
     # (exit 134), and no port wrapped into 16 bits (70000 -> 4464). So are
-    # a shard index outside the cluster and --sharder (there is one
-    # sharder, so no such flag).
+    # a shard index outside the cluster, --sharder (there is one sharder,
+    # so no such flag) and --metrics-interval-s (removed: Stats and
+    # MetricsText give the same numbers over the wire).
     for BAD_FLAGS in "--port=abc" "--port=70000" \
-      "--shards=1 --shard-index=7" "--sharder=hash"; do
+      "--shards=1 --shard-index=7" "--sharder=hash" \
+      "--metrics-interval-s=10"; do
       STATUS=0
       # Unquoted on purpose: one entry may hold several flags.
       # shellcheck disable=SC2086

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "cluster/merge.h"
@@ -21,11 +22,16 @@ using server::Response;
 constexpr int kShardTimeoutMs = 5000;
 constexpr int kShardConnectTimeoutMs = 5000;
 
-/// Retry policy of every shard RPC: jittered, so the front-end loops do
-/// not retry a restarting shard in lockstep.
+/// Attempts one shard gets per fan-out: the pipelined send/receive, then
+/// the channel's CallWithRetry with the rest of the budget.
+constexpr int kShardAttempts = 4;
+
+/// Retry policy of the attempts after the pipelined one: jittered, so the
+/// front-end loops do not retry a restarting shard in lockstep.
 RetryPolicy ShardRetryPolicy() {
   return RetryPolicy(RetryPolicy::Options{
-      /*max_attempts=*/4, /*base_backoff=*/std::chrono::microseconds(500),
+      /*max_attempts=*/kShardAttempts - 1,
+      /*base_backoff=*/std::chrono::microseconds(500),
       /*jitter=*/0.25, /*seed=*/0x9e3779b97f4a7c15ull});
 }
 
@@ -38,9 +44,8 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
 
 /// Error response in the exact shape Dispatch produces (empty object
 /// result), so front-end errors are wire-identical to shard errors.
-Response ErrorResponse(int64_t id, const Status& status) {
+Response ErrorResponse(const Status& status) {
   Response response;
-  response.id = id;
   response.code = status.code();
   response.message = status.message();
   response.result = Json::Object();
@@ -69,19 +74,20 @@ Coordinator::Coordinator(Options options)
   mutations_ = registry.GetCounter("qatk_cluster_mutations_total");
   shard_retries_ = registry.GetCounter("qatk_cluster_shard_retries_total");
   shard_metrics_.reserve(options_.shards.size());
-  for (size_t i = 0; i < options_.shards.size(); ++i) {
+  for (uint32_t i = 0; i < options_.shards.size(); ++i) {
     ShardMetrics metrics;
     metrics.rpc_us = registry.GetHistogram(
         "qatk_cluster_shard_rpc_us{shard=\"" + std::to_string(i) + "\"}");
     metrics.routed = registry.GetCounter(
         "qatk_cluster_routed_total{shard=\"" + std::to_string(i) + "\"}");
     shard_metrics_.push_back(metrics);
+    all_shards_.push_back(i);
   }
 }
 
 Coordinator::~Coordinator() = default;
 
-Result<server::Client> Coordinator::AcquireChannel(size_t shard) {
+server::Client Coordinator::AcquireChannel(uint32_t shard) {
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     std::vector<server::Client>& free_list = pool_[shard];
@@ -94,8 +100,8 @@ Result<server::Client> Coordinator::AcquireChannel(size_t shard) {
   const ShardEndpoint& endpoint = options_.shards[shard];
   server::Client channel;
   channel.set_retry_policy(ShardRetryPolicy());
-  // A failed connect is not yet fatal: the channel remembers the endpoint
-  // and every caller drives it through a retry path that reconnects with
+  // A failed connect is not yet fatal: the channel remembers the endpoint,
+  // and CallShards retries it through CallWithRetry, which reconnects with
   // backoff — a shard mid-restart costs a retry, not a hard error.
   static_cast<void>(channel.Connect(endpoint.host, endpoint.port,
                                     kShardTimeoutMs, /*rcvbuf_bytes=*/0,
@@ -103,127 +109,106 @@ Result<server::Client> Coordinator::AcquireChannel(size_t shard) {
   return channel;
 }
 
-void Coordinator::ReleaseChannel(size_t shard, server::Client channel) {
+void Coordinator::ReleaseChannel(uint32_t shard, server::Client channel) {
   if (!channel.connected()) return;  // Broken channels are not pooled.
   std::lock_guard<std::mutex> lock(pool_mutex_);
   pool_[shard].push_back(std::move(channel));
 }
 
-Result<Response> Coordinator::CallShard(size_t shard, std::string_view method,
-                                        const Json& params) {
-  QATK_ASSIGN_OR_RETURN(server::Client channel, AcquireChannel(shard));
-  shard_metrics_[shard].routed->Add();
-  const int64_t id = rpc_id_.fetch_add(1, std::memory_order_relaxed);
+Result<std::vector<Response>> Coordinator::CallShards(
+    const std::vector<uint32_t>& shards, std::string_view method,
+    const Json& params) {
   const auto start = std::chrono::steady_clock::now();
-  int attempts = 0;
-  Result<Response> reply =
-      channel.CallWithRetry(id, method, params, /*deadline_ms=*/-1, &attempts);
-  shard_metrics_[shard].rpc_us->Record(MicrosSince(start));
-  if (attempts > 1) shard_retries_->Add(static_cast<uint64_t>(attempts - 1));
-  if (!reply.ok()) {
-    const ShardEndpoint& endpoint = options_.shards[shard];
-    return Status::Unavailable("shard " + std::to_string(shard) + " (" +
-                               endpoint.host + ":" +
-                               std::to_string(endpoint.port) +
-                               "): " + reply.status().message());
-  }
-  ReleaseChannel(shard, std::move(channel));
-  return reply;
-}
-
-Result<std::vector<Response>> Coordinator::Scatter(std::string_view method,
-                                                   const Json& params) {
-  const size_t n = options_.shards.size();
+  const int64_t first_id = rpc_id_.fetch_add(
+      static_cast<int64_t>(shards.size()), std::memory_order_relaxed);
+  // Phase 1: send to every shard before reading any reply, so the shards
+  // execute the fan-out concurrently. A channel whose send failed is
+  // dropped; phase 2 retries it.
   std::vector<server::Client> channels;
-  channels.reserve(n);
-  // Phase 1: send to every shard before reading any response, so the
-  // shards execute the fan-out concurrently (pipelined scatter). One
-  // reconnect absorbs a channel whose peer restarted while pooled.
-  for (size_t i = 0; i < n; ++i) {
-    QATK_ASSIGN_OR_RETURN(server::Client channel, AcquireChannel(i));
-    channels.push_back(std::move(channel));
-    shard_metrics_[i].routed->Add();
-    const int64_t id = rpc_id_.fetch_add(1, std::memory_order_relaxed);
-    Status sent = channels.back().Send(id, method, params);
-    if (!sent.ok()) {
-      Status reconnected = channels.back().Reconnect();
-      if (reconnected.ok()) sent = channels.back().Send(id, method, params);
-    }
-    if (!sent.ok()) {
-      const ShardEndpoint& endpoint = options_.shards[i];
-      return Status::Unavailable("shard " + std::to_string(i) + " (" +
-                                 endpoint.host + ":" +
-                                 std::to_string(endpoint.port) +
-                                 "): " + sent.message());
-    }
+  channels.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    shard_metrics_[shards[i]].routed->Add();
+    server::Client& channel = channels.emplace_back(AcquireChannel(shards[i]));
+    const int64_t id = first_id + static_cast<int64_t>(i);
+    if (!channel.Send(id, method, params).ok()) channel.Close();
   }
-  // Phase 2: gather in shard order. Per-shard completion is measured from
-  // the scatter start, so max-min is the straggler gap the merge waited
-  // out. Fail-fast: a dead shard fails the whole request (no silently
-  // partial merges); its channel is dropped, not pooled.
-  const auto start = std::chrono::steady_clock::now();
-  uint64_t fastest = 0, slowest = 0;
-  std::vector<Response> responses;
-  responses.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Result<Response> reply = channels[i].Receive();
-    const uint64_t completed_us = MicrosSince(start);
+  // Phase 2: gather in order. Per-shard completion is measured from the
+  // fan-out start, so max-min is the straggler gap the merge waited out.
+  uint64_t fastest = std::numeric_limits<uint64_t>::max(), slowest = 0;
+  std::vector<Response> replies;
+  replies.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const uint32_t shard = shards[i];
+    server::Client& channel = channels[i];
+    Result<Response> reply = Status::Unavailable("send failed");
+    if (channel.connected()) reply = channel.Receive();
+    if (!reply.ok() || IsTransient(Status(reply->code, {}))) {
+      // The pipelined attempt failed: retry this shard alone. A broken
+      // channel (peer restarted while pooled, mid-frame read) is dropped
+      // so CallWithRetry reconnects before its first attempt.
+      if (!reply.ok()) channel.Close();
+      int attempts = 0;
+      reply = channel.CallWithRetry(first_id + static_cast<int64_t>(i),
+                                    method, params, /*deadline_ms=*/-1,
+                                    &attempts);
+      shard_retries_->Add(static_cast<uint64_t>(attempts));
+    }
     if (!reply.ok()) {
-      const ShardEndpoint& endpoint = options_.shards[i];
-      return Status::Unavailable("shard " + std::to_string(i) + " (" +
+      // Fail-fast: no silently partial merges. The channels not yet read
+      // hold unread replies, so they close with this scope, unpooled.
+      const ShardEndpoint& endpoint = options_.shards[shard];
+      return Status::Unavailable("shard " + std::to_string(shard) + " (" +
                                  endpoint.host + ":" +
                                  std::to_string(endpoint.port) +
                                  "): " + reply.status().message());
     }
-    shard_metrics_[i].rpc_us->Record(completed_us);
-    fastest = (i == 0) ? completed_us : std::min(fastest, completed_us);
+    const uint64_t completed_us = MicrosSince(start);
+    shard_metrics_[shard].rpc_us->Record(completed_us);
+    fastest = std::min(fastest, completed_us);
     slowest = std::max(slowest, completed_us);
-    responses.push_back(std::move(reply).ValueOrDie());
-    ReleaseChannel(i, std::move(channels[i]));
+    replies.push_back(std::move(reply).ValueOrDie());
+    ReleaseChannel(shard, std::move(channel));
   }
-  straggler_gap_us_->Record(slowest - fastest);
-  return responses;
+  if (shards.size() > 1) straggler_gap_us_->Record(slowest - fastest);
+  return replies;
 }
 
-Response Coordinator::RouteQuery(const Request& request,
-                                 const std::string& part_id,
-                                 std::string_view shard_method, Json params) {
+Result<Response> Coordinator::CallOwner(std::string_view method,
+                                        const Json& params) {
+  const uint32_t owner = sharder_->ShardFor(params.GetString("part_id"));
+  QATK_ASSIGN_OR_RETURN(std::vector<Response> replies,
+                        CallShards({owner}, method, params));
+  return std::move(replies.front());
+}
+
+Result<Response> Coordinator::RouteQuery(std::string_view shard_method,
+                                         Json params) {
   obs::ScopedTimer fanout_span(fanout_us_);
   using ShardPartial = quest::RecommendationService::ShardPartial;
   std::vector<ShardPartial> partials;
-  // Round 1: probe the owner alone. The sharder makes ownership a pure
+  // Round 1 probes the owner alone. The sharder makes ownership a pure
   // function of the part id, so a trained part is fully answered by one
-  // shard — the common case costs one RPC, not a fan-out.
-  const uint32_t owner = sharder_->ShardFor(part_id);
-  params.Set("fallback", Json(false));
-  Result<Response> probe = CallShard(owner, shard_method, params);
-  if (!probe.ok()) return ErrorResponse(request.id, probe.status());
-  Response reply = std::move(probe).ValueOrDie();
-  if (!reply.ok()) {
-    reply.id = request.id;  // Shard error (e.g. untrained): forward verbatim.
-    return reply;
-  }
-  Result<ShardPartial> partial = server::ShardPartialFromJson(reply.result);
-  if (!partial.ok()) return ErrorResponse(request.id, partial.status());
-  if (partial.ValueOrDie().known_part) {
-    partials.push_back(std::move(partial).ValueOrDie());
-  } else {
-    // Round 2: the part was never trained anywhere — run the single-node
-    // unknown-part semantics (all-nodes sweep, zero-shared included)
-    // across every shard and merge.
-    fallback_scatters_->Add();
-    params.Set("fallback", Json(true));
-    Result<std::vector<Response>> scattered = Scatter(shard_method, params);
-    if (!scattered.ok()) return ErrorResponse(request.id, scattered.status());
-    for (Response& response : scattered.ValueOrDie()) {
-      if (!response.ok()) {
-        response.id = request.id;
-        return response;
-      }
-      Result<ShardPartial> piece = server::ShardPartialFromJson(response.result);
-      if (!piece.ok()) return ErrorResponse(request.id, piece.status());
-      partials.push_back(std::move(piece).ValueOrDie());
+  // shard — the common case costs one RPC, not a fan-out. Round 2 runs
+  // only when the part was never trained anywhere: the single-node
+  // unknown-part semantics (all-nodes sweep, zero-shared included)
+  // across every shard, merged.
+  const std::vector<uint32_t> owner = {
+      sharder_->ShardFor(params.GetString("part_id"))};
+  for (const bool fallback : {false, true}) {
+    params.Set("fallback", Json(fallback));
+    QATK_ASSIGN_OR_RETURN(
+        std::vector<Response> replies,
+        CallShards(fallback ? all_shards_ : owner, shard_method, params));
+    for (Response& reply : replies) {
+      // A shard error (e.g. untrained) is forwarded verbatim.
+      if (!reply.ok()) return std::move(reply);
+      QATK_ASSIGN_OR_RETURN(ShardPartial partial,
+                            server::ShardPartialFromJson(reply.result));
+      partials.push_back(std::move(partial));
     }
+    if (fallback || partials.front().known_part) break;
+    partials.clear();
+    fallback_scatters_->Add();
   }
   merges_->Add();
   for (const ShardPartial& piece : partials) {
@@ -233,130 +218,105 @@ Response Coordinator::RouteQuery(const Request& request,
   MergedRecommendation merged =
       MergePartials(partials, ServiceOptions::max_nodes, ServiceOptions::top_n);
   Response response;
-  response.id = request.id;
   response.code = StatusCode::kOk;
   response.result = server::RecommendationToJson(merged.recommendation);
   return response;
 }
 
-Response Coordinator::HandleFullList(const Request& request) {
-  const std::string part_id = request.params.GetString("part_id");
-  const uint32_t owner = sharder_->ShardFor(part_id);
-  Result<Response> reply =
-      CallShard(owner, "FullListForPart", request.params);
-  if (!reply.ok()) return ErrorResponse(request.id, reply.status());
-  Response response = std::move(reply).ValueOrDie();
-  response.id = request.id;
-  return response;
-}
-
-Response Coordinator::HandleDescribe(const Request& request) {
+Result<Response> Coordinator::HandleDescribe(const Json& params) {
   // Corpus-trained descriptions are replicated on every shard, but a
   // description registered through DefineErrorCode lives only on the
   // defining part's owner — and the part is not in this request. Scatter
   // and take the first shard that knows the code.
-  Result<std::vector<Response>> scattered =
-      Scatter("DescribeCode", request.params);
-  if (!scattered.ok()) return ErrorResponse(request.id, scattered.status());
-  std::vector<Response>& responses = scattered.ValueOrDie();
-  for (Response& response : responses) {
-    if (response.ok()) {
-      response.id = request.id;
-      return response;
-    }
+  QATK_ASSIGN_OR_RETURN(std::vector<Response> replies,
+                        CallShards(all_shards_, "DescribeCode", params));
+  for (Response& reply : replies) {
+    if (reply.ok()) return std::move(reply);
   }
   // Nobody knows it: every shard produced the same single-node KeyError;
   // forward the first verbatim.
-  responses.front().id = request.id;
-  return responses.front();
+  return std::move(replies.front());
 }
 
-Response Coordinator::HandleConfirm(const Request& request) {
-  const std::string part_id = request.params.GetString("part_id");
-  const uint32_t owner = sharder_->ShardFor(part_id);
+Result<Response> Coordinator::HandleConfirm(const Json& params) {
   // Assign the global insertion ordinal the merge order rests on. The
   // counter advances even when the confirm later merges into an existing
   // node or fails — gaps are harmless, only relative order matters.
   const uint64_t ordinal =
       next_ordinal_.fetch_add(1, std::memory_order_acq_rel);
-  Json params = request.params;
-  params.Set("ordinal", Json(static_cast<int64_t>(ordinal)));
-  Result<Response> reply = CallShard(owner, "ConfirmAssignment", params);
-  if (!reply.ok()) return ErrorResponse(request.id, reply.status());
-  Response response = std::move(reply).ValueOrDie();
-  if (response.ok()) mutations_->Add();
-  response.id = request.id;
-  return response;
+  Json ordered = params;
+  ordered.Set("ordinal", Json(static_cast<int64_t>(ordinal)));
+  QATK_ASSIGN_OR_RETURN(Response reply,
+                        CallOwner("ConfirmAssignment", ordered));
+  if (reply.ok()) mutations_->Add();
+  return reply;
 }
 
-Response Coordinator::HandleDefine(const Request& request) {
-  const std::string part_id = request.params.GetString("part_id");
-  const std::string code = request.params.GetString("code");
-  const std::string description = request.params.GetString("description");
+Result<Response> Coordinator::HandleDefine(const Json& params) {
+  const std::string code = params.GetString("code");
+  const std::string description = params.GetString("description");
   // Global description-conflict check (single-node semantics: the first
   // registration wins and is never silently overwritten). Manual
   // descriptions live only on their defining part's owner, so the check
-  // must consult every shard, not just this part's owner.
+  // must consult every shard, not just this part's owner. The check and
+  // the define run under one lock: two defines of one code on parts of
+  // different shards could otherwise both pass the check.
+  std::lock_guard<std::mutex> lock(define_mutex_);
   Json probe = Json::Object();
   probe.Set("code", Json(code));
-  Result<std::vector<Response>> scattered = Scatter("DescribeCode", probe);
-  if (!scattered.ok()) return ErrorResponse(request.id, scattered.status());
-  for (const Response& response : scattered.ValueOrDie()) {
-    if (!response.ok()) continue;  // This shard doesn't know the code.
-    const std::string described = response.result.GetString("description");
+  QATK_ASSIGN_OR_RETURN(std::vector<Response> replies,
+                        CallShards(all_shards_, "DescribeCode", probe));
+  for (const Response& reply : replies) {
+    if (!reply.ok()) continue;  // This shard doesn't know the code.
+    const std::string described = reply.result.GetString("description");
     if (described != description) {
-      return ErrorResponse(
-          request.id,
-          Status::AlreadyExists("error code '" + code +
-                                "' already described as '" + described +
-                                "'; refusing to overwrite"));
+      return Status::AlreadyExists("error code '" + code +
+                                   "' already described as '" + described +
+                                   "'; refusing to overwrite");
     }
   }
-  const uint32_t owner = sharder_->ShardFor(part_id);
-  Result<Response> reply =
-      CallShard(owner, "DefineErrorCode", request.params);
-  if (!reply.ok()) return ErrorResponse(request.id, reply.status());
-  Response response = std::move(reply).ValueOrDie();
-  if (response.ok()) mutations_->Add();
-  response.id = request.id;
-  return response;
+  QATK_ASSIGN_OR_RETURN(Response reply, CallOwner("DefineErrorCode", params));
+  if (reply.ok()) mutations_->Add();
+  return reply;
 }
 
-Response Coordinator::Handle(const Request& request) {
+Result<Response> Coordinator::Route(const Request& request) {
   using server::Method;
   switch (request.method) {
     case Method::kRecommend:
-      return RouteQuery(request, request.params.GetString("part_id"),
-                        "ShardQuery", request.params);
+      return RouteQuery("ShardQuery", request.params);
     case Method::kRecommendForText:
-      return RouteQuery(request, request.params.GetString("part_id"),
-                        "ShardTopK", request.params);
+      return RouteQuery("ShardTopK", request.params);
     case Method::kFullListForPart:
-      return HandleFullList(request);
+      return CallOwner("FullListForPart", request.params);
     case Method::kDescribeCode:
-      return HandleDescribe(request);
+      return HandleDescribe(request.params);
     case Method::kConfirmAssignment:
-      return HandleConfirm(request);
+      return HandleConfirm(request.params);
     case Method::kDefineErrorCode:
-      return HandleDefine(request);
+      return HandleDefine(request.params);
     case Method::kShardQuery:
     case Method::kShardTopK:
       // Cluster-internal probes; only shard workers answer them.
-      return ErrorResponse(
-          request.id, Status::Invalid("method '" + request.method_name +
-                                      "' requires a shard context"));
+      return Status::Invalid("method '" + request.method_name +
+                             "' requires a shard context");
     case Method::kHealth:
     case Method::kStats:
     case Method::kMetricsText:
-      return ErrorResponse(
-          request.id, Status::Invalid("method '" + request.method_name +
-                                      "' requires a server context"));
+      return Status::Invalid("method '" + request.method_name +
+                             "' requires a server context");
     case Method::kUnknown:
       break;
   }
-  return ErrorResponse(request.id,
-                       Status::Invalid("unknown method '" +
-                                       request.method_name + "'"));
+  return Status::Invalid("unknown method '" + request.method_name + "'");
+}
+
+Response Coordinator::Handle(const Request& request) {
+  Result<Response> routed = Route(request);
+  Response response = routed.ok() ? std::move(routed).ValueOrDie()
+                                  : ErrorResponse(routed.status());
+  response.id = request.id;
+  return response;
 }
 
 Status Coordinator::Connect() {
@@ -365,12 +325,12 @@ Status Coordinator::Connect() {
   if (sharder_ == nullptr) {
     return Status::Invalid("unknown sharder '" + options_.sharder + "'");
   }
+  QATK_ASSIGN_OR_RETURN(std::vector<Response> replies,
+                        CallShards(all_shards_, "Health", Json::Object()));
   uint64_t ordinal_high = 0;
   bool all_trained = true;
   for (size_t i = 0; i < n; ++i) {
-    Result<Response> reply = CallShard(i, "Health", Json::Object());
-    if (!reply.ok()) return reply.status();
-    const Response& response = reply.ValueOrDie();
+    const Response& response = replies[i];
     if (!response.ok()) {
       return Status::Unavailable("shard " + std::to_string(i) +
                                  " Health failed: " + response.message);

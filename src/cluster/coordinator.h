@@ -37,10 +37,11 @@ struct ShardEndpoint {
 /// (ConfirmAssignment carries a coordinator-assigned global ordinal so
 /// merge order stays consistent across shards); DefineErrorCode first
 /// scatters a description conflict check, because manual descriptions
-/// live only on the defining part's owner. Shard RPCs travel through
-/// Client::CallWithRetry, so a shard restarting between requests costs a
-/// reconnect, not an error; any shard still unreachable after retries
-/// fails the whole request (fail-fast — no silently partial merges).
+/// live only on the defining part's owner, and holds a lock across check
+/// and define so that, as on one node, the first definition wins. Every
+/// shard RPC goes through CallShards, so a shard restarting between
+/// requests costs a reconnect, not an error; a shard still unreachable
+/// after its attempts fails the whole request (no partial merges).
 ///
 /// Thread-safety: Handle is called concurrently from every front-end
 /// event loop. Each call borrows per-shard client channels from a
@@ -86,37 +87,33 @@ class Coordinator : public server::RequestHandler {
  private:
   struct ShardMetrics;
 
-  /// Borrows a connected channel to `shard` from the pool (opening a new
-  /// connection when the free list is empty).
-  Result<server::Client> AcquireChannel(size_t shard);
+  /// Borrows a channel to `shard` from the pool, or opens one.
+  server::Client AcquireChannel(uint32_t shard);
   /// Returns a still-usable channel to the pool.
-  void ReleaseChannel(size_t shard, server::Client channel);
+  void ReleaseChannel(uint32_t shard, server::Client channel);
 
-  /// One unary RPC to one shard, with retry/reconnect. A response whose
-  /// payload is a server-level error (Invalid, KeyError, ...) is returned
-  /// as a Response for the caller to forward verbatim; only transport
-  /// exhaustion fails the Result.
-  Result<server::Response> CallShard(size_t shard, std::string_view method,
+  /// The one shard-RPC path: sends to every target before reading any
+  /// reply, then gathers in order. A shard whose attempt fails (transport
+  /// failure or a transient reply code) is retried alone through
+  /// CallWithRetry, up to 4 attempts in all. Error replies come back for
+  /// the caller to forward; the Result fails (kUnavailable, naming the
+  /// shard) only when a shard stays unreachable.
+  Result<std::vector<server::Response>> CallShards(
+      const std::vector<uint32_t>& shards, std::string_view method,
+      const server::Json& params);
+  /// CallShards to the owner of `params`' part_id alone.
+  Result<server::Response> CallOwner(std::string_view method,
                                      const server::Json& params);
 
-  /// Pipelined fan-out of the same request to every shard: send all, then
-  /// gather in shard order, recording per-shard completion for the
-  /// straggler gap histogram. Fail-fast on any transport failure.
-  Result<std::vector<server::Response>> Scatter(std::string_view method,
-                                                const server::Json& params);
-
-  /// Two-round read routing shared by Recommend / RecommendForText:
-  /// owner probe, then (unknown part) fallback scatter; merges partials
-  /// and encodes the final recommendation.
-  server::Response RouteQuery(const server::Request& request,
-                              const std::string& part_id,
-                              std::string_view shard_method,
-                              server::Json params);
-
-  server::Response HandleFullList(const server::Request& request);
-  server::Response HandleDescribe(const server::Request& request);
-  server::Response HandleConfirm(const server::Request& request);
-  server::Response HandleDefine(const server::Request& request);
+  /// Handle minus the id: a failed Result is the front end's own error.
+  Result<server::Response> Route(const server::Request& request);
+  /// Recommend / RecommendForText: owner probe, then (unknown part) the
+  /// fallback scatter; merges the partials.
+  Result<server::Response> RouteQuery(std::string_view shard_method,
+                                      server::Json params);
+  Result<server::Response> HandleDescribe(const server::Json& params);
+  Result<server::Response> HandleConfirm(const server::Json& params);
+  Result<server::Response> HandleDefine(const server::Json& params);
 
   Options options_;
   std::unique_ptr<Sharder> sharder_;
@@ -132,6 +129,8 @@ class Coordinator : public server::RequestHandler {
   /// connection order; the id is for log correlation only).
   std::atomic<int64_t> rpc_id_{1};
 
+  std::vector<uint32_t> all_shards_;  // 0..n-1: a scatter's targets.
+  std::mutex define_mutex_;  // Held across a define's check and call.
   std::mutex pool_mutex_;
   std::vector<std::vector<server::Client>> pool_;  // Per-shard free lists.
 

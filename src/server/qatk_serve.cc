@@ -10,7 +10,7 @@
 //   qatk_serve [--host=127.0.0.1] [--port=0] [--threads=1]
 //              [--max-in-flight=1024] [--idle-timeout-ms=60000]
 //              [--drain-timeout-ms=10000] [--port-file=PATH]
-//              [--metrics-interval-s=0] [--data-dir=DIR]
+//              [--data-dir=DIR]
 //              [--shard-index=I --shards=N]
 //
 // A numeric flag whose value is not a whole decimal number in range for
@@ -19,10 +19,8 @@
 //
 // --port=0 binds an ephemeral port; --port-file writes the bound port to
 // PATH once the server is accepting (how scripts/check.sh finds it).
-// --metrics-interval-s=N > 0 logs a one-line serving summary (requests,
-// p50/p99, shed) every N seconds; 0 (default) disables it. The full
-// metric set is always available over the wire via the MetricsText
-// method.
+// Serving metrics are read over the wire: the Stats and MetricsText
+// methods.
 //
 // --data-dir=DIR makes the service durable (DESIGN.md §13): on boot it
 // recovers whatever state DIR holds (checkpoint snapshot + service-log
@@ -45,23 +43,15 @@
 //   printf '{"id":1,"method":"Health","params":{}}' | awk '{
 //     printf "%c%c%c%c%s", 0, 0, 0, length($0), $0 }' | nc 127.0.0.1 PORT
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "cluster/sharder.h"
-#include "common/logging.h"
 #include "datagen/world.h"
-#include "obs/metrics.h"
 #include "quest/recommendation_service.h"
 #include "server/demo_corpus.h"
 #include "server/flags.h"
@@ -76,68 +66,12 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
 }
 
-/// Periodic one-line serving summary, driven off the server counters and
-/// the Recommend latency histogram. Runs on its own thread; Stop() wakes
-/// the sleeper so shutdown never waits out a full interval.
-class MetricsReporter {
- public:
-  MetricsReporter(const qatk::server::Server* server, int interval_s)
-      : server_(server), interval_s_(interval_s) {
-    if (interval_s_ > 0) thread_ = std::thread([this] { Run(); });
-  }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  ~MetricsReporter() { Stop(); }
-
- private:
-  void Run() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      if (cv_.wait_for(lock, std::chrono::seconds(interval_s_),
-                       [this] { return stop_; })) {
-        return;
-      }
-      LogSummary();
-    }
-  }
-
-  void LogSummary() const {
-    const qatk::server::ServerStats stats = server_->stats();
-    qatk::obs::HistogramSnapshot recommend =
-        qatk::obs::Registry::Global()
-            .GetHistogram("qatk_server_request_us{method=\"Recommend\"}")
-            ->Snapshot();
-    QATK_LOG(INFO) << "serving: requests=" << stats.requests
-                   << " ok=" << stats.responses_ok
-                   << " error=" << stats.responses_error
-                   << " shed=" << stats.shed << " recommend_p50_us="
-                   << recommend.Quantile(0.5) << " recommend_p99_us="
-                   << recommend.Quantile(0.99);
-  }
-
-  const qatk::server::Server* server_;
-  const int interval_s_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   qatk::server::Server::Options options;
   std::string port_file;
   std::string data_dir;
-  int metrics_interval_s = 0;
   // Set only by the flags: a process given neither serves unscoped.
   std::optional<uint32_t> shard_index;
   std::optional<uint32_t> num_shards;
@@ -164,9 +98,6 @@ int main(int argc, char** argv) {
       valid = flag.ParseNumber(&shard_index.emplace());
     } else if (flag.Is("--shards")) {
       valid = flag.ParseNumber(&num_shards.emplace());
-    } else if (flag.Is("--metrics-interval-s") ||
-               flag.Is("--metrics_interval_s")) {
-      valid = flag.ParseNumber(&metrics_interval_s);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -266,15 +197,7 @@ int main(int argc, char** argv) {
   ::sigaction(SIGTERM, &action, nullptr);
   ::sigaction(SIGINT, &action, nullptr);
 
-  // The summary logs at INFO, which the library default (warn) mutes;
-  // asking for periodic summaries is an explicit opt-in, so raise the
-  // level unless the operator pinned one via QATK_LOG_LEVEL.
-  if (metrics_interval_s > 0 && std::getenv("QATK_LOG_LEVEL") == nullptr) {
-    qatk::SetMinLogLevel(qatk::LogLevel::kInfo);
-  }
-  MetricsReporter reporter(&server, metrics_interval_s);
   const qatk::Status drained = server.Wait();
-  reporter.Stop();
   const qatk::server::ServerStats stats = server.stats();
   std::fprintf(stderr,
                "drained: accepted=%llu requests=%llu ok=%llu error=%llu "

@@ -516,16 +516,38 @@ class ClusterWireTest : public ClusterEquivalenceTest {
     shards_.clear();
   }
 
-  /// Runs the same request against the front end (wire) and the reference
-  /// service (in-process Dispatch) and requires byte-identical results.
+  /// Drains shard `i`'s server and starts a new one on the same port,
+  /// leaving every pooled coordinator channel to it stale.
+  void RestartShard(size_t i) {
+    const uint16_t port = shard_servers_[i]->port();
+    ASSERT_TRUE(shard_servers_[i]->Drain().ok());
+    shard_servers_[i] = std::make_unique<server::Server>(
+        shards_[i].get(), server::Server::Options{.port = port, .threads = 1});
+    ASSERT_TRUE(shard_servers_[i]->Start().ok());
+  }
+
+  /// First corpus part the n-shard hash sharder places on `shard`.
+  static std::string PartOwnedBy(uint32_t shard, uint32_t n) {
+    const Sharder sharder(n);
+    for (const auto& bundle : corpus_->bundles) {
+      if (sharder.ShardFor(bundle.part_id) == shard) return bundle.part_id;
+    }
+    ADD_FAILURE() << "no corpus part on shard " << shard << " of " << n;
+    return "";
+  }
+
+  /// Runs the same request against the front end (wire) and a single-node
+  /// service (in-process Dispatch; the shared reference unless the request
+  /// mutates) and requires byte-identical results.
   void ExpectMatchesReference(int64_t id, const std::string& method,
-                              Json params) {
+                              Json params,
+                              RecommendationService* single = reference_) {
     server::Request request;
     request.id = id;
     request.method_name = method;
     request.method = server::MethodFromString(method);
     request.params = params;
-    server::Response want = server::Dispatch(reference_, request);
+    server::Response want = server::Dispatch(single, request);
     auto got = client_.Call(id, method, std::move(params));
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(static_cast<int>(got->code), static_cast<int>(want.code))
@@ -688,19 +710,149 @@ TEST_F(ClusterWireTest, CoordinatorSurvivesAShardRestart) {
                          server::BundleToParams(corpus_->bundles[0]));
 
   // Kill shard 1's server and bring a new one up on the same port; the
-  // coordinator's pooled channels are stale and must reconnect via
-  // CallWithRetry.
-  const uint16_t port = shard_servers_[1]->port();
-  ASSERT_TRUE(shard_servers_[1]->Drain().ok());
-  shard_servers_[1] = std::make_unique<server::Server>(
-      shards_[1].get(),
-      server::Server::Options{.port = port, .threads = 1});
-  ASSERT_TRUE(shard_servers_[1]->Start().ok());
+  // coordinator's pooled channels are stale and must reconnect.
+  RestartShard(1);
 
   for (size_t i = 0; i < 20; ++i) {
     ExpectMatchesReference(static_cast<int64_t>(100 + i), "Recommend",
                            server::BundleToParams(corpus_->bundles[i]));
   }
+}
+
+TEST_F(ClusterWireTest, ScatterSurvivesAShardRestart) {
+  StartCluster(2);
+  // Warm the pool: one scatter leaves a channel to each shard pooled.
+  Json describe = Json::Object();
+  describe.Set("code", Json(corpus_->bundles[0].error_code));
+  ExpectMatchesReference(1, "DescribeCode", describe);
+
+  // Each scatter below meets a stale shard-1 channel first: DescribeCode,
+  // the fallback sweep of a part shard 0 owns (so the owner probe does not
+  // refresh shard 1's channel), and DefineErrorCode's conflict check.
+  RestartShard(1);
+  ExpectMatchesReference(2, "DescribeCode", describe);
+
+  RestartShard(1);
+  std::string unknown_part;
+  const Sharder sharder(2);
+  for (int i = 0; unknown_part.empty(); ++i) {
+    const std::string part = Numbered("ZZ-UNKNOWN-", i);
+    if (sharder.ShardFor(part) == 0) unknown_part = part;
+  }
+  kb::DataBundle unknown = corpus_->bundles[3];
+  unknown.part_id = unknown_part;
+  ExpectMatchesReference(3, "Recommend", server::BundleToParams(unknown));
+
+  RestartShard(1);
+  RecommendationService single(&world_->taxonomy(),
+                               RecommendationService::Options{});
+  ASSERT_TRUE(single.Train(*corpus_).ok());
+  Json define = Json::Object();
+  define.Set("part_id", Json(corpus_->bundles[0].part_id));
+  define.Set("code", Json("ZXR1"));
+  define.Set("description", Json("defined after a restart"));
+  ExpectMatchesReference(4, "DefineErrorCode", define, &single);
+  describe.Set("code", Json("ZXR1"));
+  ExpectMatchesReference(5, "DescribeCode", describe, &single);
+}
+
+TEST_F(ClusterWireTest, ConcurrentDefinesOfOneCodeAdmitOne) {
+  StartCluster(3);
+  // Two clients define one new code, with different descriptions, on
+  // parts different shards own. Both requests are on the wire before
+  // either reply is read, so the two front-end loops can run them at once.
+  // A single node admits the first and refuses the second.
+  const std::string parts[2] = {PartOwnedBy(0, 3), PartOwnedBy(1, 3)};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string code = Numbered("ZC", trial);
+    server::Client clients[2];
+    for (int c = 0; c < 2; ++c) {
+      ASSERT_TRUE(clients[c].Connect("127.0.0.1", front_->port()).ok());
+      Json define = Json::Object();
+      define.Set("part_id", Json(parts[c]));
+      define.Set("code", Json(code));
+      define.Set("description", Json(Numbered("description ", c)));
+      ASSERT_TRUE(clients[c].Send(c, "DefineErrorCode", define).ok());
+    }
+    int admitted = 0;
+    std::string winner;
+    for (int c = 0; c < 2; ++c) {
+      auto reply = clients[c].Receive();
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      if (reply->ok()) {
+        ++admitted;
+        winner = Numbered("description ", c);
+      } else {
+        EXPECT_EQ(reply->code, StatusCode::kAlreadyExists) << reply->message;
+      }
+    }
+    ASSERT_EQ(admitted, 1) << "trial " << trial << ", code " << code;
+    Json describe = Json::Object();
+    describe.Set("code", Json(code));
+    auto described = client_.Call(trial, "DescribeCode", describe);
+    ASSERT_TRUE(described.ok()) << described.status();
+    ASSERT_TRUE(described->ok()) << described->message;
+    EXPECT_EQ(described->result.GetString("description"), winner);
+  }
+}
+
+TEST_F(ClusterWireTest, ConnectRefusesAnUnscopedShard) {
+  server::Server unscoped(reference_, server::Server::Options{.port = 0});
+  ASSERT_TRUE(unscoped.Start().ok());
+  Coordinator::Options options;
+  options.shards.push_back(ShardEndpoint{"127.0.0.1", unscoped.port()});
+  Coordinator coordinator(std::move(options));
+  const Status connected = coordinator.Connect();
+  EXPECT_FALSE(connected.ok());
+  EXPECT_NE(connected.message().find("not shard-scoped"), std::string::npos)
+      << connected.ToString();
+  EXPECT_TRUE(unscoped.Drain().ok());
+}
+
+TEST_F(ClusterWireTest, ConnectRefusesShardsInTheWrongOrder) {
+  StartCluster(2);
+  Coordinator::Options options;
+  for (size_t i : {1, 0}) {
+    options.shards.push_back(
+        ShardEndpoint{"127.0.0.1", shard_servers_[i]->port()});
+  }
+  Coordinator swapped(std::move(options));
+  const Status connected = swapped.Connect();
+  EXPECT_FALSE(connected.ok());
+  EXPECT_NE(connected.message().find("identity mismatch"), std::string::npos)
+      << connected.ToString();
+}
+
+TEST_F(ClusterWireTest, RequestsFailFastOnAnUnreachableShard) {
+  StartCluster(2);
+  ASSERT_TRUE(shard_servers_[1]->Drain().ok());  // Not restarted.
+
+  // Shard 1's part and the DescribeCode scatter both need shard 1: each
+  // answers kUnavailable naming it, after the shard's retries.
+  const auto expect_unavailable = [&](int64_t id, const std::string& method,
+                                      Json params) {
+    auto reply = client_.Call(id, method, std::move(params));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->code, StatusCode::kUnavailable) << method;
+    EXPECT_NE(reply->message.find("shard 1 ("), std::string::npos)
+        << method << ": " << reply->message;
+  };
+  kb::DataBundle on_shard_1 = corpus_->bundles[0];
+  on_shard_1.part_id = PartOwnedBy(1, 2);
+  expect_unavailable(1, "Recommend", server::BundleToParams(on_shard_1));
+  Json describe = Json::Object();
+  describe.Set("code", Json(corpus_->bundles[0].error_code));
+  expect_unavailable(2, "DescribeCode", describe);
+
+  // Parts shard 0 owns are still answered in full.
+  const std::string part_0 = PartOwnedBy(0, 2);
+  int64_t id = 10;
+  for (const auto& bundle : corpus_->bundles) {
+    if (bundle.part_id != part_0) continue;
+    ExpectMatchesReference(id++, "Recommend", server::BundleToParams(bundle));
+    if (id == 20) break;
+  }
+  EXPECT_EQ(id, 20);
 }
 
 /// Sends `payload`, which is larger than the frame cap, on a fresh
